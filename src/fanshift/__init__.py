@@ -1,25 +1,20 @@
 """HVAC fan load-shifting simulator and virtual-battery analysis toolkit."""
 
-from .control import ControllerGains, ControlState
+from .control import ControllerGains
 from .engine import (EventSchedule, OutdoorProfile, Scenario, run_baseline,
-                     run_closed_loop, run_open_loop, step,
-                     tune_open_loop_event)
+                     run_closed_loop, run_open_loop, tune_open_loop_event)
 from .metrics import (EventMetrics, EventWindow, energy_in_out, evaluate_event,
                       linear_baseline, neutrality, normalize, rte, temp_rmse)
-from .thermal import (BuildingParams, PlantInput, ThermalState,
-                      derivatives_mixing, derivatives_original, equilibrium,
-                      supply_heat_gain)
+from .thermal import BuildingParams, equilibrium
 from .trace import Trace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BuildingParams", "ThermalState", "PlantInput",
-    "supply_heat_gain", "derivatives_original", "derivatives_mixing",
-    "equilibrium",
-    "ControllerGains", "ControlState",
+    "BuildingParams", "equilibrium",
+    "ControllerGains",
     "OutdoorProfile", "EventSchedule", "Scenario",
-    "run_baseline", "run_open_loop", "run_closed_loop", "step",
+    "run_baseline", "run_open_loop", "run_closed_loop",
     "tune_open_loop_event",
     "EventWindow", "EventMetrics", "energy_in_out", "rte", "neutrality",
     "temp_rmse", "normalize", "linear_baseline", "evaluate_event",

@@ -9,16 +9,15 @@ Four subcommands compose the library into reproducible studies:
 
 Everything is emitted as CSV (traces and flat metrics rows); plotting is left
 to external tools. Exit codes: 0 success, 1 configuration error, 2 numerical
-failure, 3 self-check failure. ``FANSHIFT_WORKERS`` sets the sweep's process
-pool size (default 1, serial and deterministic either way).
+failure, 3 self-check failure. A sweep writes the rows of every point that
+succeeded, lists the failed points on stderr and exits with the code of the
+first failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,19 +36,11 @@ from .trace import Trace
 __all__ = ["main", "cmd_simulate", "cmd_sweep_mixing", "cmd_forced_settling",
            "cmd_compare_models", "SelfCheckError"]
 
-FULL_WINDOW_HR = 35_000.0 / 3600.0
 SHORT_WINDOW_HR = 2.0
 
 
 class SelfCheckError(FanshiftError):
     """A command's built-in result verification failed."""
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FANSHIFT_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def run_event_pair(scenario: Scenario) -> tuple[Trace, Trace, Trace]:
@@ -74,9 +65,13 @@ def run_event_pair(scenario: Scenario) -> tuple[Trace, Trace, Trace]:
 
 
 def _metrics_record(scenario: Scenario, event: Trace, counterfactual: Trace,
-                    window_hr: float) -> data_io.ResultRecord:
+                    window_name: str) -> data_io.ResultRecord:
+    """Metrics over the "full" settling window or the "2h" one after event start."""
     window = scenario.window()
-    if window_hr != FULL_WINDOW_HR:
+    if window_name == "full":
+        window_hr = scenario.settle_duration / 3600.0
+    else:
+        window_hr = SHORT_WINDOW_HR
         window = window.with_settle(scenario.t_start + window_hr * 3600.0)
     m = metrics.evaluate_event(event, counterfactual, window)
     return data_io.ResultRecord.from_metrics(
@@ -86,8 +81,10 @@ def _metrics_record(scenario: Scenario, event: Trace, counterfactual: Trace,
 
 
 def _check_neutrality(records: list[data_io.ResultRecord]) -> None:
+    # a full-window row carries the short label only when its settling window
+    # is two hours long, and then both rows measure the same window
     bad = [r for r in records
-           if r.window_hr == FULL_WINDOW_HR and not r.neutral]
+           if r.window_hr != SHORT_WINDOW_HR and not r.neutral]
     if bad:
         ids = ", ".join(f"{r.scenario_id}/{r.kind}" for r in bad)
         raise SelfCheckError(f"events violate the energy-neutrality criterion: {ids}")
@@ -115,9 +112,9 @@ def cmd_simulate(config_path: str | Path, out_dir: str | Path,
 
     records = []
     if window in ("full", "both"):
-        records.append(_metrics_record(scenario, event, counterfactual, FULL_WINDOW_HR))
+        records.append(_metrics_record(scenario, event, counterfactual, "full"))
     if window in ("2h", "both"):
-        records.append(_metrics_record(scenario, event, counterfactual, SHORT_WINDOW_HR))
+        records.append(_metrics_record(scenario, event, counterfactual, "2h"))
 
     sid = scenario.scenario_id
     data_io.write_trace(event, out / f"{sid}_event.csv")
@@ -158,7 +155,8 @@ def _sweep_point(args) -> list[data_io.ResultRecord]:
         mode=MODE_CLOSED_LOOP, dt=dt,
         scenario_id=f"mixing_r{r:g}_c{c:g}")
     event, _, counterfactual = run_event_pair(scenario)
-    return [_metrics_record(scenario, event, counterfactual, hr) for hr in windows]
+    return [_metrics_record(scenario, event, counterfactual, name)
+            for name in windows]
 
 
 def cmd_sweep_mixing(r_grid: list[float], c_grid: list[float],
@@ -170,33 +168,30 @@ def cmd_sweep_mixing(r_grid: list[float], c_grid: list[float],
         raise ConfigurationError("grids must be non-empty")
     if kind not in KINDS:
         raise ConfigurationError(f"unknown kind {kind!r}")
-    windows = {"full": (FULL_WINDOW_HR,), "2h": (SHORT_WINDOW_HR,),
-               "both": (FULL_WINDOW_HR, SHORT_WINDOW_HR)}.get(window)
+    windows = {"full": ("full",), "2h": ("2h",),
+               "both": ("full", "2h")}.get(window)
     if windows is None:
         raise ConfigurationError(f"unknown window {window!r}")
 
     points = [(r, c, kind, power_frac, dt, windows)
               for r in r_grid for c in c_grid]
-    workers = _worker_count()
-    failures: list[str] = []
+    failures: list[tuple[tuple, FanshiftError]] = []
     results: list[data_io.ResultRecord] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for point, recs in zip(points, pool.map(_sweep_point, points)):
-                results.extend(recs)
-    else:
-        for point in points:
-            try:
-                results.extend(_sweep_point(point))
-            except FanshiftError as exc:
-                failures.append(f"r={point[0]} c={point[1]}: {exc}")
+    for point in points:
+        try:
+            results.extend(_sweep_point(point))
+        except FanshiftError as exc:
+            failures.append((point, exc))
 
     results.sort(key=lambda rec: (rec.r, rec.c, -rec.window_hr))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data_io.write_results(results, out / "mixing_sweep.csv")
     if failures:
-        print("sweep points failed:", *failures, sep="\n  ", file=sys.stderr)
+        print("sweep points failed:",
+              *(f"r={point[0]} c={point[1]}: {exc}" for point, exc in failures),
+              sep="\n  ", file=sys.stderr)
+        raise failures[0][1]
     _check_neutrality(results)
     return 0
 
@@ -242,8 +237,7 @@ def cmd_forced_settling(out_dir: str | Path, dt: float = 1.0,
     The outdoor step of the error cases lands ``step_offset`` seconds after
     event start (default: at event start).
     """
-    windows = {"full": (FULL_WINDOW_HR,),
-               "both": (FULL_WINDOW_HR, SHORT_WINDOW_HR)}.get(window)
+    windows = {"full": ("full",), "both": ("full", "2h")}.get(window)
     if windows is None:
         raise ConfigurationError(f"unknown window {window!r} (use full or both)")
     out = Path(out_dir)
@@ -256,8 +250,8 @@ def cmd_forced_settling(out_dir: str | Path, dt: float = 1.0,
             scenario = _study_scenario(case, kind, dt, step_offset, step_f,
                                        mix_r, mix_c)
             event, control_base, counterfactual = run_event_pair(scenario)
-            for hr in windows:
-                records.append(_metrics_record(scenario, event, counterfactual, hr))
+            for name in windows:
+                records.append(_metrics_record(scenario, event, counterfactual, name))
             sid = scenario.scenario_id
             data_io.write_trace(event, traces_dir / f"{sid}.csv")
             data_io.write_trace(control_base, traces_dir / f"{sid}_baseline.csv")
@@ -277,9 +271,16 @@ def _drift_slope(event: Trace, baseline: Trace, t_start: float) -> tuple[float, 
     """Initial power step (2 min in) and mean drift slope 5-25 min in, W/s."""
     diff = event.p_fan - baseline.p_fan
     i0 = event.index_at(t_start)
-    per_step = int(round(1.0 / event.dt))
-    step0 = float(diff[i0 + 120 * per_step])
-    a, z = i0 + 300 * per_step, i0 + 1500 * per_step
+
+    def at(seconds: float) -> int:
+        return i0 + int(round(seconds / event.dt))
+
+    step0 = float(diff[at(120.0)])
+    a, z = at(300.0), at(1500.0)
+    if z - a < 2:
+        raise ConfigurationError(
+            f"dt={event.dt} s leaves fewer than 2 samples in the 5-25 min "
+            "drift window")
     slope = float(np.polyfit(event.t[a:z], diff[a:z], 1)[0])
     return step0, slope
 

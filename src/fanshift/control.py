@@ -7,27 +7,19 @@ on top of the scheduled setpoint. Both integrals accumulate by the forward
 rectangle rule and freeze while their output is pinned at a limit in the
 direction of the error. Lag states are physical signals and never jump.
 
-States are immutable values; every step returns a new state, so independent
-simulations can run concurrently without coordination.
+This module holds the stack's gains and limits. The step itself is
+:func:`fanshift.kernels.simulate_loop` with its scalar helpers
+``temp_pi``, ``power_pi`` and ``lag_step``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from . import kernels
 from .errors import ConfigurationError
 
 __all__ = [
     "ControllerGains",
-    "ControlState",
-    "temperature_pi_step",
-    "airflow_lag_step",
-    "fan_power_step",
-    "power_pi_step",
-    "reset",
-    "bumpless_handback",
     "SETPOINT_ADJ_LIMIT_K",
     "MDOT_LIMIT_FACTOR",
 ]
@@ -65,100 +57,3 @@ class ControllerGains:
         if self.fan_coeff <= 0:
             raise ConfigurationError("fan power coefficient must be positive")
 
-
-@dataclass(frozen=True)
-class ControlState:
-    """Integrator and lag-filter states of the full stack."""
-
-    i_temp: float = 0.0           # accumulated temperature error, K s
-    i_power: float = 0.0          # accumulated power error, W s
-    mdot_actual: float = 0.0      # lagged airflow, kg/s
-    p_fan: float = 0.0            # lagged fan power, W
-
-    def __post_init__(self):
-        if self.mdot_actual < 0 or self.p_fan < 0:
-            raise ConfigurationError("lag states must be non-negative")
-
-
-def temperature_pi_step(t_room_meas: float, t_set_eff: float,
-                        state: ControlState, gains: ControllerGains,
-                        dt: float, mdot_max: float) -> tuple[float, ControlState]:
-    """Advance the temperature PI one step.
-
-    Returns (desired airflow kg/s, new state). Output saturates at [0,
-    mdot_max]; the integral freezes while saturated in the error direction.
-    """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    mdot_desired, i_temp = kernels.temp_pi(
-        t_room_meas, t_set_eff, state.i_temp,
-        gains.kp_temp, gains.ki_temp, dt, mdot_max)
-    return mdot_desired, replace(state, i_temp=i_temp)
-
-
-def airflow_lag_step(mdot_desired: float, state: ControlState,
-                     tau_airflow: float, dt: float) -> tuple[float, ControlState]:
-    """Advance the VAV actuator lag. Exact exponential update."""
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    mdot = kernels.lag_step(state.mdot_actual, mdot_desired,
-                            math.exp(-dt / tau_airflow))
-    return mdot, replace(state, mdot_actual=mdot)
-
-
-def fan_power_step(mdot_actual: float, state: ControlState, fan_coeff: float,
-                   tau_fan: float, dt: float) -> tuple[float, ControlState]:
-    """Advance the fan power lag toward fan_coeff * mdot_actual."""
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    p_fan = kernels.lag_step(state.p_fan, fan_coeff * mdot_actual,
-                             math.exp(-dt / tau_fan))
-    return p_fan, replace(state, p_fan=p_fan)
-
-
-def power_pi_step(p_event_ref: float, p_fan_diff: float, state: ControlState,
-                  gains: ControllerGains, dt: float,
-                  adj_max: float = SETPOINT_ADJ_LIMIT_K) -> tuple[float, ControlState]:
-    """Advance the power PI one step.
-
-    Returns (setpoint adjustment K, new state). The adjustment is the negated
-    PI sum of the tracking error (cooling mode: more fan power needs a lower
-    setpoint), clamped to +-adj_max with anti-windup on the clamp.
-    """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    adj, i_power = kernels.power_pi(
-        p_event_ref, p_fan_diff, state.i_power,
-        gains.kp_power, gains.ki_power, dt, adj_max)
-    return adj, replace(state, i_power=i_power)
-
-
-def reset(state: ControlState, mode: str = "power") -> ControlState:
-    """Zero integrators at engagement/disengagement boundaries.
-
-    ``mode`` selects which: "power", "temperature", or "all". Lag states are
-    physical signals and are always preserved. Idempotent.
-    """
-    if mode == "power":
-        return replace(state, i_power=0.0)
-    if mode == "temperature":
-        return replace(state, i_temp=0.0)
-    if mode == "all":
-        return replace(state, i_temp=0.0, i_power=0.0)
-    raise ConfigurationError(f"unknown reset mode {mode!r}")
-
-
-def bumpless_handback(state: ControlState, gains: ControllerGains,
-                      t_room_meas: float, t_set_eff: float, dt: float,
-                      last_mdot_desired: float) -> ControlState:
-    """Re-seed the temperature integral at power-controller handback.
-
-    Seeds i_temp so that the next temperature_pi_step issues exactly
-    ``last_mdot_desired``, avoiding an airflow jump when the setpoint
-    adjustment disappears. No-op for a proportional-only controller.
-    """
-    if gains.ki_temp == 0.0:
-        return state
-    err = t_room_meas - t_set_eff
-    i_temp = (last_mdot_desired - gains.kp_temp * err) / gains.ki_temp - err * dt
-    return replace(state, i_temp=i_temp)

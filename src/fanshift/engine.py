@@ -21,22 +21,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, metrics
-from .control import (MDOT_LIMIT_FACTOR, SETPOINT_ADJ_LIMIT_K, ControllerGains,
-                      ControlState)
+from .control import MDOT_LIMIT_FACTOR, SETPOINT_ADJ_LIMIT_K, ControllerGains
 from .errors import ConfigurationError, NumericalError, TuningError
-from .thermal import BuildingParams, ThermalState, equilibrium
-from .trace import Trace, aligned
+from .thermal import BuildingParams, equilibrium
+from .trace import Trace
 
 __all__ = [
     "OutdoorProfile",
     "EventSchedule",
     "Scenario",
-    "StepInputs",
-    "StepOutputs",
     "run_baseline",
     "run_open_loop",
     "run_closed_loop",
-    "step",
     "tune_open_loop_event",
     "MODE_OPEN_LOOP",
     "MODE_CLOSED_LOOP",
@@ -60,11 +56,6 @@ _SANITY_MARGIN_K = 5.0
 # explicit RK4 is stable on the real axis to about 2.785/tau; reject steps
 # beyond 2.5x the fastest estimated plant time constant
 _RK4_DT_SAFETY = 2.5
-# The temperature PI never stops running: the power controller only adds to
-# its setpoint, so at handback the integrator simply keeps its accumulated
-# state and the proportional term absorbs the setpoint snap. Set True to
-# re-seed the integral at handback instead (bumpless transfer).
-BUMPLESS_HANDBACK = False
 
 
 @dataclass(frozen=True)
@@ -228,25 +219,6 @@ class Scenario:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class StepInputs:
-    """Exogenous signals for one engine step."""
-
-    t_outdoor: float
-    t_set_scheduled: float
-    engaged: bool = False
-    p_event_ref: float = 0.0
-    p_baseline: float = 0.0
-
-
-@dataclass(frozen=True)
-class StepOutputs:
-    t_set_eff: float
-    mdot_desired: float
-    mdot_actual: float
-    p_fan: float
-
-
 def _model_id(params: BuildingParams) -> int:
     return kernels.MODEL_MIXING if params.uses_mixing_model else kernels.MODEL_ORIGINAL
 
@@ -304,7 +276,7 @@ def _run(scenario: Scenario, t_out: np.ndarray, t_set_sched: np.ndarray,
         g.kp_temp, g.ki_temp, g.kp_power, g.ki_power,
         g.fan_coeff, mdot_max, SETPOINT_ADJ_LIMIT_K,
         math.exp(-scenario.dt / g.tau_airflow), math.exp(-scenario.dt / g.tau_fan),
-        t_low, t_high, 1 if BUMPLESS_HANDBACK else 0,
+        t_low, t_high,
         t_out, t_set_sched, p_ref, engaged, p_base,
         t_mix0, t_room0, t_wall0, i_temp0, i_power0, mdot0, p_fan0,
         *outs)
@@ -376,9 +348,9 @@ def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
     The power PI is engaged over [t_start, t_end) with a square-wave power
     reference; in forced-settling mode it stays engaged for
     ``forced_settle_duration`` more with a zero reference, then hands back to
-    the temperature controller bumplessly. The baseline trace supplies both
-    the feedback subtraction and the nominal power that fractional schedules
-    scale from.
+    the temperature controller, whose integral carries over unchanged. The
+    baseline trace supplies both the feedback subtraction and the nominal
+    power that fractional schedules scale from.
     """
     if scenario.mode not in (MODE_CLOSED_LOOP, MODE_FORCED_SETTLING):
         raise ConfigurationError("run_closed_loop needs a closed-loop scenario")
@@ -406,63 +378,6 @@ def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
 
     return _run(scenario, t_out, t_set, p_ref, engaged, baseline.p_fan.copy(),
                 scenario.mode)
-
-
-def step(plant: ThermalState, control: ControlState, inputs: StepInputs,
-         params: BuildingParams, gains: ControllerGains, dt: float,
-         mdot_max: float | None = None) -> tuple[ThermalState, ControlState, StepOutputs]:
-    """Advance plant and controllers by one step (no engagement edges).
-
-    Composition order: controllers sample the current room temperature and
-    fan power, the lags advance, then the plant takes one RK4 step with the
-    airflow and outdoor temperature held. Engagement and handback transitions
-    are boundary events; apply :func:`fanshift.control.reset` /
-    :func:`fanshift.control.bumpless_handback` between steps to realize them.
-    """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    if mdot_max is None:
-        _, _, mdot_eq = equilibrium(params, gains.t_set_nominal, inputs.t_outdoor)
-        mdot_max = MDOT_LIMIT_FACTOR * mdot_eq
-
-    i_power = control.i_power
-    if inputs.engaged:
-        adj, i_power = kernels.power_pi(
-            inputs.p_event_ref, control.p_fan - inputs.p_baseline, i_power,
-            gains.kp_power, gains.ki_power, dt, SETPOINT_ADJ_LIMIT_K)
-    else:
-        adj = 0.0
-    t_set_eff = inputs.t_set_scheduled + adj
-
-    mdot_desired, i_temp = kernels.temp_pi(
-        plant.t_room, t_set_eff, control.i_temp,
-        gains.kp_temp, gains.ki_temp, dt, mdot_max)
-
-    mdot_actual = kernels.lag_step(control.mdot_actual, mdot_desired,
-                                   math.exp(-dt / gains.tau_airflow))
-    p_fan = kernels.lag_step(control.p_fan, gains.fan_coeff * mdot_actual,
-                             math.exp(-dt / gains.tau_fan))
-
-    c_mix, c_room_rest, c_wall, r_wall, r_mix = _kernel_params(params)
-    t_mix, t_room, t_wall = kernels.rk4_plant_step(
-        _model_id(params), plant.t_mix, plant.t_room, plant.t_wall,
-        mdot_actual, inputs.t_outdoor, dt,
-        c_mix, c_room_rest, c_wall, r_wall, r_mix,
-        params.q_internal, params.t_supply, params.c_p_air)
-
-    for name, value in (("t_mix", t_mix), ("t_room", t_room),
-                        ("t_wall", t_wall), ("p_fan", p_fan)):
-        if not math.isfinite(value):
-            raise NumericalError(f"{name} became non-finite",
-                                 sample={"t_mix": t_mix, "t_room": t_room,
-                                         "t_wall": t_wall, "p_fan": p_fan})
-
-    new_plant = ThermalState(t_mix=t_mix, t_room=t_room, t_wall=t_wall)
-    new_control = ControlState(i_temp=i_temp, i_power=i_power,
-                               mdot_actual=mdot_actual, p_fan=p_fan)
-    outputs = StepOutputs(t_set_eff=t_set_eff, mdot_desired=mdot_desired,
-                          mdot_actual=mdot_actual, p_fan=p_fan)
-    return new_plant, new_control, outputs
 
 
 def tune_open_loop_event(scenario: Scenario, tolerance_frac: float = 0.05,

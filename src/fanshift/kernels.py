@@ -1,10 +1,12 @@
 """Scalar numeric kernels for the thermal plant and its controllers.
 
 Everything in this module is written against plain floats and 1-D float64
-arrays so it can be compiled with numba's ``@njit``. The same source doubles
-as the pure-NumPy fallback: set ``FANSHIFT_NO_NUMBA=1`` in the environment
-before import to skip compilation (useful for debugging and for the
-``benchmarks/bench_kernels.py`` comparison).
+arrays so it can be compiled with numba's ``@njit``. When numba imports (the
+optional ``jit`` extra) the functions are compiled at import and
+``JIT_ENABLED`` is true; otherwise the same source runs as plain Python.
+
+``simulate_loop`` is the package's only implementation of a control step;
+the scalar helpers it calls are public so tests can pin each part of it.
 
 Plant models
 ------------
@@ -35,9 +37,6 @@ exact exponential update, unconditionally stable for any dt.
 """
 
 import math
-import os
-
-import numpy as np
 
 MODEL_ORIGINAL = 0
 MODEL_MIXING = 1
@@ -45,34 +44,18 @@ MODEL_MIXING = 1
 _STATUS_OK = -1
 
 
-def _jit_requested() -> bool:
-    flag = os.environ.get("FANSHIFT_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes", "on")
+try:
+    from numba import njit as _njit
 
+    def _compile(fn):
+        return _njit(cache=True)(fn)
 
-if _jit_requested():
-    try:
-        from numba import njit as _njit
-
-        def _compile(fn):
-            return _njit(cache=True)(fn)
-
-        JIT_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        def _compile(fn):
-            return fn
-
-        JIT_ENABLED = False
-else:
+    JIT_ENABLED = True
+except ImportError:
     def _compile(fn):
         return fn
 
     JIT_ENABLED = False
-
-
-def supply_heat(mdot: float, t_zone: float, t_supply: float, c_p_air: float) -> float:
-    """Heat added to a zone by supply air, W. Negative while cooling."""
-    return mdot * c_p_air * (t_supply - t_zone)
 
 
 def derivs_original(t_room, t_wall, mdot, t_out,
@@ -190,7 +173,7 @@ def simulate_loop(model, n_steps, dt,
                   q_internal, t_supply, c_p_air,
                   kp_temp, ki_temp, kp_power, ki_power,
                   fan_coeff, mdot_max, adj_max, decay_airflow, decay_fan,
-                  t_low, t_high, bumpless,
+                  t_low, t_high,
                   t_out, t_set_sched, p_ref, engaged, p_base,
                   t_mix0, t_room0, t_wall0, i_temp0, i_power0, mdot0, p_fan0,
                   out_t_mix, out_t_room, out_t_wall, out_t_set,
@@ -213,7 +196,6 @@ def simulate_loop(model, n_steps, dt,
     mdot_act = mdot0
     p_fan = p_fan0
     was_engaged = False
-    last_cmd = mdot0
 
     for i in range(n_steps + 1):
         final = i == n_steps
@@ -233,11 +215,10 @@ def simulate_loop(model, n_steps, dt,
                 adj, i_power = power_pi(p_ref[i], p_diff, i_power,
                                         kp_power, ki_power, dt, adj_max)
         else:
-            if bumpless and was_engaged and ki_temp != 0.0 and not final:
-                # bumpless handback: seed the temperature integral so this
-                # step's command equals the last engaged command
-                err0 = t_room - t_set_sched[i]
-                i_temp = (last_cmd - kp_temp * err0) / ki_temp - err0 * dt
+            # the temperature PI never stops running: the power PI only adds
+            # to its setpoint, so at handback the temperature integral keeps
+            # its accumulated state and the proportional term absorbs the
+            # setpoint snap
             adj = 0.0
         t_set = t_set_sched[i] + adj
 
@@ -287,13 +268,11 @@ def simulate_loop(model, n_steps, dt,
             return i + 1
 
         was_engaged = eng
-        last_cmd = mdot_des
 
     return _STATUS_OK
 
 
 if JIT_ENABLED:
-    supply_heat = _compile(supply_heat)
     derivs_original = _compile(derivs_original)
     derivs_mixing = _compile(derivs_mixing)
     plant_derivs = _compile(plant_derivs)
@@ -302,20 +281,3 @@ if JIT_ENABLED:
     power_pi = _compile(power_pi)
     lag_step = _compile(lag_step)
     simulate_loop = _compile(simulate_loop)
-
-
-def warmup_jit() -> None:
-    """Trigger compilation of the hot loop so timings exclude it."""
-    n = 4
-    zeros = np.zeros(n + 1)
-    eng = np.zeros(n + 1, dtype=np.uint8)
-    outs = [np.empty(n + 1) for _ in range(7)]
-    simulate_loop(MODEL_MIXING, n, 1.0,
-                  3.4e6, 3.06e7, 5.1e7, 0.0013, 3.9e-4,
-                  25000.0, 15.6, 1000.0,
-                  2.0, 0.001, 3.33e-3, 2.083e-5,
-                  220.8, 20.0, 3.0, math.exp(-1 / 30.0), math.exp(-1 / 150.0),
-                  -50.0, 80.0, 1,
-                  zeros + 29.4, zeros + 21.7, zeros, eng, zeros,
-                  20.5, 21.7, 25.6, 0.0, 0.0, 5.0, 1100.0,
-                  *outs)

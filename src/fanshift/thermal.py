@@ -1,5 +1,5 @@
-"""Building thermal models: parameters, states, dynamics, and the analytic
-steady state used as the simulation oracle.
+"""Building thermal models: parameters and the analytic steady state used as
+the simulation oracle. The dynamics live in :mod:`fanshift.kernels`.
 
 Two plant models share one parameter set. The two-state model lumps all room
 air into a single node; the mixing-air model splits off a pocket of air near
@@ -19,16 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import kernels
 from .errors import ConfigurationError, EquilibriumInfeasibleError
 
 __all__ = [
     "BuildingParams",
-    "ThermalState",
-    "PlantInput",
-    "supply_heat_gain",
-    "derivatives_original",
-    "derivatives_mixing",
     "equilibrium",
     "fahrenheit_to_celsius",
     "celsius_to_fahrenheit",
@@ -111,68 +105,6 @@ class BuildingParams:
 
     def with_mixing(self, mix_r: float, mix_c: float) -> "BuildingParams":
         return replace(self, mix_r=mix_r, mix_c=mix_c)
-
-
-@dataclass(frozen=True)
-class ThermalState:
-    """Plant temperature vector, degC.
-
-    In the two-state model ``t_mix`` is an alias of ``t_room`` and carries no
-    independent dynamics.
-    """
-
-    t_mix: float
-    t_room: float
-    t_wall: float
-
-
-@dataclass(frozen=True)
-class PlantInput:
-    """Exogenous plant inputs at an instant."""
-
-    mdot_supply: float           # supply-air mass flow, kg/s
-    t_outdoor: float             # degC
-    q_internal: float            # W
-
-    def __post_init__(self):
-        if self.mdot_supply < 0:
-            raise ConfigurationError("supply airflow must be >= 0")
-
-
-def supply_heat_gain(mdot_supply: float, t_zone: float, t_supply: float,
-                     c_p_air: float) -> float:
-    """Heat delivered to a zone by the supply air, W.
-
-    Negative whenever the zone is warmer than the supply air (cooling).
-    """
-    if mdot_supply < 0:
-        raise ConfigurationError("supply airflow must be >= 0")
-    return kernels.supply_heat(mdot_supply, t_zone, t_supply, c_p_air)
-
-
-def derivatives_original(state: ThermalState, inp: PlantInput,
-                         params: BuildingParams) -> ThermalState:
-    """Rates (K/s) of the two-state model; t_mix rate aliases t_room."""
-    d_room, d_wall = kernels.derivs_original(
-        state.t_room, state.t_wall, inp.mdot_supply, inp.t_outdoor,
-        params.c_room, params.c_wall, params.r_wall,
-        inp.q_internal, params.t_supply, params.c_p_air)
-    return ThermalState(t_mix=d_room, t_room=d_room, t_wall=d_wall)
-
-
-def derivatives_mixing(state: ThermalState, inp: PlantInput,
-                       params: BuildingParams) -> ThermalState:
-    """Rates (K/s) of the three-state mixing-air model."""
-    if params.mix_c <= 0 or params.mix_r <= 0:
-        raise ConfigurationError(
-            "mixing model needs mix_r > 0 and mix_c > 0; use the two-state "
-            "model for the well-mixed limit")
-    d_mix, d_room, d_wall = kernels.derivs_mixing(
-        state.t_mix, state.t_room, state.t_wall, inp.mdot_supply, inp.t_outdoor,
-        params.c_mix, params.c_room_rest, params.c_wall,
-        params.r_wall, params.r_mix,
-        inp.q_internal, params.t_supply, params.c_p_air)
-    return ThermalState(t_mix=d_mix, t_room=d_room, t_wall=d_wall)
 
 
 def equilibrium(params: BuildingParams, t_room_target: float,

@@ -1,0 +1,81 @@
+import numpy as np
+import pytest
+
+from fanshift import cli, data_io
+from fanshift.errors import ConfigurationError, NumericalError
+
+from conftest import make_trace
+
+CLOSED_LOOP_3H = """\
+scenario_id: short
+mode: closed_loop
+dt_s: 10.0
+warmup_s: 7200
+settle_duration_s: 10800
+building:
+  mix_r: 0.5
+  mix_c: 0.3
+event:
+  kind: UP_DOWN
+  half_duration_s: 1800
+  power_delta_frac: 0.10
+"""
+
+
+class TestWindowLabels:
+    def test_full_row_labelled_with_settling_window(self, tmp_path):
+        config = tmp_path / "short.yaml"
+        config.write_text(CLOSED_LOOP_3H)
+        code = cli.main(["simulate", "--config", str(config),
+                         "--out", str(tmp_path), "--window", "both"])
+        assert code == 0
+        rows = data_io.read_results(tmp_path / "short_metrics.csv")
+        assert [r.window_hr for r in rows] == [3.0, 2.0]
+
+
+class TestDriftSlope:
+    @pytest.mark.parametrize("dt", [1.0, 2.0])
+    def test_ramp(self, dt):
+        # a 50 W step at event start, then a 0.25 W/s ramp
+        t = np.arange(0.0, 4000.0 + dt, dt)
+        t_start = 1000.0
+        diff = np.where(t >= t_start, 50.0 + 0.25 * (t - t_start), 0.0)
+        event = make_trace(t, 1000.0 + diff)
+        baseline = make_trace(t, np.full_like(t, 1000.0))
+        step0, slope = cli._drift_slope(event, baseline, t_start)
+        assert step0 == pytest.approx(50.0 + 0.25 * 120.0)
+        assert slope == pytest.approx(0.25)
+
+    def test_coarse_dt_rejected(self):
+        t = np.arange(0.0, 12000.0, 1200.0)
+        trace = make_trace(t, np.full_like(t, 1000.0))
+        with pytest.raises(ConfigurationError, match="drift window"):
+            cli._drift_slope(trace, trace, 1200.0)
+
+
+class TestSweepFailures:
+    def _sweep(self, tmp_path, r_grid):
+        code = cli.main(["sweep-mixing", "--r-grid", r_grid, "--c-grid", "0.1",
+                         "--dt", "10", "--out", str(tmp_path)])
+        return code, data_io.read_results(tmp_path / "mixing_sweep.csv")
+
+    def test_infeasible_point_exits_1(self, tmp_path, capsys):
+        code, rows = self._sweep(tmp_path, "2.0")
+        assert code == 1
+        assert rows == []
+        assert "r=2.0 c=0.1" in capsys.readouterr().err
+
+    def test_good_points_still_written(self, tmp_path):
+        code, rows = self._sweep(tmp_path, "0.2,2.0")
+        assert code == 1
+        assert [(r.r, r.window_hr) for r in rows] == [(0.2, 35000.0 / 3600.0),
+                                                       (0.2, 2.0)]
+
+    def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
+        def diverge(scenario):
+            raise NumericalError("diverged")
+
+        monkeypatch.setattr(cli, "run_event_pair", diverge)
+        code, rows = self._sweep(tmp_path, "0.2")
+        assert code == 2
+        assert rows == []

@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-import fanshift.engine as engine
-from fanshift import (BuildingParams, ControllerGains, ControlState,
-                      EventSchedule, OutdoorProfile, Scenario, ThermalState,
-                      equilibrium, run_baseline, run_closed_loop,
-                      run_open_loop, step, tune_open_loop_event)
-from fanshift.control import MDOT_LIMIT_FACTOR
-from fanshift.engine import StepInputs
+from fanshift import (BuildingParams, ControllerGains, EventSchedule,
+                      OutdoorProfile, Scenario, equilibrium, run_baseline,
+                      run_closed_loop, run_open_loop, tune_open_loop_event)
 from fanshift.errors import ConfigurationError
-from fanshift.metrics import energy_in_out, neutrality
+from fanshift.metrics import neutrality
 
-from conftest import quick_scenario
+from conftest import equilibrium_start, march, quick_scenario
 
 
 class TestOutdoorProfile:
@@ -60,6 +56,8 @@ class TestScenarioValidation:
     def test_times_must_align_with_dt(self):
         with pytest.raises(ConfigurationError):
             quick_scenario(dt=7.0)  # 600 s warmup not a multiple
+        with pytest.raises(ConfigurationError):
+            quick_scenario(dt=0.0)
 
     def test_event_must_fit(self):
         with pytest.raises(ConfigurationError):
@@ -218,64 +216,22 @@ class TestStep:
     def test_equilibrium_is_fixed_point(self):
         params = BuildingParams().with_mixing(0.3, 0.1)
         gains = ControllerGains()
-        t_mix, t_wall, mdot = equilibrium(params, gains.t_set_nominal)
-        plant = ThermalState(t_mix, gains.t_set_nominal, t_wall)
-        control = ControlState(i_temp=mdot / gains.ki_temp, i_power=0.0,
-                               mdot_actual=mdot, p_fan=gains.fan_coeff * mdot)
-        inputs = StepInputs(t_outdoor=params.t_outdoor_nominal,
-                            t_set_scheduled=gains.t_set_nominal)
-        new_plant, new_control, out = step(plant, control, inputs, params,
-                                           gains, dt=1.0)
-        assert abs(new_plant.t_room - plant.t_room) < 1e-9
-        assert abs(new_plant.t_mix - plant.t_mix) < 1e-9
-        assert abs(out.mdot_desired - mdot) < 1e-9
-        assert abs(out.p_fan - gains.fan_coeff * mdot) < 1e-7
-
-    def test_rejects_zero_dt(self):
-        params = BuildingParams()
-        with pytest.raises(ConfigurationError):
-            step(ThermalState(21.7, 21.7, 25.55), ControlState(),
-                 StepInputs(29.4, 21.7), params, ControllerGains(), dt=0.0)
-
-    def test_matches_engine_trace(self):
-        # stepping manually must reproduce the compiled loop sample for sample
-        sc = quick_scenario(settle_duration=3600.0)
-        trace = run_open_loop(sc)
-        params, gains = sc.params, sc.gains
-        t_mix, t_wall, mdot = equilibrium(params, gains.t_set_nominal)
-        mdot_max = MDOT_LIMIT_FACTOR * mdot
-        plant = ThermalState(t_mix, gains.t_set_nominal, t_wall)
-        control = ControlState(i_temp=mdot / gains.ki_temp, i_power=0.0,
-                               mdot_actual=mdot, p_fan=gains.fan_coeff * mdot)
-        times = sc.times()
-        t_set = np.full_like(times, gains.t_set_nominal)
-        d1, d2 = sc.event.setpoint_deltas
-        half = sc.t_start + sc.event.half_duration
-        t_set[(times >= sc.t_start) & (times < half)] += d1
-        t_set[(times >= half) & (times < sc.t_end)] += d2
-        for i in range(400):
-            inputs = StepInputs(t_outdoor=29.4, t_set_scheduled=t_set[i])
-            plant, control, out = step(plant, control, inputs, params, gains,
-                                       dt=sc.dt, mdot_max=mdot_max)
-            assert trace.t_room[i + 1] == pytest.approx(plant.t_room, abs=1e-12)
-            assert trace.p_fan[i + 1] == pytest.approx(control.p_fan, abs=1e-12)
+        start = equilibrium_start(params, gains)
+        status, out = march(params, gains, 1, 1.0, start)
+        assert status == -1
+        assert abs(out["t_room"][1] - start["t_room0"]) < 1e-9
+        assert abs(out["t_mix"][1] - start["t_mix0"]) < 1e-9
+        assert abs(out["mdot_des"][0] - start["mdot0"]) < 1e-9
+        assert abs(out["p_fan"][1] - start["p_fan0"]) < 1e-7
 
     def test_convergence_from_perturbed_start(self):
         # a small room-temperature offset decays back to the setpoint
         params = BuildingParams().with_mixing(0.3, 0.1)
         gains = ControllerGains()
-        t_mix, t_wall, mdot = equilibrium(params, gains.t_set_nominal)
-        plant = ThermalState(t_mix + 0.02, gains.t_set_nominal + 0.02, t_wall)
-        control = ControlState(i_temp=mdot / gains.ki_temp, i_power=0.0,
-                               mdot_actual=mdot, p_fan=gains.fan_coeff * mdot)
-        inputs = StepInputs(t_outdoor=params.t_outdoor_nominal,
-                            t_set_scheduled=gains.t_set_nominal)
-        mdot_max = MDOT_LIMIT_FACTOR * mdot
-        dt = 10.0
-        for _ in range(3600):  # 10 simulated hours
-            plant, control, _ = step(plant, control, inputs, params, gains,
-                                     dt=dt, mdot_max=mdot_max)
-        assert abs(plant.t_room - gains.t_set_nominal) < 0.01
+        start = equilibrium_start(params, gains, offset_k=0.02)
+        status, out = march(params, gains, 3600, 10.0, start)  # 10 simulated hours
+        assert status == -1
+        assert abs(out["t_room"][-1] - gains.t_set_nominal) < 0.01
 
 
 class TestEnergyBookkeeping:

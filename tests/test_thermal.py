@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanshift import (BuildingParams, PlantInput, ThermalState,
-                      derivatives_mixing, derivatives_original, equilibrium,
-                      supply_heat_gain)
+from fanshift import BuildingParams, equilibrium
+from fanshift.engine import _kernel_params, _model_id
 from fanshift.errors import ConfigurationError, EquilibriumInfeasibleError
+from fanshift.kernels import (MODEL_ORIGINAL, derivs_mixing, derivs_original,
+                              plant_derivs, rk4_plant_step)
 from fanshift.thermal import celsius_to_fahrenheit, fahrenheit_to_celsius
 
 # steady-state heat load at the calibrated parameters and nominal setpoint:
@@ -15,84 +16,116 @@ from fanshift.thermal import celsius_to_fahrenheit, fahrenheit_to_celsius
 LOAD_NOMINAL_W = (25.55 - 21.7) / 0.0013 + 25_000.0
 
 
+def original_rates(params, t_room, t_wall, mdot, t_out, q):
+    return derivs_original(t_room, t_wall, mdot, t_out, params.c_room,
+                           params.c_wall, params.r_wall, q, params.t_supply,
+                           params.c_p_air)
+
+
+def mixing_rates(params, t_mix, t_room, t_wall, mdot, t_out, q):
+    return derivs_mixing(t_mix, t_room, t_wall, mdot, t_out, params.c_mix,
+                         params.c_room_rest, params.c_wall, params.r_wall,
+                         params.r_mix, q, params.t_supply, params.c_p_air)
+
+
+def supply_heat(mdot, t_zone, t_supply, c_p_air):
+    """Heat delivered to a zone by the supply air, W: the two-state room rate
+    with unit capacitance, no wall exchange and no internal gain."""
+    d_room, _ = derivs_original(t_zone, t_zone, mdot, t_zone, 1.0, 1.0, 1.0,
+                                0.0, t_supply, c_p_air)
+    return d_room
+
+
 class TestSupplyHeatGain:
     def test_no_flow_no_heat(self):
-        assert supply_heat_gain(0.0, 33.0, 15.6, 1000.0) == 0.0
+        assert supply_heat(0.0, 33.0, 15.6, 1000.0) == 0.0
 
     def test_zero_temperature_difference(self):
-        assert supply_heat_gain(4.0, 18.0, 18.0, 1000.0) == 0.0
+        assert supply_heat(4.0, 18.0, 18.0, 1000.0) == 0.0
 
     def test_cooling_magnitude(self):
         # 4.585 kg/s of 15.6 C air into a 21.7 C zone
-        assert supply_heat_gain(4.585, 21.7, 15.6, 1000.0) == pytest.approx(-27_968.5)
+        assert supply_heat(4.585, 21.7, 15.6, 1000.0) == pytest.approx(-27_968.5)
 
     def test_balances_steady_load_at_equilibrium_flow(self, params):
         _, _, mdot = equilibrium(params, 21.7)
-        q = supply_heat_gain(mdot, 21.7, params.t_supply, params.c_p_air)
+        q = supply_heat(mdot, 21.7, params.t_supply, params.c_p_air)
         assert q == pytest.approx(-LOAD_NOMINAL_W, rel=1e-12)
-
-    def test_rejects_negative_flow(self):
-        with pytest.raises(ConfigurationError):
-            supply_heat_gain(-1.0, 20.0, 15.6, 1000.0)
 
 
 class TestDerivativesOriginal:
     def test_isothermal_unforced_is_still(self, params):
-        state = ThermalState(29.4, 29.4, 29.4)
-        inp = PlantInput(mdot_supply=0.0, t_outdoor=29.4, q_internal=0.0)
-        d = derivatives_original(state, inp, params)
-        assert d.t_room == 0.0 and d.t_wall == 0.0
+        d_room, d_wall = original_rates(params, 29.4, 29.4, 0.0, 29.4, 0.0)
+        assert d_room == 0.0 and d_wall == 0.0
 
     def test_equilibrium_is_fixed_point(self, params):
-        t_mix, t_wall, mdot = equilibrium(params, 21.7)
-        state = ThermalState(t_mix, 21.7, t_wall)
-        inp = PlantInput(mdot, params.t_outdoor_nominal, params.q_internal)
-        d = derivatives_original(state, inp, params)
-        assert abs(d.t_room) < 1e-9 and abs(d.t_wall) < 1e-9
+        _, t_wall, mdot = equilibrium(params, 21.7)
+        d_room, d_wall = original_rates(params, 21.7, t_wall, mdot,
+                                        params.t_outdoor_nominal,
+                                        params.q_internal)
+        assert abs(d_room) < 1e-9 and abs(d_wall) < 1e-9
 
     def test_no_flow_heating_rate(self, params):
         # without supply air the room warms at (wall conduction + Q)/C_room
-        state = ThermalState(21.7, 21.7, 25.55)
-        inp = PlantInput(0.0, params.t_outdoor_nominal, 25_000.0)
-        d = derivatives_original(state, inp, params)
-        assert d.t_room == pytest.approx(LOAD_NOMINAL_W / 3.4e7, rel=1e-12)
-        assert d.t_room == pytest.approx(8.224e-4, rel=1e-3)
+        d_room, _ = original_rates(params, 21.7, 25.55, 0.0,
+                                   params.t_outdoor_nominal, 25_000.0)
+        assert d_room == pytest.approx(LOAD_NOMINAL_W / 3.4e7, rel=1e-12)
+        assert d_room == pytest.approx(8.224e-4, rel=1e-3)
 
     def test_mix_rate_aliases_room_rate(self, params):
-        state = ThermalState(20.0, 20.0, 24.0)
-        inp = PlantInput(3.0, 30.0, 20_000.0)
-        d = derivatives_original(state, inp, params)
-        assert d.t_mix == d.t_room
+        d_mix, d_room, _ = plant_derivs(
+            MODEL_ORIGINAL, 20.0, 20.0, 24.0, 3.0, 30.0,
+            *_kernel_params(params), 20_000.0, params.t_supply, params.c_p_air)
+        assert d_mix == d_room
 
 
 class TestDerivativesMixing:
     def test_isothermal_unforced_is_still(self, mixing_params):
-        state = ThermalState(29.4, 29.4, 29.4)
-        inp = PlantInput(0.0, 29.4, 0.0)
-        d = derivatives_mixing(state, inp, mixing_params)
-        assert d.t_mix == 0.0 and d.t_room == 0.0 and d.t_wall == 0.0
+        d = mixing_rates(mixing_params, 29.4, 29.4, 29.4, 0.0, 29.4, 0.0)
+        assert d == (0.0, 0.0, 0.0)
 
     def test_equilibrium_is_fixed_point(self, mixing_params):
         t_mix, t_wall, mdot = equilibrium(mixing_params, 21.7)
-        state = ThermalState(t_mix, 21.7, t_wall)
-        inp = PlantInput(mdot, 29.4, mixing_params.q_internal)
-        d = derivatives_mixing(state, inp, mixing_params)
-        assert max(abs(d.t_mix), abs(d.t_room), abs(d.t_wall)) < 1e-9
+        d = mixing_rates(mixing_params, t_mix, 21.7, t_wall, mdot, 29.4,
+                         mixing_params.q_internal)
+        assert max(abs(x) for x in d) < 1e-9
 
     def test_no_flow_pocket_dynamics(self, mixing_params):
         # with mdot = 0 the pocket rate reduces to conduction from the room
         # plus the internal gain, over the pocket capacitance
-        state = ThermalState(20.0, 21.7, 25.55)
-        inp = PlantInput(0.0, 29.4, 25_000.0)
-        d = derivatives_mixing(state, inp, mixing_params)
+        d_mix, _, _ = mixing_rates(mixing_params, 20.0, 21.7, 25.55, 0.0, 29.4,
+                                   25_000.0)
         expected = ((21.7 - 20.0) / mixing_params.r_mix + 25_000.0) / mixing_params.c_mix
-        assert d.t_mix == pytest.approx(expected, rel=1e-12)
+        assert d_mix == pytest.approx(expected, rel=1e-12)
 
-    def test_rejects_well_mixed_params(self, params):
-        state = ThermalState(21.7, 21.7, 25.55)
-        inp = PlantInput(1.0, 29.4, 0.0)
-        with pytest.raises(ConfigurationError):
-            derivatives_mixing(state, inp, params)
+
+class TestRK4:
+    @staticmethod
+    def _march(params, state, mdot, dt, t_end):
+        for _ in range(round(t_end / dt)):
+            state = rk4_plant_step(
+                _model_id(params), *state, mdot, params.t_outdoor_nominal, dt,
+                *_kernel_params(params), params.q_internal, params.t_supply,
+                params.c_p_air)
+        return state
+
+    @pytest.mark.parametrize("mix_r,mix_c,dt", [(0.0, 0.0, 1200.0),
+                                                (0.3, 0.1, 60.0)])
+    def test_fourth_order_convergence(self, mix_r, mix_c, dt):
+        # dt is a fifth to a seventh of the fastest plant time constant; in
+        # the two-state model t_mix = 21.7, so the pocket aliases the room
+        params = BuildingParams().with_mixing(mix_r, mix_c)
+        t_mix, t_wall, mdot = equilibrium(params, 21.7)
+        start = (t_mix + 1.0, 22.7, t_wall - 1.0)
+        t_end = 8 * dt
+        ref = self._march(params, start, mdot, dt / 64, t_end)
+
+        def error(h):
+            end = self._march(params, start, mdot, h, t_end)
+            return max(abs(a - b) for a, b in zip(end, ref))
+
+        order = math.log2(error(dt) / error(dt / 2))
+        assert order > 3.5
 
 
 class TestParamsValidation:
@@ -172,9 +205,8 @@ class TestEquilibrium:
             t_mix, t_wall, mdot = equilibrium(p, 21.7)
         except EquilibriumInfeasibleError:
             return
-        d = derivatives_mixing(ThermalState(t_mix, 21.7, t_wall),
-                               PlantInput(mdot, 29.4, p.q_internal), p)
-        assert max(abs(d.t_mix), abs(d.t_room), abs(d.t_wall)) < 1e-9
+        d = mixing_rates(p, t_mix, 21.7, t_wall, mdot, 29.4, p.q_internal)
+        assert max(abs(x) for x in d) < 1e-9
 
 
 class TestUnitConversions:
