@@ -8,10 +8,11 @@ Four subcommands compose the library into reproducible studies:
 * ``compare-models``  -- two-state vs mixing-air model under setpoint events
 
 Everything is emitted as CSV (traces and flat metrics rows); plotting is left
-to external tools. Exit codes: 0 success, 1 configuration error, 2 numerical
-failure, 3 self-check failure. A sweep writes the rows of every point that
-succeeded, lists the failed points on stderr and exits with the code of the
-first failure.
+to external tools. Exit codes: 0 success; 1 configuration error, bad data or
+traces off a shared time grid; 2 numerical failure or a tuner that finds no
+neutral schedule; 3 self-check failure. A sweep writes the rows of every point
+that succeeded, lists the failed points on stderr and exits with the code of
+the first failure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .engine import (KIND_DOWN_UP, KIND_UP_DOWN, KINDS, MODE_CLOSED_LOOP,
                      OutdoorProfile, Scenario, run_baseline, run_closed_loop,
                      run_open_loop, tune_open_loop_event)
 from .errors import (ConfigurationError, DataFormatError, FanshiftError,
-                     NumericalError)
+                     NumericalError, TraceAlignmentError, TuningError)
 from .thermal import BuildingParams, delta_f_to_k
 from .trace import Trace
 
@@ -37,6 +38,8 @@ __all__ = ["main", "cmd_simulate", "cmd_sweep_mixing", "cmd_forced_settling",
            "cmd_compare_models", "SelfCheckError"]
 
 SHORT_WINDOW_HR = 2.0
+# --window value -> the metrics windows written, in row order
+WINDOWS = {"full": ("full",), "2h": ("2h",), "both": ("full", "2h")}
 
 
 class SelfCheckError(FanshiftError):
@@ -80,6 +83,12 @@ def _metrics_record(scenario: Scenario, event: Trace, counterfactual: Trace,
         c=scenario.params.mix_c, window_hr=window_hr)
 
 
+def _windows(window: str) -> tuple[str, ...]:
+    if window not in WINDOWS:
+        raise ConfigurationError(f"unknown window {window!r} (use {', '.join(WINDOWS)})")
+    return WINDOWS[window]
+
+
 def _check_neutrality(records: list[data_io.ResultRecord]) -> None:
     # a full-window row carries the short label only when its settling window
     # is two hours long, and then both rows measure the same window
@@ -98,6 +107,7 @@ def cmd_simulate(config_path: str | Path, out_dir: str | Path,
                  dt: float | None = None, window: str = "full",
                  tune_neutral: bool = False) -> int:
     """Run the scenario described by a config file; write traces + metrics."""
+    windows = _windows(window)
     scenario = data_io.load_scenario_config(config_path)
     if dt is not None:
         scenario = replace(scenario, dt=dt)
@@ -110,12 +120,8 @@ def cmd_simulate(config_path: str | Path, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     event, control_base, counterfactual = run_event_pair(scenario)
 
-    records = []
-    if window in ("full", "both"):
-        records.append(_metrics_record(scenario, event, counterfactual, "full"))
-    if window in ("2h", "both"):
-        records.append(_metrics_record(scenario, event, counterfactual, "2h"))
-
+    records = [_metrics_record(scenario, event, counterfactual, name)
+               for name in windows]
     sid = scenario.scenario_id
     data_io.write_trace(event, out / f"{sid}_event.csv")
     data_io.write_trace(control_base, out / f"{sid}_baseline.csv")
@@ -147,18 +153,6 @@ def parse_grid(spec: str) -> list[float]:
     return values
 
 
-def _sweep_point(args) -> list[data_io.ResultRecord]:
-    r, c, kind, power_frac, dt, windows = args
-    scenario = Scenario(
-        params=BuildingParams().with_mixing(r, c),
-        event=EventSchedule(kind=kind, power_delta_frac=power_frac),
-        mode=MODE_CLOSED_LOOP, dt=dt,
-        scenario_id=f"mixing_r{r:g}_c{c:g}")
-    event, _, counterfactual = run_event_pair(scenario)
-    return [_metrics_record(scenario, event, counterfactual, name)
-            for name in windows]
-
-
 def cmd_sweep_mixing(r_grid: list[float], c_grid: list[float],
                      kind: str = KIND_UP_DOWN, out_dir: str | Path = ".",
                      dt: float = 1.0, window: str = "both",
@@ -168,20 +162,24 @@ def cmd_sweep_mixing(r_grid: list[float], c_grid: list[float],
         raise ConfigurationError("grids must be non-empty")
     if kind not in KINDS:
         raise ConfigurationError(f"unknown kind {kind!r}")
-    windows = {"full": ("full",), "2h": ("2h",),
-               "both": ("full", "2h")}.get(window)
-    if windows is None:
-        raise ConfigurationError(f"unknown window {window!r}")
+    windows = _windows(window)
 
-    points = [(r, c, kind, power_frac, dt, windows)
-              for r in r_grid for c in c_grid]
-    failures: list[tuple[tuple, FanshiftError]] = []
+    failures: list[tuple[float, float, FanshiftError]] = []
     results: list[data_io.ResultRecord] = []
-    for point in points:
-        try:
-            results.extend(_sweep_point(point))
-        except FanshiftError as exc:
-            failures.append((point, exc))
+    for r in r_grid:
+        for c in c_grid:
+            # inside the try, so a bad (r, c) pair is a listed failure too
+            try:
+                scenario = Scenario(
+                    params=BuildingParams().with_mixing(r, c),
+                    event=EventSchedule(kind=kind, power_delta_frac=power_frac),
+                    mode=MODE_CLOSED_LOOP, dt=dt,
+                    scenario_id=f"mixing_r{r:g}_c{c:g}")
+                event, _, counterfactual = run_event_pair(scenario)
+                results += [_metrics_record(scenario, event, counterfactual, name)
+                            for name in windows]
+            except FanshiftError as exc:
+                failures.append((r, c, exc))
 
     results.sort(key=lambda rec: (rec.r, rec.c, -rec.window_hr))
     out = Path(out_dir)
@@ -189,9 +187,9 @@ def cmd_sweep_mixing(r_grid: list[float], c_grid: list[float],
     data_io.write_results(results, out / "mixing_sweep.csv")
     if failures:
         print("sweep points failed:",
-              *(f"r={point[0]} c={point[1]}: {exc}" for point, exc in failures),
+              *(f"r={r} c={c}: {exc}" for r, c, exc in failures),
               sep="\n  ", file=sys.stderr)
-        raise failures[0][1]
+        raise failures[0][2]
     _check_neutrality(results)
     return 0
 
@@ -237,9 +235,7 @@ def cmd_forced_settling(out_dir: str | Path, dt: float = 1.0,
     The outdoor step of the error cases lands ``step_offset`` seconds after
     event start (default: at event start).
     """
-    windows = {"full": ("full",), "both": ("full", "2h")}.get(window)
-    if windows is None:
-        raise ConfigurationError(f"unknown window {window!r} (use full or both)")
+    windows = _windows(window)
     out = Path(out_dir)
     traces_dir = out / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
@@ -312,8 +308,7 @@ def cmd_compare_models(out_dir: str | Path, dt: float = 1.0,
                 params=params, mode=MODE_OPEN_LOOP, dt=dt,
                 event=EventSchedule(kind=kind, setpoint_deltas=(d1, d2)),
                 scenario_id=f"{model_name}_{kind}")
-            baseline = run_baseline(scenario)
-            event = run_open_loop(scenario)
+            event, _, baseline = run_event_pair(scenario)
 
             step0, slope = _drift_slope(event, baseline, scenario.t_start)
             same_direction = slope * step0 > 0
@@ -337,6 +332,9 @@ def cmd_compare_models(out_dir: str | Path, dt: float = 1.0,
             raise ConfigurationError("--measured needs --column-map")
         series = data_io.load_measured_csv(measured, column_map)
         trace = data_io.resample(series, dt)
+        if trace.n_samples < 2:
+            raise DataFormatError(f"{measured}: need at least 2 samples at dt={dt}, "
+                                  f"got {trace.n_samples} from {len(series.t)} rows")
         if measured_window is not None:
             w = metrics.EventWindow(*measured_window)
             baseline = metrics.linear_baseline(trace, w)
@@ -372,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="scenario YAML path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dt", type=float, default=None, help="override timestep, s")
-    p.add_argument("--window", choices=["full", "2h", "both"], default="full")
+    p.add_argument("--window", choices=list(WINDOWS), default="full")
     p.add_argument("--tune-neutral", action="store_true",
                    help="adjust the second setpoint delta until energy neutral")
 
@@ -385,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="event size as fraction of baseline fan power")
     p.add_argument("--out", required=True)
     p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--window", choices=["full", "2h", "both"], default="both")
+    p.add_argument("--window", choices=list(WINDOWS), default="both")
 
     p = sub.add_parser("forced-settling",
                        help="forced vs unforced settling and baseline-error cases")
@@ -446,13 +444,16 @@ def main(argv: list[str] | None = None) -> int:
                                       column_map=args.column_map,
                                       measured_window=window)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, DataFormatError) as exc:
+    except (ConfigurationError, DataFormatError, TraceAlignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if exc.sample:
             print(f"  state: {exc.sample}", file=sys.stderr)
+        return 2
+    except TuningError as exc:
+        print(f"tuning failed: {exc}", file=sys.stderr)
         return 2
     except SelfCheckError as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)

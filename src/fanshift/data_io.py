@@ -220,9 +220,10 @@ def load_measured_csv(path: str | Path,
                       reject_threshold: float = 0.01) -> MeasuredSeries:
     """Load and validate a measured fan-power CSV.
 
-    Rows with unparsable values or non-increasing timestamps are rejected
-    individually (logged); the file is rejected outright when the reject
-    fraction exceeds ``reject_threshold`` or declared columns are missing.
+    Rows with unparsable or non-finite values or non-increasing timestamps
+    are rejected individually (logged); the file is rejected outright when
+    the reject fraction exceeds ``reject_threshold`` or declared columns are
+    missing.
     """
     if isinstance(column_map, str):
         column_map = parse_column_map(column_map)
@@ -268,6 +269,9 @@ def load_measured_csv(path: str | Path,
                       if "setpoint" in column_map else None)
             except (ValueError, KeyError) as exc:
                 rejects.append((i, f"unparseable: {exc}"))
+                continue
+            if not all(math.isfinite(v) for v in (stamp, p, tz, sz) if v is not None):
+                rejects.append((i, "non-finite value"))
                 continue
             if stamp <= last_t:
                 rejects.append((i, f"non-increasing timestamp {stamp}"))
@@ -335,27 +339,81 @@ def resample(series: MeasuredSeries, dt: float,
 # scenario config files
 # ---------------------------------------------------------------------------
 
-def _temperature(section: dict, stem: str, default_c: float) -> float:
-    """Read `<stem>_c` or `<stem>_f` from a config section."""
-    has_c, has_f = f"{stem}_c" in section, f"{stem}_f" in section
-    if has_c and has_f:
-        raise ConfigurationError(f"give either {stem}_c or {stem}_f, not both")
-    if has_f:
-        return fahrenheit_to_celsius(float(section[f"{stem}_f"]))
-    if has_c:
-        return float(section[f"{stem}_c"])
-    return default_c
+def _from_fahrenheit(value) -> float:
+    return fahrenheit_to_celsius(float(value))
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(x) for x in values)
+
+
+def _deltas_f_to_k(values) -> tuple[float, ...]:
+    return tuple(delta_f_to_k(float(x)) for x in values)
+
+
+# config key -> (dataclass field, converter), one table per section; a field
+# reachable from two keys (degC / degF, K / F) takes exactly one of them
+_BUILDING_KEYS = {
+    "c_room_j_per_k": ("c_room", float), "c_wall_j_per_k": ("c_wall", float),
+    "r_wall_k_per_w": ("r_wall", float), "q_internal_w": ("q_internal", float),
+    "t_outdoor_nominal_c": ("t_outdoor_nominal", float),
+    "t_outdoor_nominal_f": ("t_outdoor_nominal", _from_fahrenheit),
+    "t_supply_c": ("t_supply", float), "t_supply_f": ("t_supply", _from_fahrenheit),
+    "c_p_air_j_per_kg_k": ("c_p_air", float),
+    "mix_r": ("mix_r", float), "mix_c": ("mix_c", float),
+}
+_CONTROL_KEYS = {
+    "kp_temp": ("kp_temp", float), "ki_temp": ("ki_temp", float),
+    "kp_power": ("kp_power", float), "ki_power": ("ki_power", float),
+    "tau_airflow_s": ("tau_airflow", float), "tau_fan_s": ("tau_fan", float),
+    "fan_coeff_w_per_kg_s": ("fan_coeff", float),
+    "t_set_nominal_c": ("t_set_nominal", float),
+    "t_set_nominal_f": ("t_set_nominal", _from_fahrenheit),
+}
+_EVENT_KEYS = {
+    "kind": ("kind", str), "half_duration_s": ("half_duration", float),
+    "setpoint_deltas_k": ("setpoint_deltas", _floats),
+    "setpoint_deltas_f": ("setpoint_deltas", _deltas_f_to_k),
+    "power_deltas_w": ("power_deltas", _floats),
+    "power_delta_frac": ("power_delta_frac", float),
+    "forced_settle_s": ("forced_settle_duration", float),
+}
+_ROOT_KEYS = {
+    "scenario_id": ("scenario_id", str), "mode": ("mode", str),
+    "dt_s": ("dt", float), "warmup_s": ("warmup", float),
+    "settle_duration_s": ("settle_duration", float),
+}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where} must be a mapping")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _fields(section: dict, table: dict, where: str) -> dict:
+    """Dataclass keyword arguments for the keys a config section gives.
+
+    Keys the section omits are left out, so the dataclass supplies their
+    defaults.
+    """
+    _check_keys(section, set(table), where)
+    kw, given_as = {}, {}
+    for key, value in section.items():
+        name, convert = table[key]
+        if name in given_as:
+            raise ConfigurationError(f"give either {given_as[name]} or {key}, not both")
+        given_as[name] = key
+        try:
+            kw[name] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{where}: bad value for {key}: {exc}") from exc
+    return kw
+
+
 def _profile_from_config(spec, nominal: float) -> OutdoorProfile:
-    if spec is None:
-        return OutdoorProfile.constant(nominal)
     if isinstance(spec, dict):
         _check_keys(spec, {"step_at_s", "step_c", "step_f"}, "outdoor profile")
         if "step_at_s" in spec:
@@ -371,8 +429,9 @@ def _profile_from_config(spec, nominal: float) -> OutdoorProfile:
 def load_scenario_config(path: str | Path) -> Scenario:
     """Build a Scenario from a YAML config file.
 
-    Every field is optional except ``mode`` and the event fields that mode
-    requires; omissions fall back to the calibrated defaults.
+    Every field is optional; the scenario id defaults to the file's stem and
+    every other omission to the dataclass defaults (an open-loop scenario
+    with the calibrated building and gains).
     """
     path = Path(path)
     if not path.exists():
@@ -383,79 +442,15 @@ def load_scenario_config(path: str | Path) -> Scenario:
         raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: config must be a mapping")
-    _check_keys(raw, {"scenario_id", "mode", "dt_s", "warmup_s",
-                      "settle_duration_s", "building", "control", "event",
-                      "outdoor"}, "config root")
+    sections = {name: raw.pop(name, None) or {}
+                for name in ("building", "control", "event", "outdoor")}
+    kw = {"scenario_id": path.stem, **_fields(raw, _ROOT_KEYS, "config root")}
 
-    b = raw.get("building", {}) or {}
-    _check_keys(b, {"c_room_j_per_k", "c_wall_j_per_k", "r_wall_k_per_w",
-                    "q_internal_w", "t_outdoor_nominal_c", "t_outdoor_nominal_f",
-                    "t_supply_c", "t_supply_f", "c_p_air_j_per_kg_k",
-                    "mix_r", "mix_c"}, "building")
-    defaults = BuildingParams()
-    params = BuildingParams(
-        c_room=float(b.get("c_room_j_per_k", defaults.c_room)),
-        c_wall=float(b.get("c_wall_j_per_k", defaults.c_wall)),
-        r_wall=float(b.get("r_wall_k_per_w", defaults.r_wall)),
-        q_internal=float(b.get("q_internal_w", defaults.q_internal)),
-        t_outdoor_nominal=_temperature(b, "t_outdoor_nominal", defaults.t_outdoor_nominal),
-        t_supply=_temperature(b, "t_supply", defaults.t_supply),
-        c_p_air=float(b.get("c_p_air_j_per_kg_k", defaults.c_p_air)),
-        mix_r=float(b.get("mix_r", defaults.mix_r)),
-        mix_c=float(b.get("mix_c", defaults.mix_c)),
-    )
-
-    g = raw.get("control", {}) or {}
-    _check_keys(g, {"kp_temp", "ki_temp", "kp_power", "ki_power",
-                    "tau_airflow_s", "tau_fan_s", "fan_coeff_w_per_kg_s",
-                    "t_set_nominal_c", "t_set_nominal_f"}, "control")
-    gdef = ControllerGains()
-    gains = ControllerGains(
-        kp_temp=float(g.get("kp_temp", gdef.kp_temp)),
-        ki_temp=float(g.get("ki_temp", gdef.ki_temp)),
-        kp_power=float(g.get("kp_power", gdef.kp_power)),
-        ki_power=float(g.get("ki_power", gdef.ki_power)),
-        tau_airflow=float(g.get("tau_airflow_s", gdef.tau_airflow)),
-        tau_fan=float(g.get("tau_fan_s", gdef.tau_fan)),
-        fan_coeff=float(g.get("fan_coeff_w_per_kg_s", gdef.fan_coeff)),
-        t_set_nominal=_temperature(g, "t_set_nominal", gdef.t_set_nominal),
-    )
-
-    e = raw.get("event", {}) or {}
-    _check_keys(e, {"kind", "half_duration_s", "setpoint_deltas_k",
-                    "setpoint_deltas_f", "power_deltas_w", "power_delta_frac",
-                    "forced_settle_s"}, "event")
-    if "setpoint_deltas_k" in e and "setpoint_deltas_f" in e:
-        raise ConfigurationError("give setpoint deltas in K or F, not both")
-    setpoint_deltas = None
-    if "setpoint_deltas_k" in e:
-        setpoint_deltas = tuple(float(x) for x in e["setpoint_deltas_k"])
-    elif "setpoint_deltas_f" in e:
-        setpoint_deltas = tuple(delta_f_to_k(float(x)) for x in e["setpoint_deltas_f"])
-    power_deltas = (tuple(float(x) for x in e["power_deltas_w"])
-                    if "power_deltas_w" in e else None)
-    event = EventSchedule(
-        kind=str(e.get("kind", "UP_DOWN")),
-        half_duration=float(e.get("half_duration_s", 1800.0)),
-        setpoint_deltas=setpoint_deltas,
-        power_deltas=power_deltas,
-        power_delta_frac=(float(e["power_delta_frac"])
-                          if "power_delta_frac" in e else None),
-        forced_settle_duration=float(e.get("forced_settle_s", 3600.0)),
-    )
-
-    o = raw.get("outdoor", {}) or {}
-    _check_keys(o, {"actual", "predicted"}, "outdoor")
-
-    return Scenario(
-        params=params,
-        gains=gains,
-        event=event,
-        mode=str(raw.get("mode", "open_loop")),
-        dt=float(raw.get("dt_s", 1.0)),
-        warmup=float(raw.get("warmup_s", 7200.0)),
-        settle_duration=float(raw.get("settle_duration_s", 35_000.0)),
-        oa_actual=_profile_from_config(o.get("actual"), params.t_outdoor_nominal),
-        oa_predicted=_profile_from_config(o.get("predicted"), params.t_outdoor_nominal),
-        scenario_id=str(raw.get("scenario_id", path.stem)),
-    )
+    params = BuildingParams(**_fields(sections["building"], _BUILDING_KEYS, "building"))
+    gains = ControllerGains(**_fields(sections["control"], _CONTROL_KEYS, "control"))
+    event = EventSchedule(**_fields(sections["event"], _EVENT_KEYS, "event"))
+    outdoor = sections["outdoor"]
+    _check_keys(outdoor, {"actual", "predicted"}, "outdoor")
+    profiles = {f"oa_{name}": _profile_from_config(spec, params.t_outdoor_nominal)
+                for name, spec in outdoor.items() if spec is not None}
+    return Scenario(params=params, gains=gains, event=event, **profiles, **kw)

@@ -243,24 +243,41 @@ def _check_step_size(scenario: Scenario, mdot_max: float) -> None:
             f"constant ~{tau_fast:.3g} s); use dt <= {_RK4_DT_SAFETY * tau_fast:.3g} s")
 
 
-def _initial_conditions(scenario: Scenario, t_out0: float):
-    p, g = scenario.params, scenario.gains
-    t_mix, t_wall, mdot_eq = equilibrium(p, g.t_set_nominal, t_out0)
-    if g.ki_temp > 0:
-        i_temp = mdot_eq / g.ki_temp
-    else:
-        i_temp = 0.0
-    return (t_mix, g.t_set_nominal, t_wall, i_temp, 0.0,
-            mdot_eq, g.fan_coeff * mdot_eq, mdot_eq)
+def _interval_mask(times: np.ndarray, t0: float, t1: float) -> np.ndarray:
+    return (times >= t0 - 1e-9) & (times < t1 - 1e-9)
 
 
-def _run(scenario: Scenario, t_out: np.ndarray, t_set_sched: np.ndarray,
-         p_ref: np.ndarray, engaged: np.ndarray, p_base: np.ndarray,
-         mode_label: str) -> Trace:
+def _halves(scenario: Scenario, d1: float, d2: float) -> np.ndarray:
+    """Square wave: d1 over the event's first half, d2 over its second, else 0."""
+    times = scenario.times()
+    wave = np.zeros(times.shape[0])
+    half = scenario.t_start + scenario.event.half_duration
+    wave[_interval_mask(times, scenario.t_start, half)] = d1
+    wave[_interval_mask(times, half, scenario.t_end)] = d2
+    return wave
+
+
+def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
+         t_set_delta: np.ndarray | None = None, p_ref: np.ndarray | None = None,
+         engaged: np.ndarray | None = None, p_base: np.ndarray | None = None
+         ) -> Trace:
+    """March one run under outdoor profile ``oa`` from the equilibrium start.
+
+    Omitted inputs keep their no-event values: the nominal setpoint, a zero
+    power reference and the power PI disengaged.
+    """
     p, g = scenario.params, scenario.gains
     n = scenario.n_steps
-    (t_mix0, t_room0, t_wall0, i_temp0, i_power0,
-     mdot0, p_fan0, mdot_eq) = _initial_conditions(scenario, float(t_out[0]))
+    times = scenario.times()
+    t_out = oa.series(times)
+    zeros = np.zeros(n + 1)
+    t_set = g.t_set_nominal + (zeros if t_set_delta is None else t_set_delta)
+    p_ref = zeros if p_ref is None else p_ref
+    engaged = np.zeros(n + 1, dtype=np.uint8) if engaged is None else engaged
+    p_base = zeros if p_base is None else p_base
+
+    t_mix0, t_wall0, mdot_eq = equilibrium(p, g.t_set_nominal, float(t_out[0]))
+    i_temp0 = mdot_eq / g.ki_temp if g.ki_temp > 0 else 0.0
     mdot_max = MDOT_LIMIT_FACTOR * mdot_eq
     _check_step_size(scenario, mdot_max)
 
@@ -277,8 +294,8 @@ def _run(scenario: Scenario, t_out: np.ndarray, t_set_sched: np.ndarray,
         g.fan_coeff, mdot_max, SETPOINT_ADJ_LIMIT_K,
         math.exp(-scenario.dt / g.tau_airflow), math.exp(-scenario.dt / g.tau_fan),
         t_low, t_high,
-        t_out, t_set_sched, p_ref, engaged, p_base,
-        t_mix0, t_room0, t_wall0, i_temp0, i_power0, mdot0, p_fan0,
+        t_out, t_set, p_ref, engaged, p_base,
+        t_mix0, g.t_set_nominal, t_wall0, i_temp0, mdot_eq, g.fan_coeff * mdot_eq,
         *outs)
 
     if status >= 0:
@@ -296,16 +313,12 @@ def _run(scenario: Scenario, t_out: np.ndarray, t_set_sched: np.ndarray,
             })
 
     return Trace(
-        t=scenario.times(),
+        t=times,
         t_mix=outs[0], t_room=outs[1], t_wall=outs[2], t_set_eff=outs[3],
         mdot_desired=outs[4], mdot_actual=outs[5], p_fan=outs[6],
         t_outdoor=t_out, p_event_ref=p_ref,
-        mode=mode_label, scenario_id=scenario.scenario_id,
+        mode=label, scenario_id=scenario.scenario_id,
         scenario_hash=scenario.digest())
-
-
-def _interval_mask(times: np.ndarray, t0: float, t1: float) -> np.ndarray:
-    return (times >= t0 - 1e-9) & (times < t1 - 1e-9)
 
 
 def run_baseline(scenario: Scenario) -> Trace:
@@ -314,13 +327,7 @@ def run_baseline(scenario: Scenario) -> Trace:
     This is the counterfactual the power controller subtracts from measured
     fan power; it starts at the analytic equilibrium for the nominal setpoint.
     """
-    times = scenario.times()
-    n1 = scenario.n_steps + 1
-    t_out = scenario.oa_predicted.series(times)
-    t_set = np.full(n1, scenario.gains.t_set_nominal)
-    zeros = np.zeros(n1)
-    engaged = np.zeros(n1, dtype=np.uint8)
-    return _run(scenario, t_out, t_set, zeros, engaged, np.zeros(n1), "baseline")
+    return _run(scenario, scenario.oa_predicted, "baseline")
 
 
 def run_open_loop(scenario: Scenario) -> Trace:
@@ -329,17 +336,8 @@ def run_open_loop(scenario: Scenario) -> Trace:
         raise ConfigurationError("run_open_loop needs an open-loop scenario")
     if scenario.event.setpoint_deltas is None:
         raise ConfigurationError("open-loop event needs setpoint_deltas")
-    d1, d2 = scenario.event.setpoint_deltas
-    times = scenario.times()
-    n1 = scenario.n_steps + 1
-    t_out = scenario.oa_actual.series(times)
-    t_set = np.full(n1, scenario.gains.t_set_nominal)
-    half = scenario.t_start + scenario.event.half_duration
-    t_set[_interval_mask(times, scenario.t_start, half)] += d1
-    t_set[_interval_mask(times, half, scenario.t_end)] += d2
-    zeros = np.zeros(n1)
-    engaged = np.zeros(n1, dtype=np.uint8)
-    return _run(scenario, t_out, t_set, zeros, engaged, np.zeros(n1), MODE_OPEN_LOOP)
+    return _run(scenario, scenario.oa_actual, MODE_OPEN_LOOP,
+                t_set_delta=_halves(scenario, *scenario.event.setpoint_deltas))
 
 
 def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
@@ -354,7 +352,6 @@ def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
     """
     if scenario.mode not in (MODE_CLOSED_LOOP, MODE_FORCED_SETTLING):
         raise ConfigurationError("run_closed_loop needs a closed-loop scenario")
-    times = scenario.times()
     n1 = scenario.n_steps + 1
     if baseline.n_samples != n1 or baseline.dt != scenario.dt:
         raise ConfigurationError(
@@ -363,21 +360,14 @@ def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
 
     p_nominal = float(baseline.p_fan[baseline.index_at(scenario.t_start)])
     d1, d2 = scenario.event.resolved_power_deltas(p_nominal)
-
-    t_out = scenario.oa_actual.series(times)
-    t_set = np.full(n1, scenario.gains.t_set_nominal)
-    p_ref = np.zeros(n1)
-    half = scenario.t_start + scenario.event.half_duration
-    p_ref[_interval_mask(times, scenario.t_start, half)] = d1
-    p_ref[_interval_mask(times, half, scenario.t_end)] = d2
-
     engaged_until = scenario.t_end
     if scenario.mode == MODE_FORCED_SETTLING:
         engaged_until += scenario.event.forced_settle_duration
-    engaged = _interval_mask(times, scenario.t_start, engaged_until).astype(np.uint8)
+    engaged = _interval_mask(scenario.times(), scenario.t_start, engaged_until)
 
-    return _run(scenario, t_out, t_set, p_ref, engaged, baseline.p_fan.copy(),
-                scenario.mode)
+    return _run(scenario, scenario.oa_actual, scenario.mode,
+                p_ref=_halves(scenario, d1, d2), engaged=engaged.astype(np.uint8),
+                p_base=baseline.p_fan.copy())
 
 
 def tune_open_loop_event(scenario: Scenario, tolerance_frac: float = 0.05,
@@ -401,11 +391,7 @@ def tune_open_loop_event(scenario: Scenario, tolerance_frac: float = 0.05,
     def probe(mag: float):
         sched = replace(scenario.event, setpoint_deltas=(d1, sign2 * mag))
         trace = run_open_loop(replace(scenario, event=sched))
-        i0, i1 = trace.index_at(window.t_start), trace.index_at(window.t_end)
-        diff = trace.p_fan[i0:i1 + 1] - baseline.p_fan[i0:i1 + 1]
-        signed = float(np.trapezoid(diff, dx=trace.dt))
-        e_in, e_out = metrics.energy_in_out(trace, baseline, window)
-        ok = (e_in + e_out == 0.0) or abs(signed) < tolerance_frac * (e_in + e_out)
+        signed, ok = metrics.neutrality(trace, baseline, window, tolerance_frac)
         return signed, ok, sched
 
     signed0, ok0, _ = probe(abs(d2_init))

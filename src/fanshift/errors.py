@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit 1,
-numerical failures exit 2, failed self-checks exit 3.
+The CLI maps these onto exit codes: configuration problems, unusable data
+and traces off a shared time grid exit 1; numerical failures and a tuner that
+finds no neutral schedule exit 2; failed self-checks exit 3.
 """
 
 

@@ -175,15 +175,17 @@ def simulate_loop(model, n_steps, dt,
                   fan_coeff, mdot_max, adj_max, decay_airflow, decay_fan,
                   t_low, t_high,
                   t_out, t_set_sched, p_ref, engaged, p_base,
-                  t_mix0, t_room0, t_wall0, i_temp0, i_power0, mdot0, p_fan0,
+                  t_mix0, t_room0, t_wall0, i_temp0, mdot0, p_fan0,
                   out_t_mix, out_t_room, out_t_wall, out_t_set,
                   out_mdot_des, out_mdot_act, out_p_fan):
     """March the closed loop over n_steps of size dt.
 
     Input arrays have n_steps + 1 samples; the value at index i applies over
     [t_i, t_i + dt). Sample i of each output array holds the state at t_i and
-    the commands computed at t_i. The final sample's commands are evaluated
-    without advancing any integrator.
+    the commands computed at t_i. The final sample's commands come from the
+    same ``power_pi`` / ``temp_pi`` calls with a zero step, which evaluates
+    them without advancing either integrator. The power integral starts at
+    zero at every engagement.
 
     Returns -1 on success, else the index of the first sample at which a
     state became non-finite or left [t_low, t_high].
@@ -192,28 +194,21 @@ def simulate_loop(model, n_steps, dt,
     t_room = t_room0
     t_wall = t_wall0
     i_temp = i_temp0
-    i_power = i_power0
+    i_power = 0.0  # reset at every engagement before it is read
     mdot_act = mdot0
     p_fan = p_fan0
     was_engaged = False
 
     for i in range(n_steps + 1):
         final = i == n_steps
+        step = 0.0 if final else dt  # a zero step moves no integrator
         eng = engaged[i] != 0
 
         if eng:
             if not was_engaged:
                 i_power = 0.0  # fresh integral at engagement
-            p_diff = p_fan - p_base[i]
-            if final:
-                adj = -(kp_power * (p_ref[i] - p_diff) + ki_power * i_power)
-                if adj > adj_max:
-                    adj = adj_max
-                elif adj < -adj_max:
-                    adj = -adj_max
-            else:
-                adj, i_power = power_pi(p_ref[i], p_diff, i_power,
-                                        kp_power, ki_power, dt, adj_max)
+            adj, i_power = power_pi(p_ref[i], p_fan - p_base[i], i_power,
+                                    kp_power, ki_power, step, adj_max)
         else:
             # the temperature PI never stops running: the power PI only adds
             # to its setpoint, so at handback the temperature integral keeps
@@ -221,17 +216,8 @@ def simulate_loop(model, n_steps, dt,
             # setpoint snap
             adj = 0.0
         t_set = t_set_sched[i] + adj
-
-        if final:
-            err = t_room - t_set
-            mdot_des = kp_temp * err + ki_temp * i_temp
-            if mdot_des < 0.0:
-                mdot_des = 0.0
-            elif mdot_des > mdot_max:
-                mdot_des = mdot_max
-        else:
-            mdot_des, i_temp = temp_pi(t_room, t_set, i_temp,
-                                       kp_temp, ki_temp, dt, mdot_max)
+        mdot_des, i_temp = temp_pi(t_room, t_set, i_temp,
+                                   kp_temp, ki_temp, step, mdot_max)
 
         out_t_mix[i] = t_mix
         out_t_room[i] = t_room

@@ -67,7 +67,7 @@ class EventMetrics:
     energy_in: float            # J
     energy_out: float           # J
     rte: float | None
-    neutrality_residual: float  # J, |net deviation| over the event window
+    neutrality_residual: float  # J, magnitude of neutrality()'s signed net
     neutral: bool
     rmse_temp: float            # K over the settling window
 
@@ -108,21 +108,22 @@ def rte(energy_in: float, energy_out: float) -> float | None:
 
 def neutrality(event: Trace, baseline: Trace, window: EventWindow,
                alpha_frac: float = 0.05) -> tuple[float, bool]:
-    """Net-deviation residual (J) over [t_start, t_end] and the verdict.
+    """Signed net deviation (J) over [t_start, t_end] and the verdict.
 
-    Neutral when residual < alpha_frac * (energy_in + energy_out), the
-    energies taken over the full settling window. A pair with no shifted
-    energy at all is classified neutral.
+    The net is positive when the event drew more energy than its baseline.
+    Neutral when |net| < alpha_frac * (energy_in + energy_out), the energies
+    taken over the full settling window. A pair with no shifted energy at all
+    is classified neutral.
     """
     aligned(event, baseline)
     i0, i1 = _window_indices(event, window.t_start, window.t_end)
     diff = event.p_fan[i0:i1 + 1] - baseline.p_fan[i0:i1 + 1]
-    residual = abs(_trapz(diff, event.dt))
+    net = _trapz(diff, event.dt)
     e_in, e_out = energy_in_out(event, baseline, window)
     total = e_in + e_out
     if total == 0.0:
-        return residual, True
-    return residual, residual < alpha_frac * total
+        return net, True
+    return net, abs(net) < alpha_frac * total
 
 
 def temp_rmse(event: Trace, baseline: Trace, window: EventWindow) -> float:
@@ -177,12 +178,12 @@ def evaluate_event(event: Trace, baseline: Trace, window: EventWindow,
                    alpha_frac: float = 0.05) -> EventMetrics:
     """All metrics for one pair in a single record."""
     e_in, e_out = energy_in_out(event, baseline, window)
-    residual, neutral = neutrality(event, baseline, window, alpha_frac)
+    net, neutral = neutrality(event, baseline, window, alpha_frac)
     return EventMetrics(
         energy_in=e_in,
         energy_out=e_out,
         rte=rte(e_in, e_out),
-        neutrality_residual=residual,
+        neutrality_residual=abs(net),
         neutral=neutral,
         rmse_temp=temp_rmse(event, baseline, window),
     )

@@ -57,7 +57,7 @@ def equilibrium_start(params, gains, offset_k=0.0) -> dict:
     raised by ``offset_k``; the temperature integral carries the steady flow."""
     t_mix, t_wall, mdot = equilibrium(params, gains.t_set_nominal)
     return dict(t_mix0=t_mix + offset_k, t_room0=gains.t_set_nominal + offset_k,
-                t_wall0=t_wall, i_temp0=mdot / gains.ki_temp, i_power0=0.0,
+                t_wall0=t_wall, i_temp0=mdot / gains.ki_temp,
                 mdot0=mdot, p_fan0=gains.fan_coeff * mdot)
 
 
@@ -81,6 +81,6 @@ def march(params, gains, n_steps, dt, start, engaged=None, p_ref=None,
         np.zeros(n1, dtype=np.uint8) if engaged is None else engaged,
         zeros if p_base is None else p_base,
         start["t_mix0"], start["t_room0"], start["t_wall0"], start["i_temp0"],
-        start["i_power0"], start["mdot0"], start["p_fan0"],
+        start["mdot0"], start["p_fan0"],
         *outs.values())
     return status, outs

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fanshift import cli, data_io
-from fanshift.errors import ConfigurationError, NumericalError
+from fanshift.errors import ConfigurationError, NumericalError, TuningError
 
 from conftest import make_trace
 
@@ -31,6 +31,14 @@ class TestWindowLabels:
         assert code == 0
         rows = data_io.read_results(tmp_path / "short_metrics.csv")
         assert [r.window_hr for r in rows] == [3.0, 2.0]
+
+    def test_unknown_window_rejected(self, tmp_path):
+        config = tmp_path / "short.yaml"
+        config.write_text(CLOSED_LOOP_3H)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match="unknown window"):
+            cli.cmd_simulate(config, out, window="bogus")
+        assert not out.exists()
 
 
 class TestDriftSlope:
@@ -79,3 +87,58 @@ class TestSweepFailures:
         code, rows = self._sweep(tmp_path, "0.2")
         assert code == 2
         assert rows == []
+
+
+OPEN_LOOP_SHORT = """\
+mode: open_loop
+dt_s: 10.0
+warmup_s: 600
+settle_duration_s: 7200
+event:
+  kind: DOWN_UP
+  setpoint_deltas_k: [0.5, -0.5]
+"""
+
+
+class TestTuningFailure:
+    def test_exits_2(self, tmp_path, monkeypatch, capsys):
+        def no_bracket(scenario):
+            raise TuningError("could not bracket a neutral schedule")
+
+        monkeypatch.setattr(cli, "tune_open_loop_event", no_bracket)
+        config = tmp_path / "open.yaml"
+        config.write_text(OPEN_LOOP_SHORT)
+        code = cli.main(["simulate", "--config", str(config), "--tune-neutral",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "could not bracket" in capsys.readouterr().err
+
+
+class TestMeasuredErrors:
+    def _compare(self, tmp_path, rows, *extra):
+        measured = tmp_path / "measured.csv"
+        measured.write_text("ts,fan\n" + "".join(f"{t},{p}\n" for t, p in rows))
+        return cli.main(["compare-models", "--dt", "100", "--out", str(tmp_path),
+                         "--measured", str(measured),
+                         "--column-map", "time=ts,power=fan", *extra])
+
+    def test_single_row_exits_1(self, tmp_path, capsys):
+        assert self._compare(tmp_path, [(0.0, 500.0)]) == 1
+        assert "need at least 2" in capsys.readouterr().err
+
+    def test_span_below_one_step_exits_1(self, tmp_path):
+        assert self._compare(tmp_path, [(0.0, 500.0), (50.0, 510.0)]) == 1
+
+    def test_window_off_grid_exits_1(self, tmp_path, capsys):
+        rows = [(100.0 * i, 500.0) for i in range(201)]
+        code = self._compare(tmp_path, rows, "--measured-window", "5050,5250,8050")
+        assert code == 1
+        assert "not on trace grid" in capsys.readouterr().err
+
+    def test_window_on_grid_writes_metrics(self, tmp_path):
+        rows = [(100.0 * i, 500.0 + (50.0 if 5000 <= 100 * i < 5200 else 0.0))
+                for i in range(201)]
+        code = self._compare(tmp_path, rows, "--measured-window", "5000,5200,8000")
+        assert code == 0
+        [record] = data_io.read_results(tmp_path / "measured_metrics.csv")
+        assert record.e_in_j > 0.0

@@ -138,22 +138,45 @@ class TestPowerPI:
         assert adj2 == 3.0
 
 
+class TestZeroStep:
+    # the kernel evaluates the final sample's commands with dt = 0
+
+    @pytest.mark.parametrize("t_room, expected", [
+        (22.7, 3.6 * 1.0 + 1.8e-3 * 40.0), (40.0, MDOT_MAX), (10.0, 0.0)])
+    def test_temp_pi(self, t_room, expected):
+        out, integ = temp_pi(t_room, 21.7, 40.0, 3.6, 1.8e-3, 0.0, MDOT_MAX)
+        assert integ == 40.0
+        assert out == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p_ref, expected", [
+        (100.0, -(3.33e-3 * 80.0 + 2.083e-5 * 500.0)),
+        (5000.0, -SETPOINT_ADJ_LIMIT_K), (-5000.0, SETPOINT_ADJ_LIMIT_K)])
+    def test_power_pi(self, gains, p_ref, expected):
+        adj, integ = power_step(p_ref, 20.0, 500.0, gains, dt=0.0)
+        assert integ == 500.0
+        assert adj == pytest.approx(expected, rel=1e-12)
+
+
 class TestResetAndHandback:
     def test_power_reset_preserves_lag_states(self, mixing_params, gains):
-        # the power integral starts fresh at engagement; the lags carry on
-        n = 50
+        # engage twice: the integral the first engagement winds up must not
+        # reach the second, while the lag states carry straight on
+        n, k = 120, 80
         start = equilibrium_start(mixing_params, gains)
-        engaged = np.ones(n + 1, dtype=np.uint8)
+        engaged = np.zeros(n + 1, dtype=np.uint8)
+        engaged[10:50] = 1
+        engaged[k:110] = 1
+        p_ref = 50.0 * engaged
         p_base = np.full(n + 1, start["p_fan0"])
-        start.update(i_power0=7.0, mdot0=3.0, p_fan0=600.0)
-        _, wound = march(mixing_params, gains, n, 1.0, start,
-                         engaged=engaged, p_base=p_base)
-        start.update(i_power0=0.0)
-        _, fresh = march(mixing_params, gains, n, 1.0, start,
-                         engaged=engaged, p_base=p_base)
-        for name in wound:
-            assert np.array_equal(wound[name], fresh[name])
-        assert wound["mdot_act"][0] == 3.0 and wound["p_fan"][0] == 600.0
+        _, out = march(mixing_params, gains, n, 1.0, start,
+                       engaged=engaged, p_ref=p_ref, p_base=p_base)
+        fresh, _ = power_step(p_ref[k], out["p_fan"][k] - p_base[k], 0.0, gains)
+        assert out["t_set"][k] - gains.t_set_nominal == pytest.approx(fresh, abs=1e-12)
+        assert out["mdot_act"][k] == lag(out["mdot_act"][k - 1],
+                                         out["mdot_des"][k - 1], gains.tau_airflow, 1.0)
+        assert out["p_fan"][k] == lag(out["p_fan"][k - 1],
+                                      gains.fan_coeff * out["mdot_act"][k],
+                                      gains.tau_fan, 1.0)
 
     def test_handback_keeps_temperature_integral(self, mixing_params):
         # with a zero-gain power PI, engaging and handing back must leave the

@@ -98,14 +98,14 @@ class TestRte:
 class TestNeutrality:
     def test_identical_traces_neutral_by_convention(self):
         ev, base = square_pair()
-        residual, neutral = neutrality(ev, base, WINDOW)
-        assert residual == 0.0 and neutral
+        net, neutral = neutrality(ev, base, WINDOW)
+        assert net == 0.0 and neutral
 
     def test_cancelling_pulses_are_neutral(self):
         ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -100.0)])
-        residual, neutral = neutrality(ev, base, WINDOW)
+        net, neutral = neutrality(ev, base, WINDOW)
         # cancellation exact up to the two grid-edge half-samples
-        assert residual <= 100.0
+        assert abs(net) <= 100.0
         assert neutral
 
     def test_cancelling_ramps_are_exactly_neutral(self):
@@ -114,16 +114,26 @@ class TestNeutrality:
         wave = np.interp(t, [0, 300, 900, 1200], [0.0, 90.0, -90.0, 0.0])
         ev = make_trace(t, 500.0 + wave)
         base = make_trace(t, np.full_like(t, 500.0))
-        residual, neutral = neutrality(ev, base, WINDOW)
-        assert residual == pytest.approx(0.0, abs=1e-9)
+        net, neutral = neutrality(ev, base, WINDOW)
+        assert net == pytest.approx(0.0, abs=1e-9)
         assert neutral
 
     def test_unbalanced_pulses_fail(self):
         ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -50.0)])
-        residual, neutral = neutrality(ev, base, WINDOW)
-        # |60 kJ - 30 kJ| = 30 kJ against alpha = 0.05 * 90 kJ = 4.5 kJ
-        assert residual == pytest.approx(3.0e4, rel=2e-3)
+        net, neutral = neutrality(ev, base, WINDOW)
+        # 60 kJ - 30 kJ = +30 kJ against alpha = 0.05 * 90 kJ = 4.5 kJ
+        assert net == pytest.approx(3.0e4, rel=2e-3)
         assert not neutral
+
+    def test_net_is_signed(self):
+        # the mirrored event gives back more than it drew: the same net, negated
+        ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -50.0)])
+        mirror, _ = square_pair(pulses=[(0, 600, -100.0), (600, 1200, 50.0)])
+        net, _ = neutrality(ev, base, WINDOW)
+        net_mirror, neutral = neutrality(mirror, base, WINDOW)
+        assert net_mirror == -net
+        assert not neutral
+        assert evaluate_event(mirror, base, WINDOW).neutrality_residual == net
 
     def test_vacuous_tolerance_accepts_anything(self):
         ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -50.0)])
