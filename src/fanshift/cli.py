@@ -135,19 +135,27 @@ def cmd_simulate(config_path: str | Path, out_dir: str | Path,
 # sweep-mixing
 # ---------------------------------------------------------------------------
 
+def _numbers(spec: str, sep: str) -> list[float]:
+    """The numbers of a ``sep``-separated list; empty items are skipped."""
+    try:
+        return [float(p) for p in spec.split(sep) if p.strip()]
+    except ValueError as exc:
+        raise ConfigurationError(f"bad number in {spec!r}: {exc}") from exc
+
+
 def parse_grid(spec: str) -> list[float]:
     """Parse ``"0.1:1.0:0.1"`` (start:stop:step, inclusive) or ``"0.1,0.3"``."""
     spec = spec.strip()
     if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
+        values = _numbers(spec, ":")
+        if len(values) != 3:
             raise ConfigurationError(f"grid spec {spec!r} needs start:stop:step")
-        start, stop, step_sz = (float(p) for p in parts)
+        start, stop, step_sz = values
         if step_sz <= 0 or stop < start:
             raise ConfigurationError(f"bad grid range {spec!r}")
         n = int(round((stop - start) / step_sz))
         return [round(start + k * step_sz, 10) for k in range(n + 1)]
-    values = [float(p) for p in spec.split(",") if p.strip()]
+    values = _numbers(spec, ",")
     if not values:
         raise ConfigurationError(f"empty grid spec {spec!r}")
     return values
@@ -433,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare-models":
             window = None
             if args.measured_window:
-                window = tuple(float(x) for x in args.measured_window.split(","))
+                window = tuple(_numbers(args.measured_window, ","))
                 if len(window) != 3:
                     raise ConfigurationError(
                         "--measured-window needs t_start,t_end,t_settle")

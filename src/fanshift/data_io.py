@@ -1,17 +1,24 @@
-"""Measured-data ingestion, scenario config files, and results serialization.
+"""Measured-data ingestion, scenario config files, and trace/results files.
 
 On-disk units are SI with explicit header suffixes. Fahrenheit exists only at
 the boundaries: measured columns declared as ``F`` are converted on load, and
 config files may give any temperature field with an ``_f`` suffix instead of
 ``_c`` (and setpoint deltas as ``setpoint_deltas_f``).
+
+Both output files are CSV: a header line, CRLF line ends, and every float as
+``%.17g`` (``FLOAT_FMT``, an exact round trip). A trace file has one row per
+sample in the columns of ``trace.SERIES_COLUMNS``. A results file has one row
+per ``ResultRecord``, whose fields are its columns; an undefined RTE is an
+empty field, never 0. Readers reject a malformed row with ``DataFormatError``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,7 +30,7 @@ from .engine import EventSchedule, OutdoorProfile, Scenario
 from .errors import ConfigurationError, DataFormatError
 from .metrics import EventMetrics
 from .thermal import BuildingParams, delta_f_to_k, fahrenheit_to_celsius
-from .trace import SERIES_FIELDS, Trace
+from .trace import SERIES_COLUMNS, SERIES_FIELDS, Trace
 
 __all__ = [
     "MeasuredSeries",
@@ -41,37 +48,36 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-RESULTS_HEADER = ["scenario_id", "mode", "kind", "r", "c", "window_hr",
-                  "E_in_J", "E_out_J", "RTE", "neutral", "residual_J", "rmse_K"]
-
-TRACE_HEADER = ["t_s", "T_mix_C", "T_room_C", "T_wall_C", "T_set_eff_C",
-                "mdot_desired_kg_s", "mdot_actual_kg_s", "P_fan_W",
-                "T_outdoor_C", "P_event_ref_W"]
+FLOAT_FMT = "%.17g"
+TRACE_HEADER = [column for _, column in SERIES_COLUMNS]
 
 
 def _fmt(x: float | None) -> str:
-    """Render a float at 17 significant digits (lossless round trip)."""
-    if x is None:
-        return ""
-    return f"{x:.17g}"
+    return "" if x is None else FLOAT_FMT % x
+
+
+def _column(name: str, render=_fmt, parse=float):
+    """A results field with its CSV column name and its text codec."""
+    return field(metadata={"column": name, "render": render, "parse": parse})
 
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One flat metrics row as written to the results CSV."""
+    """One flat metrics row; its fields, in order, are the results CSV's columns."""
 
-    scenario_id: str
-    mode: str
-    kind: str
-    r: float
-    c: float
-    window_hr: float
-    e_in_j: float
-    e_out_j: float
-    rte: float | None
-    neutral: bool
-    residual_j: float
-    rmse_k: float
+    scenario_id: str = _column("scenario_id", str, str)
+    mode: str = _column("mode", str, str)
+    kind: str = _column("kind", str, str)
+    r: float = _column("r")
+    c: float = _column("c")
+    window_hr: float = _column("window_hr")
+    e_in_j: float = _column("E_in_J")
+    e_out_j: float = _column("E_out_J")
+    rte: float | None = _column("RTE", parse=lambda text: float(text) if text else None)
+    neutral: bool = _column("neutral", lambda b: "true" if b else "false",
+                            {"true": True, "false": False}.__getitem__)
+    residual_j: float = _column("residual_J")
+    rmse_k: float = _column("rmse_K")
 
     @classmethod
     def from_metrics(cls, m: EventMetrics, *, scenario_id: str, mode: str,
@@ -83,24 +89,19 @@ class ResultRecord:
                    residual_j=m.neutrality_residual, rmse_k=m.rmse_temp)
 
 
-def write_results(records: list[ResultRecord], path: str | Path) -> None:
-    """Write metrics rows; deterministic order and formatting.
+_RESULT_FIELDS = fields(ResultRecord)
+RESULTS_HEADER = [f.metadata["column"] for f in _RESULT_FIELDS]
 
-    An undefined RTE is rendered as an empty field, never as 0.
-    """
+
+def write_results(records: list[ResultRecord], path: str | Path) -> None:
+    """Write metrics rows in the results format; deterministic order."""
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(RESULTS_HEADER)
-            for rec in records:
-                writer.writerow([
-                    rec.scenario_id, rec.mode, rec.kind,
-                    _fmt(rec.r), _fmt(rec.c), _fmt(rec.window_hr),
-                    _fmt(rec.e_in_j), _fmt(rec.e_out_j), _fmt(rec.rte),
-                    "true" if rec.neutral else "false",
-                    _fmt(rec.residual_j), _fmt(rec.rmse_k),
-                ])
+            writer.writerows([f.metadata["render"](getattr(rec, f.name))
+                              for f in _RESULT_FIELDS] for rec in records)
     except OSError as exc:
         raise DataFormatError(f"cannot write results to {path}: {exc}") from exc
 
@@ -115,13 +116,14 @@ def read_results(path: str | Path) -> list[ResultRecord]:
                 raise DataFormatError(f"{path}: unexpected results header {header}")
             out = []
             for row in reader:
-                out.append(ResultRecord(
-                    scenario_id=row[0], mode=row[1], kind=row[2],
-                    r=float(row[3]), c=float(row[4]), window_hr=float(row[5]),
-                    e_in_j=float(row[6]), e_out_j=float(row[7]),
-                    rte=float(row[8]) if row[8] else None,
-                    neutral=row[9] == "true",
-                    residual_j=float(row[10]), rmse_k=float(row[11])))
+                try:
+                    if len(row) != len(RESULTS_HEADER):
+                        raise ValueError(f"{len(row)} of {len(RESULTS_HEADER)} fields")
+                    out.append(ResultRecord(*(f.metadata["parse"](text)
+                                              for f, text in zip(_RESULT_FIELDS, row))))
+                except (KeyError, ValueError) as exc:
+                    raise DataFormatError(
+                        f"{path}: line {reader.line_num}: bad row: {exc}") from exc
             return out
     except OSError as exc:
         raise DataFormatError(f"cannot read results from {path}: {exc}") from exc
@@ -131,11 +133,10 @@ def write_trace(trace: Trace, path: str | Path) -> None:
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_HEADER)
-            columns = [getattr(trace, name) for name in SERIES_FIELDS]
-            for row in zip(*columns):
-                writer.writerow([_fmt(float(v)) for v in row])
+            np.savetxt(fh, np.column_stack([getattr(trace, name)
+                                            for name in SERIES_FIELDS]),
+                       fmt=FLOAT_FMT, delimiter=",", newline="\r\n",
+                       header=",".join(TRACE_HEADER), comments="")
     except OSError as exc:
         raise DataFormatError(f"cannot write trace to {path}: {exc}") from exc
 
@@ -144,18 +145,21 @@ def read_trace(path: str | Path, **meta) -> Trace:
     path = Path(path)
     try:
         with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = fh.readline().rstrip("\r\n").split(",")
             if header != TRACE_HEADER:
                 raise DataFormatError(f"{path}: unexpected trace header {header}")
-            rows = [[float(v) for v in row] for row in reader]
+            body = fh.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read trace from {path}: {exc}") from exc
-    if not rows:
+    if not body.strip():
         raise DataFormatError(f"{path}: empty trace")
-    arr = np.asarray(rows, dtype=float)
-    kw = {name: arr[:, i] for i, name in enumerate(SERIES_FIELDS)}
-    return Trace(**kw, **meta)
+    try:
+        arr = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        if arr.shape[1] != len(SERIES_FIELDS):
+            raise ValueError(f"{arr.shape[1]} columns, expected {len(SERIES_FIELDS)}")
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    return Trace(**dict(zip(SERIES_FIELDS, arr.T)), **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +326,13 @@ def resample(series: MeasuredSeries, dt: float,
         raise ConfigurationError("grid end precedes grid start")
     n = int(math.floor((t1 - t0) / dt + 1e-9))
     grid = t0 + np.arange(n + 1, dtype=float) * dt
-    nan = np.full(n + 1, math.nan)
-    p_fan = np.interp(grid, series.t, series.power)
-    t_room = (np.interp(grid, series.t, series.temp)
-              if series.temp is not None else nan.copy())
-    t_set = (np.interp(grid, series.t, series.setpoint)
-             if series.setpoint is not None else nan.copy())
-    return Trace(
-        t=grid, t_mix=nan.copy(), t_room=t_room, t_wall=nan.copy(),
-        t_set_eff=t_set, mdot_desired=nan.copy(), mdot_actual=nan.copy(),
-        p_fan=p_fan, t_outdoor=nan.copy(), p_event_ref=np.zeros(n + 1),
-        mode="measured", scenario_id=series.label, source="measured")
+    kw = {name: np.full(n + 1, math.nan) for name in SERIES_FIELDS}
+    kw.update(t=grid, p_fan=np.interp(grid, series.t, series.power),
+              p_event_ref=np.zeros(n + 1))
+    for name, measured in (("t_room", series.temp), ("t_set_eff", series.setpoint)):
+        if measured is not None:
+            kw[name] = np.interp(grid, series.t, measured)
+    return Trace(**kw, mode="measured", scenario_id=series.label, source="measured")
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +414,17 @@ def _fields(section: dict, table: dict, where: str) -> dict:
 
 
 def _profile_from_config(spec, nominal: float) -> OutdoorProfile:
-    if isinstance(spec, dict):
-        _check_keys(spec, {"step_at_s", "step_c", "step_f"}, "outdoor profile")
-        if "step_at_s" in spec:
+    try:
+        if isinstance(spec, dict):
+            _check_keys(spec, {"step_at_s", "step_c", "step_f"}, "outdoor profile")
+            if "step_at_s" not in spec:
+                raise ConfigurationError(f"bad outdoor profile spec: {spec}")
             delta = (delta_f_to_k(float(spec["step_f"])) if "step_f" in spec
                      else float(spec.get("step_c", 0.0)))
             return OutdoorProfile.step_at(nominal, float(spec["step_at_s"]), delta)
-        raise ConfigurationError(f"bad outdoor profile spec: {spec}")
-    pairs = [(float(t), float(v)) for t, v in spec]
+        pairs = [(float(t), float(v)) for t, v in spec]
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"outdoor profile: bad value: {exc}") from exc
     return OutdoorProfile(times=tuple(t for t, _ in pairs),
                           values=tuple(v for _, v in pairs))
 

@@ -284,7 +284,10 @@ def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
     c_mix, c_room_rest, c_wall, r_wall, r_mix = _kernel_params(p)
     t_low = p.t_supply - _SANITY_MARGIN_K
     t_high = max(float(np.max(t_out)), p.t_outdoor_nominal) + _SANITY_MARGIN_K
-    outs = [np.empty(n + 1) for _ in range(7)]
+    # the kernel's output arrays, in its argument order
+    outs = {name: np.empty(n + 1) for name in (
+        "t_mix", "t_room", "t_wall", "t_set_eff", "mdot_desired", "mdot_actual",
+        "p_fan")}
 
     status = kernels.simulate_loop(
         _model_id(p), n, scenario.dt,
@@ -296,27 +299,19 @@ def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
         t_low, t_high,
         t_out, t_set, p_ref, engaged, p_base,
         t_mix0, g.t_set_nominal, t_wall0, i_temp0, mdot_eq, g.fan_coeff * mdot_eq,
-        *outs)
+        *outs.values())
 
     if status >= 0:
         i = int(status)
         raise NumericalError(
             f"state left its sanity bounds at t={i * scenario.dt:.1f} s "
             f"(sample {i} of {n})",
-            sample={
-                "t": i * scenario.dt,
-                "t_mix": float(outs[0][i]), "t_room": float(outs[1][i]),
-                "t_wall": float(outs[2][i]), "t_set_eff": float(outs[3][i]),
-                "mdot_desired": float(outs[4][i]), "mdot_actual": float(outs[5][i]),
-                "p_fan": float(outs[6][i]),
-                "bounds": (t_low, t_high),
-            })
+            sample={"t": i * scenario.dt,
+                    **{name: float(out[i]) for name, out in outs.items()},
+                    "bounds": (t_low, t_high)})
 
     return Trace(
-        t=times,
-        t_mix=outs[0], t_room=outs[1], t_wall=outs[2], t_set_eff=outs[3],
-        mdot_desired=outs[4], mdot_actual=outs[5], p_fan=outs[6],
-        t_outdoor=t_out, p_event_ref=p_ref,
+        t=times, **outs, t_outdoor=t_out, p_event_ref=p_ref,
         mode=label, scenario_id=scenario.scenario_id,
         scenario_hash=scenario.digest())
 

@@ -227,6 +227,12 @@ def simulate_loop(model, n_steps, dt,
         out_mdot_act[i] = mdot_act
         out_p_fan[i] = p_fan
 
+        if not (math.isfinite(t_mix) and math.isfinite(t_room)
+                and math.isfinite(t_wall) and math.isfinite(p_fan)
+                and t_low <= t_mix <= t_high
+                and t_low <= t_room <= t_high
+                and t_low <= t_wall <= t_high):
+            return i
         if final:
             break
 
@@ -237,21 +243,6 @@ def simulate_loop(model, n_steps, dt,
             model, t_mix, t_room, t_wall, mdot_act, t_out[i], dt,
             c_mix, c_room_rest, c_wall, r_wall, r_mix,
             q_internal, t_supply, c_p_air)
-
-        ok = (math.isfinite(t_mix) and math.isfinite(t_room)
-              and math.isfinite(t_wall) and math.isfinite(p_fan)
-              and t_low <= t_mix <= t_high
-              and t_low <= t_room <= t_high
-              and t_low <= t_wall <= t_high)
-        if not ok:
-            out_t_mix[i + 1] = t_mix
-            out_t_room[i + 1] = t_room
-            out_t_wall[i + 1] = t_wall
-            out_t_set[i + 1] = t_set
-            out_mdot_des[i + 1] = mdot_des
-            out_mdot_act[i + 1] = mdot_act
-            out_p_fan[i + 1] = p_fan
-            return i + 1
 
         was_engaged = eng
 

@@ -8,13 +8,16 @@ import numpy as np
 
 from .errors import TraceAlignmentError
 
-__all__ = ["Trace", "SERIES_FIELDS", "aligned"]
+__all__ = ["Trace", "SERIES_COLUMNS", "SERIES_FIELDS", "aligned"]
 
-# every per-sample series carried by a trace, in canonical column order
-SERIES_FIELDS = (
-    "t", "t_mix", "t_room", "t_wall", "t_set_eff",
-    "mdot_desired", "mdot_actual", "p_fan", "t_outdoor", "p_event_ref",
+# (field, CSV column) of every per-sample series of a trace, in column order
+SERIES_COLUMNS = (
+    ("t", "t_s"), ("t_mix", "T_mix_C"), ("t_room", "T_room_C"), ("t_wall", "T_wall_C"),
+    ("t_set_eff", "T_set_eff_C"), ("mdot_desired", "mdot_desired_kg_s"),
+    ("mdot_actual", "mdot_actual_kg_s"), ("p_fan", "P_fan_W"),
+    ("t_outdoor", "T_outdoor_C"), ("p_event_ref", "P_event_ref_W"),
 )
+SERIES_FIELDS = tuple(name for name, _ in SERIES_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,10 @@ def equilibrium_start(params, gains, offset_k=0.0) -> dict:
 
 
 def march(params, gains, n_steps, dt, start, engaged=None, p_ref=None,
-          p_base=None):
+          p_base=None, t_low=None, t_high=None):
     """Run ``kernels.simulate_loop`` from ``start`` under the nominal outdoor
-    temperature and setpoint. Returns (status, {output name: array})."""
+    temperature and setpoint, with sanity bounds 5 K beyond supply and
+    outdoor unless given. Returns (status, {output name: array})."""
     n1 = n_steps + 1
     zeros = np.zeros(n1)
     mdot_max = MDOT_LIMIT_FACTOR * equilibrium(params, gains.t_set_nominal)[2]
@@ -75,7 +76,8 @@ def march(params, gains, n_steps, dt, start, engaged=None, p_ref=None,
         gains.kp_temp, gains.ki_temp, gains.kp_power, gains.ki_power,
         gains.fan_coeff, mdot_max, SETPOINT_ADJ_LIMIT_K,
         math.exp(-dt / gains.tau_airflow), math.exp(-dt / gains.tau_fan),
-        params.t_supply - 5.0, params.t_outdoor_nominal + 5.0,
+        params.t_supply - 5.0 if t_low is None else t_low,
+        params.t_outdoor_nominal + 5.0 if t_high is None else t_high,
         zeros + params.t_outdoor_nominal, zeros + gains.t_set_nominal,
         zeros if p_ref is None else p_ref,
         np.zeros(n1, dtype=np.uint8) if engaged is None else engaged,

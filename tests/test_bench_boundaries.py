@@ -1,0 +1,41 @@
+"""The layer boundaries the benchmark's tracer wraps must exist.
+
+``perfbench/spans.py`` patches public names of the package from outside; a
+renamed or moved boundary leaves its layer unmeasured. The two writers are
+also timed by file size, read from their second positional argument.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import fanshift
+import fanshift.cli  # noqa: F401 - the tracer reaches every module through the package
+from fanshift import data_io
+
+from conftest import make_trace
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_boundary_found_and_writers_sized(tmp_path, monkeypatch):
+    tracer = load_spans(monkeypatch).Tracer()
+    try:
+        assert tracer.install(fanshift) == []
+        trace_path, results_path = tmp_path / "trace.csv", tmp_path / "results.csv"
+        data_io.write_trace(make_trace([0.0, 1.0], [1.0, 2.0]), trace_path)
+        data_io.write_results([], results_path)
+    finally:
+        tracer.uninstall()
+    assert [(s.layer, s.info["bytes"]) for s in tracer.spans] == [
+        ("trace_write", trace_path.stat().st_size),
+        ("results_write", results_path.stat().st_size)]

@@ -142,3 +142,16 @@ class TestMeasuredErrors:
         assert code == 0
         [record] = data_io.read_results(tmp_path / "measured_metrics.csv")
         assert record.e_in_j > 0.0
+
+
+class TestNumberArguments:
+    @pytest.mark.parametrize("argv", [
+        ["sweep-mixing", "--r-grid", "abc"],
+        ["sweep-mixing", "--r-grid", "0.1:x:0.1"],
+        ["sweep-mixing", "--c-grid", "0.1,zero"],
+        ["compare-models", "--measured-window", "1,2,x"],
+    ])
+    def test_bad_number_exits_1(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert "error: bad number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

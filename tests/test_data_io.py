@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,44 @@ class TestTraceRoundTrip:
                                   equal_nan=True), name
 
 
+    def test_golden_bytes(self, tmp_path):
+        trace = make_trace([0.0, 0.5, 1.0], [0.1, -0.0, 1e-300],
+                           t_room=[math.nan, 21.7, -0.0])
+        data_io.write_trace(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (
+            b"t_s,T_mix_C,T_room_C,T_wall_C,T_set_eff_C,mdot_desired_kg_s,"
+            b"mdot_actual_kg_s,P_fan_W,T_outdoor_C,P_event_ref_W\r\n"
+            b"0,0,nan,0,0,0,0,0.10000000000000001,0,0\r\n"
+            b"0.5,0,21.699999999999999,0,0,0,0,-0,0,0\r\n"
+            b"1,0,-0,0,0,0,0,1e-300,0,0\r\n")
+
+
+HEADER = ",".join(data_io.TRACE_HEADER) + "\r\n"
+
+
+class TestTraceReadErrors:
+    @pytest.mark.parametrize("body", [
+        "0,0,0,0,0,0,0,0,0,0\r\n1,0,0,0,0,0,0,0,0\r\n",
+        "0,0,0,0,0,0,0,abc,0,0\r\n",
+        "0,0,0,0,0,0,0,0,0\r\n1,0,0,0,0,0,0,0,0\r\n",
+        "0,0,0,0,0,0,0,0,0,0,0\r\n",
+    ], ids=["ragged", "not_a_number", "column_short", "column_long"])
+    def test_malformed_row(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        path.write_bytes((HEADER + body).encode())
+        with pytest.raises(DataFormatError, match="trace.csv"):
+            data_io.read_trace(path)
+
+    @pytest.mark.parametrize("body", ["", "\r\n"], ids=["no_rows", "blank_row"])
+    def test_empty_trace(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        path.write_bytes((HEADER + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="trace.csv: empty trace"):
+                data_io.read_trace(path)
+
+
 class TestResultsRoundTrip:
     def test_records_survive(self, tmp_path):
         records = [
@@ -43,6 +82,18 @@ class TestResultsRoundTrip:
         assert back[1].residual_j == 1e-300 and not back[1].neutral
         rows = (tmp_path / "results.csv").read_text().splitlines()
         assert rows[2].split(",")[8] == ""  # undefined RTE is an empty field
+
+    @pytest.mark.parametrize("row", [
+        "a,closed_loop,UP_DOWN,0.3,0.1",
+        "a,closed_loop,UP_DOWN,0.3,0.1,2,1,1,1,true,0,0,extra",
+        "a,closed_loop,UP_DOWN,0.3,0.1,2,1,abc,1,true,0,0",
+        "a,closed_loop,UP_DOWN,0.3,0.1,2,1,1,1,yes,0,0",
+    ], ids=["short", "long", "not_a_number", "not_a_flag"])
+    def test_malformed_row(self, tmp_path, row):
+        path = tmp_path / "results.csv"
+        path.write_text(",".join(data_io.RESULTS_HEADER) + "\n" + row + "\n")
+        with pytest.raises(DataFormatError, match="results.csv: line 2"):
+            data_io.read_results(path)
 
 
 CONFIG = """\
@@ -104,6 +155,9 @@ class TestScenarioConfig:
         CONFIG + "dt_s: fast\n",
         CONFIG.replace("event: {}", "event: {power_deltas_w: 100}"),
         CONFIG.replace("building: {}", "building: [mix_r, 0.3]"),
+        CONFIG.replace("outdoor: {}", "outdoor: {actual: [[0, abc]]}"),
+        CONFIG.replace("outdoor: {}", "outdoor: {actual: [[0]]}"),
+        CONFIG.replace("outdoor: {}", "outdoor: {actual: {step_at_s: soon}}"),
     ])
     def test_bad_value_is_a_configuration_error(self, tmp_path, text):
         with pytest.raises(ConfigurationError):

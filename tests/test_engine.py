@@ -233,6 +233,21 @@ class TestStep:
         assert status == -1
         assert abs(out["t_room"][-1] - gains.t_set_nominal) < 0.01
 
+    def test_failing_sample_written_like_any_other(self):
+        # the sample at which a state leaves its bounds holds the state and
+        # the commands at that time, as it would in a run with wider bounds
+        params = BuildingParams().with_mixing(0.3, 0.1)
+        gains = ControllerGains()
+        start = equilibrium_start(params, gains, offset_k=0.5)
+        status, wide = march(params, gains, 40, 10.0, start)
+        assert status == -1
+        # t_mix falls steadily after the warm start; cross between samples 9, 10
+        t_low = 0.5 * (wide["t_mix"][9] + wide["t_mix"][10])
+        status, out = march(params, gains, 40, 10.0, start, t_low=t_low)
+        assert status == 10
+        for name, series in out.items():
+            assert np.array_equal(series[:11], wide[name][:11]), name
+
 
 class TestEnergyBookkeeping:
     def test_stored_energy_matches_integrated_flows(self):
