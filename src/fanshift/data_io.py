@@ -378,6 +378,10 @@ _EVENT_KEYS = {
     "power_delta_frac": ("power_delta_frac", float),
     "forced_settle_s": ("forced_settle_duration", float),
 }
+_STEP_KEYS = {
+    "step_at_s": ("t_step", float), "step_c": ("delta", float),
+    "step_f": ("delta", lambda value: delta_f_to_k(float(value))),
+}
 _ROOT_KEYS = {
     "scenario_id": ("scenario_id", str), "mode": ("mode", str),
     "dt_s": ("dt", float), "warmup_s": ("warmup", float),
@@ -416,12 +420,10 @@ def _fields(section: dict, table: dict, where: str) -> dict:
 def _profile_from_config(spec, nominal: float) -> OutdoorProfile:
     try:
         if isinstance(spec, dict):
-            _check_keys(spec, {"step_at_s", "step_c", "step_f"}, "outdoor profile")
-            if "step_at_s" not in spec:
+            kw = _fields(spec, _STEP_KEYS, "outdoor profile")
+            if "t_step" not in kw:
                 raise ConfigurationError(f"bad outdoor profile spec: {spec}")
-            delta = (delta_f_to_k(float(spec["step_f"])) if "step_f" in spec
-                     else float(spec.get("step_c", 0.0)))
-            return OutdoorProfile.step_at(nominal, float(spec["step_at_s"]), delta)
+            return OutdoorProfile.step_at(nominal, kw["t_step"], kw.get("delta", 0.0))
         pairs = [(float(t), float(v)) for t, v in spec]
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"outdoor profile: bad value: {exc}") from exc

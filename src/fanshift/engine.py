@@ -8,12 +8,13 @@ the lags, all inputs zero-order-held over each step. Runs start from the
 analytic equilibrium with the temperature integral pre-seeded to carry the
 equilibrium flow, so baselines are flat until something changes.
 
-Identical scenarios produce bit-identical traces: the engine is seed-free and
-each run owns all of its state.
+Identical scenarios produce bit-identical traces: the engine is seed-free;
+no-event runs are memoised (the last two) and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -24,7 +25,7 @@ from . import kernels, metrics
 from .control import MDOT_LIMIT_FACTOR, SETPOINT_ADJ_LIMIT_K, ControllerGains
 from .errors import ConfigurationError, NumericalError, TuningError
 from .thermal import BuildingParams, equilibrium
-from .trace import Trace
+from .trace import SERIES_FIELDS, Trace
 
 __all__ = [
     "OutdoorProfile",
@@ -56,6 +57,8 @@ _SANITY_MARGIN_K = 5.0
 # explicit RK4 is stable on the real axis to about 2.785/tau; reject steps
 # beyond 2.5x the fastest estimated plant time constant
 _RK4_DT_SAFETY = 2.5
+# no-event runs memoised; the settling study alternates flat and stepped forecasts
+_BASELINE_MEMO_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -316,13 +319,34 @@ def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
         scenario_hash=scenario.digest())
 
 
+@functools.lru_cache(maxsize=_BASELINE_MEMO_SIZE)
+def _memo_baseline(params: BuildingParams, gains: ControllerGains, dt: float,
+                   warmup: float, settle_duration: float,
+                   oa_predicted: OutdoorProfile) -> Trace:
+    """The no-event march fixed by its six inputs, with read-only arrays."""
+    scenario = Scenario(params=params, gains=gains, dt=dt, warmup=warmup,
+                        settle_duration=settle_duration, oa_predicted=oa_predicted,
+                        event=EventSchedule(half_duration=0.0,
+                                            forced_settle_duration=0.0))
+    trace = _run(scenario, oa_predicted, "baseline")
+    for name in SERIES_FIELDS:
+        getattr(trace, name).setflags(write=False)
+    return trace
+
+
 def run_baseline(scenario: Scenario) -> Trace:
     """No-event run under the *predicted* outdoor profile.
 
     This is the counterfactual the power controller subtracts from measured
     fan power; it starts at the analytic equilibrium for the nominal setpoint.
+    The last two distinct runs are memoised on the six inputs they depend on,
+    and every caller of one shares its read-only arrays.
     """
-    return _run(scenario, scenario.oa_predicted, "baseline")
+    cached = _memo_baseline(scenario.params, scenario.gains, scenario.dt,
+                            scenario.warmup, scenario.settle_duration,
+                            scenario.oa_predicted)
+    return replace(cached, scenario_id=scenario.scenario_id,
+                   scenario_hash=scenario.digest())
 
 
 def run_open_loop(scenario: Scenario) -> Trace:
@@ -372,7 +396,8 @@ def tune_open_loop_event(scenario: Scenario, tolerance_frac: float = 0.05,
     Holds the first delta fixed and searches the magnitude of the second:
     the net power deviation over the event window grows monotonically with
     it, so a sign-bracketing bisection converges. A schedule that already
-    meets the criterion is returned unchanged.
+    meets the criterion is returned unchanged. No magnitude is marched twice,
+    and the baseline is the shared read-only one from :func:`run_baseline`.
     """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("tuning applies to open-loop scenarios")
@@ -383,11 +408,14 @@ def tune_open_loop_event(scenario: Scenario, tolerance_frac: float = 0.05,
     window = scenario.window()
     baseline = run_baseline(scenario)
 
+    probes = {}  # magnitude -> (signed residual, neutral, schedule)
     def probe(mag: float):
-        sched = replace(scenario.event, setpoint_deltas=(d1, sign2 * mag))
-        trace = run_open_loop(replace(scenario, event=sched))
-        signed, ok = metrics.neutrality(trace, baseline, window, tolerance_frac)
-        return signed, ok, sched
+        if mag not in probes:
+            sched = replace(scenario.event, setpoint_deltas=(d1, sign2 * mag))
+            trace = run_open_loop(replace(scenario, event=sched))
+            probes[mag] = (*metrics.neutrality(trace, baseline, window,
+                                               tolerance_frac), sched)
+        return probes[mag]
 
     signed0, ok0, _ = probe(abs(d2_init))
     if ok0:

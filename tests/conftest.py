@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule, Scenario,
-                      equilibrium, kernels)
+                      engine, equilibrium, kernels)
 from fanshift.control import MDOT_LIMIT_FACTOR, SETPOINT_ADJ_LIMIT_K
 from fanshift.engine import _kernel_params, _model_id
 from fanshift.trace import SERIES_FIELDS, Trace
 
 LOOP_OUTPUTS = ("t_mix", "t_room", "t_wall", "t_set", "mdot_des", "mdot_act",
                 "p_fan")
+
+
+@pytest.fixture(autouse=True)
+def empty_baseline_memo():
+    """Start every test with no memoised baseline, so a run a previous test
+    left in the memo cannot hide a march from a spied or patched kernel."""
+    engine._memo_baseline.cache_clear()
 
 
 @pytest.fixture
@@ -37,6 +44,18 @@ def make_trace(t, p_fan, t_room=None, **meta) -> Trace:
     if t_room is not None:
         kw["t_room"] = np.asarray(t_room, dtype=float)
     return Trace(**kw, **meta)
+
+
+def count_marches(monkeypatch) -> list:
+    """Spy on the kernel; the returned list gains each march's step count."""
+    calls, simulate_loop = [], kernels.simulate_loop
+
+    def spy(*args):
+        calls.append(args[1])
+        return simulate_loop(*args)
+
+    monkeypatch.setattr(kernels, "simulate_loop", spy)
+    return calls
 
 
 def quick_scenario(**overrides) -> Scenario:

@@ -4,7 +4,7 @@ import pytest
 from fanshift import cli, data_io
 from fanshift.errors import ConfigurationError, NumericalError, TuningError
 
-from conftest import make_trace
+from conftest import count_marches, make_trace
 
 CLOSED_LOOP_3H = """\
 scenario_id: short
@@ -59,6 +59,17 @@ class TestDriftSlope:
         trace = make_trace(t, np.full_like(t, 1000.0))
         with pytest.raises(ConfigurationError, match="drift window"):
             cli._drift_slope(trace, trace, 1200.0)
+
+
+class TestForcedSettlingMarches:
+    def test_each_distinct_run_marched_once(self, tmp_path, monkeypatch):
+        calls = count_marches(monkeypatch)
+        # 200 s divides every study duration; the self-check may fail there
+        code = cli.main(["forced-settling", "--dt", "200", "--out", str(tmp_path)])
+        assert code in (0, 3)
+        # 10 events and 2 baselines, the flat and the stepped forecast
+        assert len(calls) == 12
+        assert len(list((tmp_path / "traces").glob("*.csv"))) == 24
 
 
 class TestSweepFailures:

@@ -132,6 +132,7 @@ class TestScenarioConfig:
         ("building", "{t_supply_c: 15.0, t_supply_f: 59.0}"),
         ("control", "{t_set_nominal_c: 21.0, t_set_nominal_f: 70.0}"),
         ("event", "{setpoint_deltas_k: [0.5, -0.5], setpoint_deltas_f: [1, -1]}"),
+        ("outdoor", "{actual: {step_at_s: 7200, step_c: 1.0, step_f: 9.0}}"),
     ])
     def test_both_units_rejected(self, tmp_path, section, keys):
         path = write_config(tmp_path, CONFIG.replace(f"{section}: {{}}",

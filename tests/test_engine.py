@@ -3,12 +3,13 @@ import pytest
 from dataclasses import replace
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule,
-                      OutdoorProfile, Scenario, equilibrium, run_baseline,
+                      OutdoorProfile, Scenario, engine, equilibrium, run_baseline,
                       run_closed_loop, run_open_loop, tune_open_loop_event)
-from fanshift.errors import ConfigurationError
+from fanshift.errors import ConfigurationError, NumericalError
 from fanshift.metrics import neutrality
+from fanshift.trace import SERIES_FIELDS
 
-from conftest import equilibrium_start, march, quick_scenario
+from conftest import count_marches, equilibrium_start, march, quick_scenario
 
 
 class TestOutdoorProfile:
@@ -99,9 +100,69 @@ class TestBaseline:
 
     def test_determinism_bit_identical(self):
         sc = quick_scenario()
-        a, b = run_baseline(sc), run_baseline(sc)
-        for name in ("t_room", "p_fan", "mdot_actual"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        cached = run_baseline(sc)
+        engine._memo_baseline.cache_clear()
+        fresh = run_baseline(sc)
+        assert fresh.p_fan is not cached.p_fan
+        for name in SERIES_FIELDS:
+            assert np.array_equal(getattr(cached, name), getattr(fresh, name))
+
+
+class TestBaselineMemo:
+    @pytest.mark.parametrize("change", [
+        dict(params=BuildingParams().with_mixing(0.5, 0.1)),
+        dict(gains=replace(ControllerGains(), kp_temp=0.5)),
+        dict(dt=2.0),
+        dict(warmup=1200.0),
+        dict(settle_duration=10800.0),
+        dict(oa_predicted=OutdoorProfile.step_at(29.4, 1200.0, 1.0)),
+    ])
+    def test_each_key_field_marches_anew(self, monkeypatch, change):
+        calls = count_marches(monkeypatch)
+        sc = quick_scenario()
+        run_baseline(sc)
+        run_baseline(replace(sc, **change))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("change", [
+        dict(event=EventSchedule(kind="UP_DOWN", setpoint_deltas=(-0.5, 0.5))),
+        dict(mode="closed_loop",
+             event=EventSchedule(kind="DOWN_UP", power_delta_frac=0.1)),
+        dict(scenario_id="other"),
+        dict(oa_actual=OutdoorProfile.step_at(29.4, 1200.0, 1.0)),
+    ])
+    def test_other_fields_share_one_march(self, monkeypatch, change):
+        calls = count_marches(monkeypatch)
+        sc = quick_scenario()
+        other = replace(sc, **change)
+        a, b = run_baseline(sc), run_baseline(other)
+        assert len(calls) == 1
+        for name in SERIES_FIELDS:
+            assert getattr(a, name) is getattr(b, name)
+        assert (b.scenario_id, b.scenario_hash) == (other.scenario_id,
+                                                     other.digest())
+        assert b.mode == "baseline"
+
+    def test_cached_arrays_reject_writes(self):
+        trace = run_baseline(quick_scenario())
+        for name in SERIES_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(trace, name)[0] = 0.0
+
+    @pytest.mark.parametrize("constant, value, error", [
+        ("_SANITY_MARGIN_K", -20.0, NumericalError),
+        ("_RK4_DT_SAFETY", 1e-9, ConfigurationError),
+    ])
+    def test_failed_run_not_cached(self, monkeypatch, constant, value, error):
+        sc = quick_scenario()
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, constant, value)
+            with pytest.raises(error):
+                run_baseline(sc)
+        calls = count_marches(monkeypatch)
+        trace = run_baseline(sc)
+        assert len(calls) == 1
+        assert np.all(np.isfinite(trace.p_fan))
 
 
 class TestOpenLoop:
@@ -287,6 +348,19 @@ class TestTuner:
         # first delta untouched, second retains its sign convention
         assert tuned.setpoint_deltas[0] == sc.event.setpoint_deltas[0]
         assert tuned.setpoint_deltas[1] <= 0.0
+
+    def test_each_schedule_marched_once(self, monkeypatch):
+        marched = []
+
+        def spy(scenario):
+            marched.append(scenario.event.setpoint_deltas)
+            return run_open_loop(scenario)
+
+        monkeypatch.setattr(engine, "run_open_loop", spy)
+        tuned = tune_open_loop_event(self._scenario(), tolerance_frac=0.05)
+        assert len(marched) == len(set(marched)) == 5
+        # exact: skipping a repeated probe must not move the result
+        assert tuned.setpoint_deltas == (0.5555555555555556, -0.6944444444444444)
 
     def test_vacuous_tolerance_returns_unchanged(self):
         sc = self._scenario()
