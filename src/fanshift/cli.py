@@ -18,6 +18,7 @@ the first failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -103,12 +104,11 @@ def _check_neutrality(records: list[data_io.ResultRecord]) -> None:
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config_path: str | Path, out_dir: str | Path,
-                 dt: float | None = None, window: str = "full",
-                 tune_neutral: bool = False) -> int:
+def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
+                 window: str, tune_neutral: bool) -> int:
     """Run the scenario described by a config file; write traces + metrics."""
     windows = _windows(window)
-    scenario = data_io.load_scenario_config(config_path)
+    scenario = data_io.load_scenario_config(config)
     if dt is not None:
         scenario = replace(scenario, dt=dt)
     if tune_neutral:
@@ -116,7 +116,7 @@ def cmd_simulate(config_path: str | Path, out_dir: str | Path,
             raise ConfigurationError("--tune-neutral applies to open-loop scenarios")
         scenario = replace(scenario, event=tune_open_loop_event(scenario))
 
-    out = Path(out_dir)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     event, control_base, counterfactual = run_event_pair(scenario)
 
@@ -136,11 +136,14 @@ def cmd_simulate(config_path: str | Path, out_dir: str | Path,
 # ---------------------------------------------------------------------------
 
 def _numbers(spec: str, sep: str) -> list[float]:
-    """The numbers of a ``sep``-separated list; empty items are skipped."""
+    """The finite numbers of a ``sep``-separated list; empty items are skipped."""
     try:
-        return [float(p) for p in spec.split(sep) if p.strip()]
+        values = [float(p) for p in spec.split(sep) if p.strip()]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("numbers must be finite")
     except ValueError as exc:
         raise ConfigurationError(f"bad number in {spec!r}: {exc}") from exc
+    return values
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -153,7 +156,7 @@ def parse_grid(spec: str) -> list[float]:
         start, stop, step_sz = values
         if step_sz <= 0 or stop < start:
             raise ConfigurationError(f"bad grid range {spec!r}")
-        n = int(round((stop - start) / step_sz))
+        n = int(math.floor((stop - start) / step_sz + 1e-9))
         return [round(start + k * step_sz, 10) for k in range(n + 1)]
     values = _numbers(spec, ",")
     if not values:
@@ -161,10 +164,9 @@ def parse_grid(spec: str) -> list[float]:
     return values
 
 
-def cmd_sweep_mixing(r_grid: list[float], c_grid: list[float],
-                     kind: str = KIND_UP_DOWN, out_dir: str | Path = ".",
-                     dt: float = 1.0, window: str = "both",
-                     power_frac: float = 0.10) -> int:
+def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
+                     power_frac: float, out: str | Path, dt: float,
+                     window: str) -> int:
     """Closed-loop events across a mixing-parameter grid; one row per window."""
     if not r_grid or not c_grid:
         raise ConfigurationError("grids must be non-empty")
@@ -190,7 +192,7 @@ def cmd_sweep_mixing(r_grid: list[float], c_grid: list[float],
                 failures.append((r, c, exc))
 
     results.sort(key=lambda rec: (rec.r, rec.c, -rec.window_hr))
-    out = Path(out_dir)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     data_io.write_results(results, out / "mixing_sweep.csv")
     if failures:
@@ -234,17 +236,16 @@ def _study_scenario(case: str, kind: str, dt: float, step_offset: float,
         scenario_id=f"{case}_{kind}")
 
 
-def cmd_forced_settling(out_dir: str | Path, dt: float = 1.0,
-                        step_offset: float = 0.0, step_f: float = 3.0,
-                        mix_r: float = 0.5, mix_c: float = 0.3,
-                        window: str = "full") -> int:
+def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
+                        step_f: float, mix_r: float, mix_c: float,
+                        window: str) -> int:
     """Forced vs unforced settling and the three baseline-error cases.
 
     The outdoor step of the error cases lands ``step_offset`` seconds after
-    event start (default: at event start).
+    event start.
     """
     windows = _windows(window)
-    out = Path(out_dir)
+    out = Path(out)
     traces_dir = out / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
@@ -289,13 +290,18 @@ def _drift_slope(event: Trace, baseline: Trace, t_start: float) -> tuple[float, 
     return step0, slope
 
 
-def cmd_compare_models(out_dir: str | Path, dt: float = 1.0,
-                       mix_r: float = 0.3, mix_c: float = 0.1,
-                       setpoint_delta_f: float = 1.0,
-                       measured: str | Path | None = None,
-                       column_map: str | None = None,
-                       measured_window: tuple[float, float, float] | None = None
-                       ) -> int:
+def parse_window(spec: str) -> tuple[float, float, float]:
+    """Parse ``"t_start,t_end,t_settle"``, seconds in the measured file's clock."""
+    window = tuple(_numbers(spec, ","))
+    if len(window) != 3:
+        raise ConfigurationError("--measured-window needs t_start,t_end,t_settle")
+    return window
+
+
+def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
+                       mix_c: float, setpoint_delta_f: float,
+                       measured: str | Path | None, column_map: str | None,
+                       measured_window: tuple[float, float, float] | None) -> int:
     """Open-loop setpoint events on both plant models, emitted normalized.
 
     Traces are trimmed to 30 min before through 3 h after event start and
@@ -303,7 +309,7 @@ def cmd_compare_models(out_dir: str | Path, dt: float = 1.0,
     two-part response: drift away from the step for the two-state model,
     with the step for the mixing model.
     """
-    out = Path(out_dir)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     delta = delta_f_to_k(setpoint_delta_f)
     plants = {"original": BuildingParams(),
@@ -375,6 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one scenario from a config file")
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("--config", required=True, help="scenario YAML path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dt", type=float, default=None, help="override timestep, s")
@@ -383,9 +390,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="adjust the second setpoint delta until energy neutral")
 
     p = sub.add_parser("sweep-mixing", help="efficiency across (r, c) grid")
-    p.add_argument("--r-grid", default="0.1:1.0:0.1",
-                   help="start:stop:step or comma list (default 0.1:1.0:0.1)")
-    p.add_argument("--c-grid", default="0.1", help="same syntax (default 0.1)")
+    p.set_defaults(run=cmd_sweep_mixing)
+    p.add_argument("--r-grid", type=parse_grid, default="0.1:1.0:0.1",
+                   help="start:stop:step or comma list (default %(default)s)")
+    p.add_argument("--c-grid", type=parse_grid, default="0.1",
+                   help="same syntax (default %(default)s)")
     p.add_argument("--kind", choices=list(KINDS), default=KIND_UP_DOWN)
     p.add_argument("--power-frac", type=float, default=0.10,
                    help="event size as fraction of baseline fan power")
@@ -395,6 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forced-settling",
                        help="forced vs unforced settling and baseline-error cases")
+    p.set_defaults(run=cmd_forced_settling)
     p.add_argument("--out", required=True)
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--step-offset", type=float, default=0.0,
@@ -407,6 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-models",
                        help="two-state vs mixing-air model under setpoint events")
+    p.set_defaults(run=cmd_compare_models)
     p.add_argument("--out", required=True)
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--mix-r", type=float, default=0.3)
@@ -415,43 +426,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measured", default=None, help="measured fan-power CSV")
     p.add_argument("--column-map", default=None,
                    help='e.g. "time=ts,power=fan_kw:kW,temp=zone:F"')
-    p.add_argument("--measured-window", default=None,
+    p.add_argument("--measured-window", type=parse_window, default=None,
                    help="t_start,t_end,t_settle in the measured file's clock, s")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, dt=args.dt,
-                                window=args.window,
-                                tune_neutral=args.tune_neutral)
-        if args.command == "sweep-mixing":
-            return cmd_sweep_mixing(parse_grid(args.r_grid),
-                                    parse_grid(args.c_grid),
-                                    kind=args.kind, out_dir=args.out,
-                                    dt=args.dt, window=args.window,
-                                    power_frac=args.power_frac)
-        if args.command == "forced-settling":
-            return cmd_forced_settling(args.out, dt=args.dt,
-                                       step_offset=args.step_offset,
-                                       step_f=args.step_f, mix_r=args.mix_r,
-                                       mix_c=args.mix_c, window=args.window)
-        if args.command == "compare-models":
-            window = None
-            if args.measured_window:
-                window = tuple(_numbers(args.measured_window, ","))
-                if len(window) != 3:
-                    raise ConfigurationError(
-                        "--measured-window needs t_start,t_end,t_settle")
-            return cmd_compare_models(args.out, dt=args.dt, mix_r=args.mix_r,
-                                      mix_c=args.mix_c,
-                                      setpoint_delta_f=args.setpoint_delta_f,
-                                      measured=args.measured,
-                                      column_map=args.column_map,
-                                      measured_window=window)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        # a converter's ConfigurationError leaves parse_args, and exits 1 here
+        args = vars(_build_parser().parse_args(argv))
+        del args["command"]
+        return args.pop("run")(**args)
     except (ConfigurationError, DataFormatError, TraceAlignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,6 +49,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 FLOAT_FMT = "%.17g"
+# a measured file with a larger fraction of rejected rows is refused outright
+REJECT_THRESHOLD = 0.01
 TRACE_HEADER = [column for _, column in SERIES_COLUMNS]
 
 
@@ -219,18 +221,15 @@ def _parse_time(text: str) -> float:
     return stamp.timestamp()
 
 
-def load_measured_csv(path: str | Path,
-                      column_map: dict[str, tuple[str, str | None]] | str,
-                      reject_threshold: float = 0.01) -> MeasuredSeries:
-    """Load and validate a measured fan-power CSV.
+def load_measured_csv(path: str | Path, spec: str) -> MeasuredSeries:
+    """Load and validate a measured fan-power CSV, columns mapped by ``spec``.
 
-    Rows with unparsable or non-finite values or non-increasing timestamps
-    are rejected individually (logged); the file is rejected outright when
-    the reject fraction exceeds ``reject_threshold`` or declared columns are
-    missing.
+    ``spec`` is a :func:`parse_column_map` string. Rows with unparsable or
+    non-finite values or non-increasing timestamps are rejected individually
+    (logged); the file is rejected outright when the reject fraction exceeds
+    ``REJECT_THRESHOLD`` or declared columns are missing.
     """
-    if isinstance(column_map, str):
-        column_map = parse_column_map(column_map)
+    column_map = parse_column_map(spec)
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"no such file: {path}")
@@ -293,10 +292,10 @@ def load_measured_csv(path: str | Path,
 
     if n_rows == 0:
         raise DataFormatError(f"{path}: no data rows")
-    if len(rejects) > reject_threshold * n_rows:
+    if len(rejects) > REJECT_THRESHOLD * n_rows:
         raise DataFormatError(
             f"{path}: {len(rejects)}/{n_rows} rows rejected "
-            f"(threshold {reject_threshold:.0%}); first: {rejects[0]}")
+            f"(threshold {REJECT_THRESHOLD:.0%}); first: {rejects[0]}")
     for idx, reason in rejects:
         log.warning("%s: rejected row %d (%s)", path, idx, reason)
 
@@ -307,23 +306,15 @@ def load_measured_csv(path: str | Path,
         label=path.stem, rejects=rejects)
 
 
-def resample(series: MeasuredSeries, dt: float,
-             t_start: float | None = None, t_end: float | None = None) -> Trace:
-    """Linearly interpolate a measured series onto a uniform grid.
+def resample(series: MeasuredSeries, dt: float) -> Trace:
+    """Linearly interpolate a measured series onto a uniform grid over its span.
 
-    The grid defaults to the series' own span; an explicit request outside
-    the span is an error. Series the measurement lacks are NaN-filled.
+    Series the measurement lacks are NaN-filled.
     """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    t0 = float(series.t[0]) if t_start is None else float(t_start)
-    t1 = float(series.t[-1]) if t_end is None else float(t_end)
-    if t0 < series.t[0] - 1e-9 or t1 > series.t[-1] + 1e-9:
-        raise ConfigurationError(
-            f"requested grid [{t0}, {t1}] outside measured span "
-            f"[{series.t[0]}, {series.t[-1]}]")
-    if t1 < t0:
-        raise ConfigurationError("grid end precedes grid start")
+    if not 0 < dt < math.inf:
+        raise ConfigurationError("dt must be finite and positive")
+    t0 = float(series.t[0])
+    t1 = float(series.t[-1])
     n = int(math.floor((t1 - t0) / dt + 1e-9))
     grid = t0 + np.arange(n + 1, dtype=float) * dt
     kw = {name: np.full(n + 1, math.nan) for name in SERIES_FIELDS}

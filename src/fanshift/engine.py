@@ -9,7 +9,8 @@ analytic equilibrium with the temperature integral pre-seeded to carry the
 equilibrium flow, so baselines are flat until something changes.
 
 Identical scenarios produce bit-identical traces: the engine is seed-free;
-no-event runs are memoised (the last two) and shared read-only.
+no-event runs are memoised (the last two) and shared read-only. The open-loop
+tuner judges neutrality by ``metrics.NEUTRAL_FRAC``, like every result row.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ _SANITY_MARGIN_K = 5.0
 _RK4_DT_SAFETY = 2.5
 # no-event runs memoised; the settling study alternates flat and stepped forecasts
 _BASELINE_MEMO_SIZE = 2
+# bisections the tuner makes once it has bracketed a neutral schedule
+_MAX_BISECTIONS = 40
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,8 @@ class OutdoorProfile:
     def __post_init__(self):
         if len(self.times) != len(self.values) or not self.times:
             raise ConfigurationError("profile needs matching, non-empty times/values")
+        if not all(map(math.isfinite, (*self.times, *self.values))):
+            raise ConfigurationError("profile times and values must be finite")
         if self.times[0] != 0.0:
             raise ConfigurationError("profile must start at t=0")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -113,12 +118,15 @@ class EventSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown event kind {self.kind!r}")
-        if self.half_duration < 0:
-            raise ConfigurationError("half_duration must be >= 0")
-        if self.forced_settle_duration < 0:
-            raise ConfigurationError("forced_settle_duration must be >= 0")
-        if self.power_delta_frac is not None and self.power_delta_frac < 0:
-            raise ConfigurationError("power_delta_frac must be >= 0")
+        if not 0 <= self.half_duration < math.inf:
+            raise ConfigurationError("half_duration must be finite and >= 0")
+        if not 0 <= self.forced_settle_duration < math.inf:
+            raise ConfigurationError("forced_settle_duration must be finite and >= 0")
+        if self.power_delta_frac is not None and not 0 <= self.power_delta_frac < math.inf:
+            raise ConfigurationError("power_delta_frac must be finite and >= 0")
+        for deltas in (self.setpoint_deltas, self.power_deltas):
+            if deltas is not None and not all(map(math.isfinite, deltas)):
+                raise ConfigurationError(f"event deltas must be finite, got {deltas}")
         if self.setpoint_deltas is not None:
             d1, d2 = self.setpoint_deltas
             # setpoint up cuts power: DOWN_UP raises the setpoint first
@@ -168,10 +176,10 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        if self.warmup < 0 or self.settle_duration < 0:
-            raise ConfigurationError("warmup and settle_duration must be >= 0")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError("dt must be finite and positive")
+        if not (0 <= self.warmup < math.inf and 0 <= self.settle_duration < math.inf):
+            raise ConfigurationError("warmup and settle_duration must be finite and >= 0")
         if self.event.duration > self.settle_duration:
             raise ConfigurationError("event does not fit inside the settling window")
         if (self.mode == MODE_FORCED_SETTLING
@@ -389,15 +397,15 @@ def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
                 p_base=baseline.p_fan.copy())
 
 
-def tune_open_loop_event(scenario: Scenario, tolerance_frac: float = 0.05,
-                         max_bisections: int = 40) -> EventSchedule:
+def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
     """Adjust the second setpoint delta until the event is energy neutral.
 
     Holds the first delta fixed and searches the magnitude of the second:
     the net power deviation over the event window grows monotonically with
     it, so a sign-bracketing bisection converges. A schedule that already
-    meets the criterion is returned unchanged. No magnitude is marched twice,
-    and the baseline is the shared read-only one from :func:`run_baseline`.
+    meets the criterion (``metrics.NEUTRAL_FRAC``) is returned unchanged. No
+    magnitude is marched twice, and the baseline is the shared read-only one
+    from :func:`run_baseline`.
     """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("tuning applies to open-loop scenarios")
@@ -413,8 +421,7 @@ def tune_open_loop_event(scenario: Scenario, tolerance_frac: float = 0.05,
         if mag not in probes:
             sched = replace(scenario.event, setpoint_deltas=(d1, sign2 * mag))
             trace = run_open_loop(replace(scenario, event=sched))
-            probes[mag] = (*metrics.neutrality(trace, baseline, window,
-                                               tolerance_frac), sched)
+            probes[mag] = (*metrics.neutrality(trace, baseline, window), sched)
         return probes[mag]
 
     signed0, ok0, _ = probe(abs(d2_init))
@@ -440,7 +447,7 @@ def tune_open_loop_event(scenario: Scenario, tolerance_frac: float = 0.05,
             f"could not bracket a neutral schedule: residual {signed_lo:.3g} J at "
             f"|delta2|={lo}, {signed_hi:.3g} J at |delta2|={hi:.3g}")
 
-    for _ in range(max_bisections):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         signed_mid, ok_mid, sched_mid = probe(mid)
         if ok_mid:
@@ -450,5 +457,5 @@ def tune_open_loop_event(scenario: Scenario, tolerance_frac: float = 0.05,
         else:
             hi, signed_hi = mid, signed_mid
     raise TuningError(
-        f"no neutral schedule within {max_bisections} bisections "
+        f"no neutral schedule within {_MAX_BISECTIONS} bisections "
         f"(bracket [{lo:.6g}, {hi:.6g}], residuals [{signed_lo:.3g}, {signed_hi:.3g}] J)")

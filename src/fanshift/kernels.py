@@ -1,9 +1,8 @@
 """Scalar numeric kernels for the thermal plant and its controllers.
 
 Everything in this module is written against plain floats and 1-D float64
-arrays so it can be compiled with numba's ``@njit``. When numba imports (the
-optional ``jit`` extra) the functions are compiled at import and
-``JIT_ENABLED`` is true; otherwise the same source runs as plain Python.
+arrays and runs as plain Python; ``JIT_ENABLED`` records that no compiled
+backend is in use.
 
 ``simulate_loop`` is the package's only implementation of a control step;
 the scalar helpers it calls are public so tests can pin each part of it.
@@ -43,19 +42,7 @@ MODEL_MIXING = 1
 
 _STATUS_OK = -1
 
-
-try:
-    from numba import njit as _njit
-
-    def _compile(fn):
-        return _njit(cache=True)(fn)
-
-    JIT_ENABLED = True
-except ImportError:
-    def _compile(fn):
-        return fn
-
-    JIT_ENABLED = False
+JIT_ENABLED = False
 
 
 def derivs_original(t_room, t_wall, mdot, t_out,
@@ -248,13 +235,3 @@ def simulate_loop(model, n_steps, dt,
 
     return _STATUS_OK
 
-
-if JIT_ENABLED:
-    derivs_original = _compile(derivs_original)
-    derivs_mixing = _compile(derivs_mixing)
-    plant_derivs = _compile(plant_derivs)
-    rk4_plant_step = _compile(rk4_plant_step)
-    temp_pi = _compile(temp_pi)
-    power_pi = _compile(power_pi)
-    lag_step = _compile(lag_step)
-    simulate_loop = _compile(simulate_loop)

@@ -9,10 +9,11 @@ the settling window [t_start, t_settle]:
     rte        = energy_out / energy_in
 
 An event is energy neutral when the *net* deviation over the event window
-[t_start, t_end] stays below a fraction of the total shifted energy. Room
-disruption is measured as the RMS room-temperature deviation over the
-settling window. All integrals are trapezoidal on the shared trace grid,
-exact for the piecewise-linear synthetic traces used as oracles.
+[t_start, t_end] stays below ``NEUTRAL_FRAC`` of the total shifted energy,
+the one criterion every verdict and the open-loop tuner use. Room disruption
+is measured as the RMS room-temperature deviation over the settling window.
+All integrals are trapezoidal on the shared trace grid, exact for the
+piecewise-linear synthetic traces used as oracles.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import ConfigurationError
 from .trace import Trace, aligned
 
 __all__ = [
+    "NEUTRAL_FRAC",
     "EventWindow",
     "EventMetrics",
     "energy_in_out",
@@ -36,6 +38,11 @@ __all__ = [
     "linear_baseline",
     "evaluate_event",
 ]
+
+# an event is neutral when |net| < NEUTRAL_FRAC * (energy_in + energy_out)
+NEUTRAL_FRAC = 0.05
+# seconds of measured power averaged on each side of an event for its baseline
+BASELINE_AVERAGING_S = 1800.0
 
 
 @dataclass(frozen=True)
@@ -106,12 +113,11 @@ def rte(energy_in: float, energy_out: float) -> float | None:
     return energy_out / energy_in
 
 
-def neutrality(event: Trace, baseline: Trace, window: EventWindow,
-               alpha_frac: float = 0.05) -> tuple[float, bool]:
+def neutrality(event: Trace, baseline: Trace, window: EventWindow) -> tuple[float, bool]:
     """Signed net deviation (J) over [t_start, t_end] and the verdict.
 
     The net is positive when the event drew more energy than its baseline.
-    Neutral when |net| < alpha_frac * (energy_in + energy_out), the energies
+    Neutral when |net| < NEUTRAL_FRAC * (energy_in + energy_out), the energies
     taken over the full settling window. A pair with no shifted energy at all
     is classified neutral.
     """
@@ -123,7 +129,7 @@ def neutrality(event: Trace, baseline: Trace, window: EventWindow,
     total = e_in + e_out
     if total == 0.0:
         return net, True
-    return net, abs(net) < alpha_frac * total
+    return net, abs(net) < NEUTRAL_FRAC * total
 
 
 def temp_rmse(event: Trace, baseline: Trace, window: EventWindow) -> float:
@@ -149,23 +155,24 @@ def normalize(trace: Trace, window: EventWindow) -> Trace:
     return trace.with_p_fan(trace.p_fan / mean)
 
 
-def linear_baseline(measured: Trace, window: EventWindow,
-                    averaging: float = 1800.0) -> Trace:
+def linear_baseline(measured: Trace, window: EventWindow) -> Trace:
     """Straight-line no-event baseline for measured fan power.
 
-    Anchored at the mean power over the ``averaging`` seconds before t_start
-    and after t_settle, interpolated linearly between the anchors and held
-    flat outside them. Only the fan-power series is replaced; the measured
-    room temperature is carried through unchanged.
+    Anchored at the mean power over the ``BASELINE_AVERAGING_S`` seconds
+    before t_start and after t_settle, interpolated linearly between the
+    anchors and held flat outside them. Only the fan-power series is
+    replaced; the measured room temperature is carried through unchanged.
     """
+    before = window.t_start - BASELINE_AVERAGING_S
+    after = window.t_settle + BASELINE_AVERAGING_S
     t0 = float(measured.t[0])
     t1 = float(measured.t[-1])
-    if window.t_start - averaging < t0 - 1e-9 or window.t_settle + averaging > t1 + 1e-9:
+    if before < t0 - 1e-9 or after > t1 + 1e-9:
         raise ConfigurationError(
-            f"measured trace must extend {averaging:.0f} s beyond the window "
-            f"on both sides (have [{t0}, {t1}])")
-    ia0, ia1 = _window_indices(measured, window.t_start - averaging, window.t_start)
-    ib0, ib1 = _window_indices(measured, window.t_settle, window.t_settle + averaging)
+            f"measured trace must extend {BASELINE_AVERAGING_S:.0f} s beyond the "
+            f"window on both sides (have [{t0}, {t1}])")
+    ia0, ia1 = _window_indices(measured, before, window.t_start)
+    ib0, ib1 = _window_indices(measured, window.t_settle, after)
     pre = float(np.mean(measured.p_fan[ia0:ia1 + 1]))
     post = float(np.mean(measured.p_fan[ib0:ib1 + 1]))
     frac = np.clip((measured.t - window.t_start)
@@ -174,11 +181,10 @@ def linear_baseline(measured: Trace, window: EventWindow,
     return measured.with_p_fan(p_base, source="linear_baseline")
 
 
-def evaluate_event(event: Trace, baseline: Trace, window: EventWindow,
-                   alpha_frac: float = 0.05) -> EventMetrics:
+def evaluate_event(event: Trace, baseline: Trace, window: EventWindow) -> EventMetrics:
     """All metrics for one pair in a single record."""
     e_in, e_out = energy_in_out(event, baseline, window)
-    net, neutral = neutrality(event, baseline, window, alpha_frac)
+    net, neutral = neutrality(event, baseline, window)
     return EventMetrics(
         energy_in=e_in,
         energy_out=e_out,

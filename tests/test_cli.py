@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,8 @@ class TestWindowLabels:
         config.write_text(CLOSED_LOOP_3H)
         out = tmp_path / "out"
         with pytest.raises(ConfigurationError, match="unknown window"):
-            cli.cmd_simulate(config, out, window="bogus")
+            cli.cmd_simulate(config=config, out=out, dt=None, window="bogus",
+                             tune_neutral=False)
         assert not out.exists()
 
 
@@ -161,8 +164,53 @@ class TestNumberArguments:
         ["sweep-mixing", "--r-grid", "0.1:x:0.1"],
         ["sweep-mixing", "--c-grid", "0.1,zero"],
         ["compare-models", "--measured-window", "1,2,x"],
+        ["sweep-mixing", "--r-grid", "nan:1:0.1"],
+        ["sweep-mixing", "--r-grid", "0:inf:0.1"],
+        ["sweep-mixing", "--c-grid", "0.1,-inf"],
+        ["compare-models", "--measured-window", "1,nan,3"],
+        ["compare-models", "--measured-window", "1,2,inf"],
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
         assert "error: bad number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["forced-settling", "--dt", "nan"],
+        ["forced-settling", "--step-f", "nan"],
+        ["compare-models", "--dt", "nan"],
+        ["sweep-mixing", "--r-grid", "0.5", "--power-frac", "nan"],
+    ])
+    def test_non_finite_option_exits_1(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+
+class TestParseGrid:
+    @pytest.mark.parametrize("spec, grid", [
+        ("0.1:1.0:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+        ("0.2:1.0:0.2", [0.2, 0.4, 0.6, 0.8, 1.0]),
+        ("0:1:0.35", [0.0, 0.35, 0.7]),
+        ("0:1:0.5", [0.0, 0.5, 1.0]),
+        ("0.3:0.3:0.1", [0.3]),
+        ("0.5,0.1", [0.5, 0.1]),
+    ])
+    def test_grid(self, spec, grid):
+        assert cli.parse_grid(spec) == grid
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "c.yaml", "--out", "o"],
+        ["sweep-mixing", "--out", "o"],
+        ["forced-settling", "--out", "o"],
+        ["compare-models", "--out", "o"],
+    ])
+    def test_namespace_matches_command(self, argv):
+        args = vars(cli._build_parser().parse_args(argv))
+        run = args.pop("run")
+        del args["command"]
+        params = inspect.signature(run).parameters
+        assert set(args) == set(params)
+        assert all(p.kind is p.KEYWORD_ONLY and p.default is p.empty
+                   for p in params.values())

@@ -1,9 +1,13 @@
 import math
+import time
 import warnings
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule, Scenario,
                       data_io)
@@ -195,3 +199,86 @@ class TestMeasuredNonFinite:
         with pytest.raises(DataFormatError, match="3/100 rows rejected"):
             data_io.load_measured_csv(write_measured(tmp_path, rows),
                                       "time=ts,power=fan")
+
+
+T0 = 1719835200  # 2024-07-01T12:00:00Z
+
+
+def stamp(epoch: int, zone: str | int) -> str:
+    """``epoch`` as numeric seconds, ISO with ``Z``, ISO with no zone (UTC),
+    or ISO at a UTC offset of ``zone`` minutes."""
+    utc = datetime.fromtimestamp(epoch, timezone.utc)
+    if zone == "seconds":
+        return str(epoch)
+    if zone == "Z":
+        return utc.strftime("%Y-%m-%dT%H:%M:%SZ")
+    if zone == "naive":
+        return utc.strftime("%Y-%m-%dT%H:%M:%S")
+    return utc.astimezone(timezone(timedelta(minutes=zone))).isoformat()
+
+
+ZONES = st.one_of(st.sampled_from(["seconds", "Z", "naive"]),
+                  st.integers(-12 * 4, 14 * 4).map(lambda q: 15 * q))
+# a row that every position past the first rejects, whatever precedes it
+BAD_ROWS = {
+    "time": lambda t: ("soon", "5.0", "70.0"),
+    "power": lambda t: (stamp(t, "Z"), "abc", "70.0"),
+    "blank": lambda t: (stamp(t, "Z"), "", "70.0"),
+    "nan": lambda t: (stamp(t, "Z"), "nan", "70.0"),
+    "inf_temp": lambda t: (stamp(t, "Z"), "5.0", "inf"),
+    "negative": lambda t: (stamp(t, "Z"), "-0.5", "70.0"),
+    "repeat": lambda t: (stamp(T0, "naive"), "5.0", "70.0"),
+}
+KW_F = "time=ts,power=fan_kw:kW,temp=zone_f:F"
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def write_rows(path, rows):
+    path.write_text("ts,fan_kw,zone_f\n" + "".join(",".join(r) + "\n" for r in rows))
+    return path
+
+
+@pytest.fixture
+def local_time_off_utc(monkeypatch):
+    """A local zone 5:30 h off UTC, so a naive stamp read as local time shows."""
+    monkeypatch.setenv("TZ", "XST-05:30")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+class TestMeasuredFuzz:
+    @FUZZ
+    @given(rows=st.lists(st.tuples(st.integers(1, 3600), ZONES,
+                                   st.floats(0.0, 100.0), st.floats(-40.0, 140.0)),
+                         min_size=1, max_size=40))
+    def test_timestamps_and_units(self, tmp_path, local_time_off_utc, rows):
+        epochs = T0 + np.cumsum([gap for gap, _, _, _ in rows])
+        path = write_rows(tmp_path / "m.csv", [
+            (stamp(int(t), zone), repr(kw), repr(f))
+            for t, (_, zone, kw, f) in zip(epochs, rows)])
+        series = data_io.load_measured_csv(path, KW_F)
+        assert series.rejects == []
+        assert series.t.tolist() == epochs.astype(float).tolist()
+        assert series.power.tolist() == [kw * 1000.0 for _, _, kw, _ in rows]
+        assert series.temp == pytest.approx([(f - 32.0) / 1.8 for *_, f in rows],
+                                            rel=1e-12, abs=1e-12)
+
+    @FUZZ
+    @given(k=st.integers(0, 3), slack=st.integers(-2, 2), data=st.data())
+    def test_bad_rows_and_reject_threshold(self, tmp_path, k, slack, data):
+        n = max(k + 2, 100 * k + slack)
+        bad = data.draw(st.dictionaries(st.integers(1, n - 1), st.sampled_from(
+            sorted(BAD_ROWS)), min_size=k, max_size=k))
+        rows = [BAD_ROWS[bad[i]](T0 + 60 * i) if i in bad
+                else (stamp(T0 + 60 * i, "Z"), "5.0", "70.0") for i in range(n)]
+        path = write_rows(tmp_path / "m.csv", rows)
+        if 100 * k > n:  # more than 1% of the rows
+            with pytest.raises(DataFormatError, match=f"{k}/{n} rows rejected"):
+                data_io.load_measured_csv(path, KW_F)
+            return
+        series = data_io.load_measured_csv(path, KW_F)
+        assert [i for i, _ in series.rejects] == sorted(bad)
+        assert series.t.tolist() == [T0 + 60.0 * i for i in range(n) if i not in bad]

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule,
-                      OutdoorProfile, Scenario, engine, equilibrium, run_baseline,
+                      OutdoorProfile, Scenario, engine, equilibrium, metrics,
+                      run_baseline,
                       run_closed_loop, run_open_loop, tune_open_loop_event)
 from fanshift.errors import ConfigurationError, NumericalError
 from fanshift.metrics import neutrality
@@ -27,6 +30,16 @@ class TestOutdoorProfile:
             OutdoorProfile(times=(5.0,), values=(29.4,))
         with pytest.raises(ConfigurationError):
             OutdoorProfile(times=(0.0, 10.0, 10.0), values=(1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("times, values", [
+        ((0.0, math.nan), (29.4, 30.0)),
+        ((0.0, math.inf), (29.4, 30.0)),
+        ((0.0, 10.0), (29.4, math.nan)),
+        ((0.0,), (-math.inf,)),
+    ])
+    def test_non_finite_rejected(self, times, values):
+        with pytest.raises(ConfigurationError, match="finite"):
+            OutdoorProfile(times=times, values=values)
 
 
 class TestEventSchedule:
@@ -52,6 +65,16 @@ class TestEventSchedule:
         with pytest.raises(ConfigurationError):
             EventSchedule(kind="UPUP")
 
+    @pytest.mark.parametrize("field, value", [
+        ("half_duration", math.nan), ("half_duration", math.inf),
+        ("forced_settle_duration", math.nan), ("forced_settle_duration", math.inf),
+        ("power_delta_frac", math.nan), ("power_delta_frac", math.inf),
+        ("setpoint_deltas", (-math.inf, 0.5)), ("power_deltas", (100.0, -math.inf)),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            EventSchedule(kind="UP_DOWN", **{field: value})
+
 
 class TestScenarioValidation:
     def test_times_must_align_with_dt(self):
@@ -59,6 +82,15 @@ class TestScenarioValidation:
             quick_scenario(dt=7.0)  # 600 s warmup not a multiple
         with pytest.raises(ConfigurationError):
             quick_scenario(dt=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", math.nan), ("dt", math.inf), ("warmup", math.nan),
+        ("warmup", math.inf), ("settle_duration", math.nan),
+        ("settle_duration", math.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            quick_scenario(**{field: value})
 
     def test_event_must_fit(self):
         with pytest.raises(ConfigurationError):
@@ -339,11 +371,11 @@ class TestTuner:
 
     def test_tuned_event_is_neutral(self):
         sc = self._scenario()
-        tuned = tune_open_loop_event(sc, tolerance_frac=0.05)
+        tuned = tune_open_loop_event(sc)
         sc2 = replace(sc, event=tuned)
         base = run_baseline(sc2)
         ev = run_open_loop(sc2)
-        residual, neutral = neutrality(ev, base, sc2.window(), alpha_frac=0.05)
+        residual, neutral = neutrality(ev, base, sc2.window())
         assert neutral
         # first delta untouched, second retains its sign convention
         assert tuned.setpoint_deltas[0] == sc.event.setpoint_deltas[0]
@@ -357,20 +389,20 @@ class TestTuner:
             return run_open_loop(scenario)
 
         monkeypatch.setattr(engine, "run_open_loop", spy)
-        tuned = tune_open_loop_event(self._scenario(), tolerance_frac=0.05)
+        tuned = tune_open_loop_event(self._scenario())
         assert len(marched) == len(set(marched)) == 5
         # exact: skipping a repeated probe must not move the result
         assert tuned.setpoint_deltas == (0.5555555555555556, -0.6944444444444444)
 
-    def test_vacuous_tolerance_returns_unchanged(self):
+    def test_vacuous_tolerance_returns_unchanged(self, monkeypatch):
+        monkeypatch.setattr(metrics, "NEUTRAL_FRAC", 1.0)
         sc = self._scenario()
-        assert tune_open_loop_event(sc, tolerance_frac=1.0) is sc.event
+        assert tune_open_loop_event(sc) is sc.event
 
     def test_neutral_schedule_returned_unchanged(self):
         sc = self._scenario()
-        tuned = tune_open_loop_event(sc, tolerance_frac=0.05)
-        again = tune_open_loop_event(replace(sc, event=tuned),
-                                     tolerance_frac=0.05)
+        tuned = tune_open_loop_event(sc)
+        again = tune_open_loop_event(replace(sc, event=tuned))
         assert again is tuned
 
     def test_requires_open_loop(self):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanshift import (EventWindow, energy_in_out, evaluate_event,
-                      linear_baseline, neutrality, normalize, rte, temp_rmse)
+                      linear_baseline, metrics, neutrality, normalize, rte,
+                      temp_rmse)
 from fanshift.errors import ConfigurationError, TraceAlignmentError
 
 from conftest import make_trace
@@ -135,9 +136,10 @@ class TestNeutrality:
         assert not neutral
         assert evaluate_event(mirror, base, WINDOW).neutrality_residual == net
 
-    def test_vacuous_tolerance_accepts_anything(self):
+    def test_vacuous_tolerance_accepts_anything(self, monkeypatch):
+        monkeypatch.setattr(metrics, "NEUTRAL_FRAC", 1.0)
         ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -50.0)])
-        _, neutral = neutrality(ev, base, WINDOW, alpha_frac=1.0)
+        _, neutral = neutrality(ev, base, WINDOW)
         assert neutral
 
     def test_scale_equivariance(self):
