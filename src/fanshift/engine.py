@@ -394,7 +394,7 @@ def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
 
     return _run(scenario, scenario.oa_actual, scenario.mode,
                 p_ref=_halves(scenario, d1, d2), engaged=engaged.astype(np.uint8),
-                p_base=baseline.p_fan.copy())
+                p_base=baseline.p_fan)
 
 
 def tune_open_loop_event(scenario: Scenario) -> EventSchedule:

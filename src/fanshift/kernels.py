@@ -1,8 +1,14 @@
 """Scalar numeric kernels for the thermal plant and its controllers.
 
-Everything in this module is written against plain floats and 1-D float64
-arrays and runs as plain Python; ``JIT_ENABLED`` records that no compiled
-backend is in use.
+Everything in this module runs as plain Python; ``JIT_ENABLED`` records
+that no compiled backend is in use. ``simulate_loop`` takes 1-D float64
+arrays (uint8 for ``engaged``) but reads and writes them only through
+memoryviews. Indexing a numpy array yields a numpy scalar, and one such
+scalar turns every expression it touches into numpy-scalar arithmetic,
+several times slower than Python float arithmetic. Indexing a memoryview
+yields a Python ``float`` (``int`` for uint8), and assigning to it stores
+straight into the array's buffer, so the march runs in Python floats
+without copying an array.
 
 ``simulate_loop`` is the package's only implementation of a control step;
 the scalar helpers it calls are public so tests can pin each part of it.
@@ -174,9 +180,18 @@ def simulate_loop(model, n_steps, dt,
     them without advancing either integrator. The power integral starts at
     zero at every engagement.
 
+    Output samples are stored in place as they are computed, so on failure
+    samples 0..i are already written.
+
     Returns -1 on success, else the index of the first sample at which a
     state became non-finite or left [t_low, t_high].
     """
+    t_out, t_set_sched, p_ref, engaged, p_base = map(
+        memoryview, (t_out, t_set_sched, p_ref, engaged, p_base))
+    (out_t_mix, out_t_room, out_t_wall, out_t_set,
+     out_mdot_des, out_mdot_act, out_p_fan) = map(memoryview, (
+         out_t_mix, out_t_room, out_t_wall, out_t_set,
+         out_mdot_des, out_mdot_act, out_p_fan))
     t_mix = t_mix0
     t_room = t_room0
     t_wall = t_wall0

@@ -19,7 +19,7 @@ piecewise-linear synthetic traces used as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,12 +156,12 @@ def normalize(trace: Trace, window: EventWindow) -> Trace:
 
 
 def linear_baseline(measured: Trace, window: EventWindow) -> Trace:
-    """Straight-line no-event baseline for measured fan power.
+    """Straight-line no-event baseline for measured fan power and room temperature.
 
-    Anchored at the mean power over the ``BASELINE_AVERAGING_S`` seconds
-    before t_start and after t_settle, interpolated linearly between the
-    anchors and held flat outside them. Only the fan-power series is
-    replaced; the measured room temperature is carried through unchanged.
+    Each of the two series is anchored at its mean over the
+    ``BASELINE_AVERAGING_S`` seconds before t_start and after t_settle,
+    interpolated linearly between the anchors and held flat outside them, so
+    ``temp_rmse`` against it measures the room's deviation from that line.
     """
     before = window.t_start - BASELINE_AVERAGING_S
     after = window.t_settle + BASELINE_AVERAGING_S
@@ -173,12 +173,16 @@ def linear_baseline(measured: Trace, window: EventWindow) -> Trace:
             f"window on both sides (have [{t0}, {t1}])")
     ia0, ia1 = _window_indices(measured, before, window.t_start)
     ib0, ib1 = _window_indices(measured, window.t_settle, after)
-    pre = float(np.mean(measured.p_fan[ia0:ia1 + 1]))
-    post = float(np.mean(measured.p_fan[ib0:ib1 + 1]))
     frac = np.clip((measured.t - window.t_start)
                    / (window.t_settle - window.t_start), 0.0, 1.0)
-    p_base = pre + (post - pre) * frac
-    return measured.with_p_fan(p_base, source="linear_baseline")
+
+    def line(series: np.ndarray) -> np.ndarray:
+        pre = float(np.mean(series[ia0:ia1 + 1]))
+        post = float(np.mean(series[ib0:ib1 + 1]))
+        return pre + (post - pre) * frac
+
+    return replace(measured, p_fan=line(measured.p_fan),
+                   t_room=line(measured.t_room), source="linear_baseline")
 
 
 def evaluate_event(event: Trace, baseline: Trace, window: EventWindow) -> EventMetrics:

@@ -11,6 +11,9 @@ from fanshift.trace import SERIES_FIELDS, Trace
 
 LOOP_OUTPUTS = ("t_mix", "t_room", "t_wall", "t_set", "mdot_des", "mdot_act",
                 "p_fan")
+# the trace fields those outputs become, in the same order
+TRACE_OUTPUTS = ("t_mix", "t_room", "t_wall", "t_set_eff", "mdot_desired",
+                 "mdot_actual", "p_fan")
 
 
 @pytest.fixture(autouse=True)

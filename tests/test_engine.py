@@ -5,14 +5,15 @@ import pytest
 from dataclasses import replace
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule,
-                      OutdoorProfile, Scenario, engine, equilibrium, metrics,
-                      run_baseline,
+                      OutdoorProfile, Scenario, engine, equilibrium, kernels,
+                      metrics, run_baseline,
                       run_closed_loop, run_open_loop, tune_open_loop_event)
 from fanshift.errors import ConfigurationError, NumericalError
 from fanshift.metrics import neutrality
 from fanshift.trace import SERIES_FIELDS
 
-from conftest import count_marches, equilibrium_start, march, quick_scenario
+from conftest import (TRACE_OUTPUTS, count_marches, equilibrium_start, march,
+                      quick_scenario)
 
 
 class TestOutdoorProfile:
@@ -274,6 +275,19 @@ class TestClosedLoop:
         assert ev.p_event_ref[i0] == pytest.approx(0.10 * base.p_fan[i0])
         assert ev.p_event_ref[ev.index_at(sc.t_end)] == 0.0
 
+    def test_shared_baseline_left_read_only_and_unchanged(self):
+        # the kernel reads the memoised baseline's fan power in place
+        sc = self._scenario()
+        base = run_baseline(sc)
+        before = {name: getattr(base, name).copy() for name in SERIES_FIELDS}
+        ev = run_closed_loop(sc, base)
+        assert not np.array_equal(ev.p_fan, base.p_fan)
+        for name in SERIES_FIELDS:
+            series = getattr(base, name)
+            assert not series.flags.writeable, name
+            assert np.array_equal(series, before[name]), name
+        assert run_baseline(sc).p_fan is base.p_fan
+
     def test_grid_mismatch_rejected(self):
         sc = self._scenario()
         other = run_baseline(self._scenario(settle_duration=7200.0))
@@ -340,6 +354,35 @@ class TestStep:
         assert status == 10
         for name, series in out.items():
             assert np.array_equal(series[:11], wide[name][:11]), name
+
+
+class TestNumericalFailure:
+    def test_sample_reports_the_failing_index(self, monkeypatch):
+        # a 5 K setpoint rise warms the mixing pocket past an upper bound
+        # pulled 3.5 K below the outdoor temperature, partway through the run
+        sc = quick_scenario(event=EventSchedule(kind="DOWN_UP",
+                                                setpoint_deltas=(5.0, -5.0)))
+        reference = run_open_loop(sc)  # default bounds: never left
+        outputs, simulate_loop = [], kernels.simulate_loop
+
+        def spy(*args):
+            outputs.append(args[-len(TRACE_OUTPUTS):])
+            return simulate_loop(*args)
+
+        monkeypatch.setattr(kernels, "simulate_loop", spy)
+        monkeypatch.setattr(engine, "_SANITY_MARGIN_K", -3.5)
+        with pytest.raises(NumericalError) as info:
+            run_open_loop(sc)
+        sample = info.value.sample
+        i = reference.index_at(sample["t"])
+        assert 0 < i < reference.n_samples - 1
+        assert sample["t_mix"] > sample["bounds"][1]
+        for name, series in zip(TRACE_OUTPUTS, outputs[-1]):
+            assert sample[name] == series[i] == getattr(reference, name)[i], name
+            # the march wrote samples 0..i into the engine's arrays in place
+            assert np.all(np.isfinite(series[:i])), name
+            assert np.array_equal(series[:i + 1],
+                                  getattr(reference, name)[:i + 1]), name
 
 
 class TestEnergyBookkeeping:
