@@ -14,6 +14,7 @@ This module holds the stack's gains and limits. The step itself is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -52,8 +53,10 @@ class ControllerGains:
     t_set_nominal: float = 21.7   # degC
 
     def __post_init__(self):
-        if self.tau_airflow <= 0 or self.tau_fan <= 0:
-            raise ConfigurationError("lag time constants must be positive")
-        if self.fan_coeff <= 0:
-            raise ConfigurationError("fan power coefficient must be positive")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if min(self.tau_airflow, self.tau_fan, self.fan_coeff) <= 0:
+            raise ConfigurationError(
+                "lag time constants and fan power coefficient must be positive")
 

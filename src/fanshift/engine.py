@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, metrics
-from .control import MDOT_LIMIT_FACTOR, SETPOINT_ADJ_LIMIT_K, ControllerGains
+from .control import MDOT_LIMIT_FACTOR, ControllerGains
 from .errors import ConfigurationError, NumericalError, TuningError
 from .thermal import BuildingParams, equilibrium
 from .trace import SERIES_FIELDS, Trace
@@ -233,21 +233,12 @@ class Scenario:
 def _model_id(params: BuildingParams) -> int:
     return kernels.MODEL_MIXING if params.uses_mixing_model else kernels.MODEL_ORIGINAL
 
-def _kernel_params(params: BuildingParams) -> tuple[float, float, float, float, float]:
-    if params.uses_mixing_model:
-        return (params.c_mix, params.c_room_rest, params.c_wall,
-                params.r_wall, params.r_mix)
-    # two-state model: full room capacitance, pocket values unused
-    return (1.0, params.c_room, params.c_wall, params.r_wall, 1.0)
-
 
 def _check_step_size(scenario: Scenario, mdot_max: float) -> None:
     p = scenario.params
-    if p.uses_mixing_model:
-        conductance = 1.0 / p.r_mix + mdot_max * p.c_p_air
-        tau_fast = p.c_mix / conductance
-    else:
-        tau_fast = p.c_room / (1.0 / p.r_wall + mdot_max * p.c_p_air)
+    # the air node the supply enters: the pocket, or the whole room
+    c_air, r_air = (p.c_mix, p.r_mix) if p.uses_mixing_model else (p.c_room, p.r_wall)
+    tau_fast = c_air / (1.0 / r_air + mdot_max * p.c_p_air)
     if scenario.dt > _RK4_DT_SAFETY * tau_fast:
         raise ConfigurationError(
             f"dt={scenario.dt} s is unstable for this plant (fastest time "
@@ -292,25 +283,18 @@ def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
     mdot_max = MDOT_LIMIT_FACTOR * mdot_eq
     _check_step_size(scenario, mdot_max)
 
-    c_mix, c_room_rest, c_wall, r_wall, r_mix = _kernel_params(p)
     t_low = p.t_supply - _SANITY_MARGIN_K
     t_high = max(float(np.max(t_out)), p.t_outdoor_nominal) + _SANITY_MARGIN_K
-    # the kernel's output arrays, in its argument order
+    # the kernel's output arrays, in the order of its ``outs``
     outs = {name: np.empty(n + 1) for name in (
         "t_mix", "t_room", "t_wall", "t_set_eff", "mdot_desired", "mdot_actual",
         "p_fan")}
 
     status = kernels.simulate_loop(
-        _model_id(p), n, scenario.dt,
-        c_mix, c_room_rest, c_wall, r_wall, r_mix,
-        p.q_internal, p.t_supply, p.c_p_air,
-        g.kp_temp, g.ki_temp, g.kp_power, g.ki_power,
-        g.fan_coeff, mdot_max, SETPOINT_ADJ_LIMIT_K,
-        math.exp(-scenario.dt / g.tau_airflow), math.exp(-scenario.dt / g.tau_fan),
-        t_low, t_high,
+        _model_id(p), n, scenario.dt, p, g, mdot_max, t_low, t_high,
         t_out, t_set, p_ref, engaged, p_base,
-        t_mix0, g.t_set_nominal, t_wall0, i_temp0, mdot_eq, g.fan_coeff * mdot_eq,
-        *outs.values())
+        (t_mix0, g.t_set_nominal, t_wall0, i_temp0, mdot_eq, g.fan_coeff * mdot_eq),
+        tuple(outs.values()))
 
     if status >= 0:
         i = int(status)

@@ -1,17 +1,22 @@
 """Scalar numeric kernels for the thermal plant and its controllers.
 
 Everything in this module runs as plain Python; ``JIT_ENABLED`` records
-that no compiled backend is in use. ``simulate_loop`` takes 1-D float64
-arrays (uint8 for ``engaged``) but reads and writes them only through
-memoryviews. Indexing a numpy array yields a numpy scalar, and one such
-scalar turns every expression it touches into numpy-scalar arithmetic,
+that no compiled backend is in use.
+
+``simulate_loop`` is the package's only implementation of a control step;
+the scalar helpers it calls are public so tests can pin each part of it. It
+takes the run's ``BuildingParams`` and ``ControllerGains`` and binds them once
+per march: ``plant_rates`` closes the model's rate equations over the plant's
+constants, so each RK4 stage is one five-argument call, and the gains and lag
+decays become local floats before the first step.
+
+The arrays (1-D float64, uint8 for ``engaged``) are read and written only
+through memoryviews. Indexing a numpy array yields a numpy scalar, and one
+such scalar turns every expression it touches into numpy-scalar arithmetic,
 several times slower than Python float arithmetic. Indexing a memoryview
 yields a Python ``float`` (``int`` for uint8), and assigning to it stores
 straight into the array's buffer, so the march runs in Python floats
 without copying an array.
-
-``simulate_loop`` is the package's only implementation of a control step;
-the scalar helpers it calls are public so tests can pin each part of it.
 
 Plant models
 ------------
@@ -43,69 +48,53 @@ exact exponential update, unconditionally stable for any dt.
 
 import math
 
+from .control import SETPOINT_ADJ_LIMIT_K
+
 MODEL_ORIGINAL = 0
 MODEL_MIXING = 1
-
-_STATUS_OK = -1
 
 JIT_ENABLED = False
 
 
-def derivs_original(t_room, t_wall, mdot, t_out,
-                    c_room, c_wall, r_wall, q_internal, t_supply, c_p_air):
-    """Temperature rates (K/s) of the two-state model."""
-    d_room = ((t_wall - t_room) / r_wall + q_internal
-              + mdot * c_p_air * (t_supply - t_room)) / c_room
-    d_wall = ((t_room - t_wall) / r_wall + (t_out - t_wall) / r_wall) / c_wall
-    return d_room, d_wall
+def plant_rates(model, params):
+    """Bind one plant's rate equations to the constants in ``params``.
 
+    Returns ``rates(t_mix, t_room, t_wall, mdot, t_out) -> (d_mix, d_room,
+    d_wall)`` in K/s. The two-state model has no pocket: it ignores ``t_mix``
+    and returns ``d_room`` as ``d_mix``, so a pocket that starts at the room
+    temperature moves with it.
+    """
+    c_wall, r_wall = params.c_wall, params.r_wall
+    q_internal, t_supply, c_p_air = params.q_internal, params.t_supply, params.c_p_air
 
-def derivs_mixing(t_mix, t_room, t_wall, mdot, t_out,
-                  c_mix, c_room_rest, c_wall, r_wall, r_mix,
-                  q_internal, t_supply, c_p_air):
-    """Temperature rates (K/s) of the three-state mixing-air model."""
-    d_mix = ((t_room - t_mix) / r_mix + q_internal
-             + mdot * c_p_air * (t_supply - t_mix)) / c_mix
-    d_room = ((t_mix - t_room) / r_mix + (t_wall - t_room) / r_wall) / c_room_rest
-    d_wall = ((t_room - t_wall) / r_wall + (t_out - t_wall) / r_wall) / c_wall
-    return d_mix, d_room, d_wall
-
-
-def plant_derivs(model, t_mix, t_room, t_wall, mdot, t_out,
-                 c_mix, c_room_rest, c_wall, r_wall, r_mix,
-                 q_internal, t_supply, c_p_air):
-    """Rates for either model; the two-state model aliases T_mix to T_room."""
     if model == MODEL_ORIGINAL:
-        d_room, d_wall = derivs_original(
-            t_room, t_wall, mdot, t_out,
-            c_room_rest, c_wall, r_wall, q_internal, t_supply, c_p_air)
-        return d_room, d_room, d_wall
-    return derivs_mixing(
-        t_mix, t_room, t_wall, mdot, t_out,
-        c_mix, c_room_rest, c_wall, r_wall, r_mix,
-        q_internal, t_supply, c_p_air)
+        c_room = params.c_room
+
+        def rates(t_mix, t_room, t_wall, mdot, t_out):
+            d_room = ((t_wall - t_room) / r_wall + q_internal
+                      + mdot * c_p_air * (t_supply - t_room)) / c_room
+            d_wall = ((t_room - t_wall) / r_wall + (t_out - t_wall) / r_wall) / c_wall
+            return d_room, d_room, d_wall
+        return rates
+
+    c_mix, c_room_rest, r_mix = params.c_mix, params.c_room_rest, params.r_mix
+
+    def rates(t_mix, t_room, t_wall, mdot, t_out):
+        d_mix = ((t_room - t_mix) / r_mix + q_internal
+                 + mdot * c_p_air * (t_supply - t_mix)) / c_mix
+        d_room = ((t_mix - t_room) / r_mix + (t_wall - t_room) / r_wall) / c_room_rest
+        d_wall = ((t_room - t_wall) / r_wall + (t_out - t_wall) / r_wall) / c_wall
+        return d_mix, d_room, d_wall
+    return rates
 
 
-def rk4_plant_step(model, t_mix, t_room, t_wall, mdot, t_out, dt,
-                   c_mix, c_room_rest, c_wall, r_wall, r_mix,
-                   q_internal, t_supply, c_p_air):
+def rk4_plant_step(rates, t_mix, t_room, t_wall, mdot, t_out, dt):
     """One classical 4th-order Runge-Kutta step, inputs held over the step."""
-    a1, r1, w1 = plant_derivs(model, t_mix, t_room, t_wall, mdot, t_out,
-                              c_mix, c_room_rest, c_wall, r_wall, r_mix,
-                              q_internal, t_supply, c_p_air)
+    a1, r1, w1 = rates(t_mix, t_room, t_wall, mdot, t_out)
     h2 = 0.5 * dt
-    a2, r2, w2 = plant_derivs(model, t_mix + h2 * a1, t_room + h2 * r1,
-                              t_wall + h2 * w1, mdot, t_out,
-                              c_mix, c_room_rest, c_wall, r_wall, r_mix,
-                              q_internal, t_supply, c_p_air)
-    a3, r3, w3 = plant_derivs(model, t_mix + h2 * a2, t_room + h2 * r2,
-                              t_wall + h2 * w2, mdot, t_out,
-                              c_mix, c_room_rest, c_wall, r_wall, r_mix,
-                              q_internal, t_supply, c_p_air)
-    a4, r4, w4 = plant_derivs(model, t_mix + dt * a3, t_room + dt * r3,
-                              t_wall + dt * w3, mdot, t_out,
-                              c_mix, c_room_rest, c_wall, r_wall, r_mix,
-                              q_internal, t_supply, c_p_air)
+    a2, r2, w2 = rates(t_mix + h2 * a1, t_room + h2 * r1, t_wall + h2 * w1, mdot, t_out)
+    a3, r3, w3 = rates(t_mix + h2 * a2, t_room + h2 * r2, t_wall + h2 * w2, mdot, t_out)
+    a4, r4, w4 = rates(t_mix + dt * a3, t_room + dt * r3, t_wall + dt * w3, mdot, t_out)
     sixth = dt / 6.0
     return (t_mix + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
             t_room + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
@@ -122,9 +111,8 @@ def temp_pi(t_room, t_set, integ, kp, ki, dt, mdot_max):
     err = t_room - t_set
     cand = integ + err * dt
     u = kp * err + ki * cand
-    if (u >= mdot_max and err > 0.0) or (u <= 0.0 and err < 0.0):
-        pass  # saturated in the error's direction: freeze the integral
-    else:
+    # the integral freezes while the command is saturated in the error's direction
+    if not ((u >= mdot_max and err > 0.0) or (u <= 0.0 and err < 0.0)):
         integ = cand
     u = kp * err + ki * integ
     if u < 0.0:
@@ -144,9 +132,7 @@ def power_pi(p_ref, p_diff, integ, kp, ki, dt, adj_max):
     err = p_ref - p_diff
     cand = integ + err * dt
     adj = -(kp * err + ki * cand)
-    if (adj >= adj_max and err < 0.0) or (adj <= -adj_max and err > 0.0):
-        pass
-    else:
+    if not ((adj >= adj_max and err < 0.0) or (adj <= -adj_max and err > 0.0)):
         integ = cand
     adj = -(kp * err + ki * integ)
     if adj > adj_max:
@@ -161,19 +147,16 @@ def lag_step(state, target, decay):
     return target + (state - target) * decay
 
 
-def simulate_loop(model, n_steps, dt,
-                  c_mix, c_room_rest, c_wall, r_wall, r_mix,
-                  q_internal, t_supply, c_p_air,
-                  kp_temp, ki_temp, kp_power, ki_power,
-                  fan_coeff, mdot_max, adj_max, decay_airflow, decay_fan,
-                  t_low, t_high,
-                  t_out, t_set_sched, p_ref, engaged, p_base,
-                  t_mix0, t_room0, t_wall0, i_temp0, mdot0, p_fan0,
-                  out_t_mix, out_t_room, out_t_wall, out_t_set,
-                  out_mdot_des, out_mdot_act, out_p_fan):
+def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
+                  t_out, t_set_sched, p_ref, engaged, p_base, start, outs):
     """March the closed loop over n_steps of size dt.
 
-    Input arrays have n_steps + 1 samples; the value at index i applies over
+    ``params`` and ``gains`` are the run's ``BuildingParams`` and
+    ``ControllerGains``; ``model`` picks the plant's rate equations. ``start``
+    is the state at t_0 (t_mix, t_room, t_wall, temperature integral, actual
+    airflow, fan power) and ``outs`` the seven output arrays (t_mix, t_room,
+    t_wall, setpoint, desired and actual airflow, fan power). Input arrays
+    have n_steps + 1 samples; the value at index i applies over
     [t_i, t_i + dt). Sample i of each output array holds the state at t_i and
     the commands computed at t_i. The final sample's commands come from the
     same ``power_pi`` / ``temp_pi`` calls with a zero step, which evaluates
@@ -186,19 +169,17 @@ def simulate_loop(model, n_steps, dt,
     Returns -1 on success, else the index of the first sample at which a
     state became non-finite or left [t_low, t_high].
     """
+    rates = plant_rates(model, params)
+    kp_temp, ki_temp, kp_power, ki_power, fan_coeff = (
+        gains.kp_temp, gains.ki_temp, gains.kp_power, gains.ki_power, gains.fan_coeff)
+    decay_airflow = math.exp(-dt / gains.tau_airflow)
+    decay_fan = math.exp(-dt / gains.tau_fan)
     t_out, t_set_sched, p_ref, engaged, p_base = map(
         memoryview, (t_out, t_set_sched, p_ref, engaged, p_base))
     (out_t_mix, out_t_room, out_t_wall, out_t_set,
-     out_mdot_des, out_mdot_act, out_p_fan) = map(memoryview, (
-         out_t_mix, out_t_room, out_t_wall, out_t_set,
-         out_mdot_des, out_mdot_act, out_p_fan))
-    t_mix = t_mix0
-    t_room = t_room0
-    t_wall = t_wall0
-    i_temp = i_temp0
+     out_mdot_des, out_mdot_act, out_p_fan) = map(memoryview, outs)
+    t_mix, t_room, t_wall, i_temp, mdot_act, p_fan = start
     i_power = 0.0  # reset at every engagement before it is read
-    mdot_act = mdot0
-    p_fan = p_fan0
     was_engaged = False
 
     for i in range(n_steps + 1):
@@ -210,7 +191,7 @@ def simulate_loop(model, n_steps, dt,
             if not was_engaged:
                 i_power = 0.0  # fresh integral at engagement
             adj, i_power = power_pi(p_ref[i], p_fan - p_base[i], i_power,
-                                    kp_power, ki_power, step, adj_max)
+                                    kp_power, ki_power, step, SETPOINT_ADJ_LIMIT_K)
         else:
             # the temperature PI never stops running: the power PI only adds
             # to its setpoint, so at handback the temperature integral keeps
@@ -242,11 +223,9 @@ def simulate_loop(model, n_steps, dt,
         p_fan = lag_step(p_fan, fan_coeff * mdot_act, decay_fan)
 
         t_mix, t_room, t_wall = rk4_plant_step(
-            model, t_mix, t_room, t_wall, mdot_act, t_out[i], dt,
-            c_mix, c_room_rest, c_wall, r_wall, r_mix,
-            q_internal, t_supply, c_p_air)
+            rates, t_mix, t_room, t_wall, mdot_act, t_out[i], dt)
 
         was_engaged = eng
 
-    return _STATUS_OK
+    return -1
 

@@ -159,9 +159,10 @@ def linear_baseline(measured: Trace, window: EventWindow) -> Trace:
     """Straight-line no-event baseline for measured fan power and room temperature.
 
     Each of the two series is anchored at its mean over the
-    ``BASELINE_AVERAGING_S`` seconds before t_start and after t_settle,
-    interpolated linearly between the anchors and held flat outside them, so
-    ``temp_rmse`` against it measures the room's deviation from that line.
+    ``BASELINE_AVERAGING_S`` seconds before t_start (the sample at t_start,
+    the event's first, excluded) and after t_settle, interpolated linearly
+    between the anchors and held flat outside them, so ``temp_rmse`` against
+    it measures the room's deviation from that line.
     """
     before = window.t_start - BASELINE_AVERAGING_S
     after = window.t_settle + BASELINE_AVERAGING_S
@@ -177,7 +178,7 @@ def linear_baseline(measured: Trace, window: EventWindow) -> Trace:
                    / (window.t_settle - window.t_start), 0.0, 1.0)
 
     def line(series: np.ndarray) -> np.ndarray:
-        pre = float(np.mean(series[ia0:ia1 + 1]))
+        pre = float(np.mean(series[ia0:ia1]))
         post = float(np.mean(series[ib0:ib1 + 1]))
         return pre + (post - pre) * frac
 

@@ -17,6 +17,7 @@ then identical in kelvin. Fahrenheit only appears at ingestion and reporting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError, EquilibriumInfeasibleError
@@ -66,10 +67,12 @@ class BuildingParams:
     mix_c: float = 0.0           # mixing-pocket share of room capacitance
 
     def __post_init__(self):
-        if self.c_room <= 0 or self.c_wall <= 0 or self.c_p_air <= 0:
-            raise ConfigurationError("thermal capacitances and c_p_air must be positive")
-        if self.r_wall <= 0:
-            raise ConfigurationError("wall resistance must be positive")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if min(self.c_room, self.c_wall, self.c_p_air, self.r_wall) <= 0:
+            raise ConfigurationError(
+                "thermal capacitances, c_p_air and wall resistance must be positive")
         if self.mix_r < 0:
             raise ConfigurationError("mix_r must be >= 0")
         if not 0.0 <= self.mix_c < 1.0:

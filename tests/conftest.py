@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule, Scenario,
                       engine, equilibrium, kernels)
-from fanshift.control import MDOT_LIMIT_FACTOR, SETPOINT_ADJ_LIMIT_K
-from fanshift.engine import _kernel_params, _model_id
+from fanshift.control import MDOT_LIMIT_FACTOR
+from fanshift.engine import _model_id
 from fanshift.trace import SERIES_FIELDS, Trace
 
 LOOP_OUTPUTS = ("t_mix", "t_room", "t_wall", "t_set", "mdot_des", "mdot_act",
@@ -76,7 +74,8 @@ def quick_scenario(**overrides) -> Scenario:
 
 def equilibrium_start(params, gains, offset_k=0.0) -> dict:
     """Initial loop state at the analytic equilibrium, air temperatures
-    raised by ``offset_k``; the temperature integral carries the steady flow."""
+    raised by ``offset_k``; the temperature integral carries the steady flow.
+    The entries are in the order of the kernel's ``start`` tuple."""
     t_mix, t_wall, mdot = equilibrium(params, gains.t_set_nominal)
     return dict(t_mix0=t_mix + offset_k, t_room0=gains.t_set_nominal + offset_k,
                 t_wall0=t_wall, i_temp0=mdot / gains.ki_temp,
@@ -93,18 +92,12 @@ def march(params, gains, n_steps, dt, start, engaged=None, p_ref=None,
     mdot_max = MDOT_LIMIT_FACTOR * equilibrium(params, gains.t_set_nominal)[2]
     outs = {name: np.empty(n1) for name in LOOP_OUTPUTS}
     status = kernels.simulate_loop(
-        _model_id(params), n_steps, dt, *_kernel_params(params),
-        params.q_internal, params.t_supply, params.c_p_air,
-        gains.kp_temp, gains.ki_temp, gains.kp_power, gains.ki_power,
-        gains.fan_coeff, mdot_max, SETPOINT_ADJ_LIMIT_K,
-        math.exp(-dt / gains.tau_airflow), math.exp(-dt / gains.tau_fan),
+        _model_id(params), n_steps, dt, params, gains, mdot_max,
         params.t_supply - 5.0 if t_low is None else t_low,
         params.t_outdoor_nominal + 5.0 if t_high is None else t_high,
         zeros + params.t_outdoor_nominal, zeros + gains.t_set_nominal,
         zeros if p_ref is None else p_ref,
         np.zeros(n1, dtype=np.uint8) if engaged is None else engaged,
         zeros if p_base is None else p_base,
-        start["t_mix0"], start["t_room0"], start["t_wall0"], start["i_temp0"],
-        start["mdot0"], start["p_fan0"],
-        *outs.values())
+        tuple(start.values()), tuple(outs.values()))
     return status, outs

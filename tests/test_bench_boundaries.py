@@ -2,7 +2,9 @@
 
 ``perfbench/spans.py`` patches public names of the package from outside; a
 renamed or moved boundary leaves its layer unmeasured. The two writers are
-also timed by file size, read from their second positional argument.
+also timed by file size, read from their second positional argument, and
+each kernel call is counted by the plant model and step count in its first
+two.
 """
 
 import importlib.util
@@ -11,9 +13,9 @@ from pathlib import Path
 
 import fanshift
 import fanshift.cli  # noqa: F401 - the tracer reaches every module through the package
-from fanshift import data_io
+from fanshift import data_io, engine, kernels
 
-from conftest import make_trace
+from conftest import make_trace, quick_scenario
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -39,3 +41,16 @@ def test_every_boundary_found_and_writers_sized(tmp_path, monkeypatch):
     assert [(s.layer, s.info["bytes"]) for s in tracer.spans] == [
         ("trace_write", trace_path.stat().st_size),
         ("results_write", results_path.stat().st_size)]
+
+
+def test_kernel_span_reads_model_and_steps(monkeypatch):
+    tracer = load_spans(monkeypatch).Tracer()
+    scenario = quick_scenario(warmup=300.0, settle_duration=3600.0)
+    try:
+        assert tracer.install(fanshift) == []
+        engine.run_open_loop(scenario)
+    finally:
+        tracer.uninstall()
+    assert [s.info for s in tracer.spans if s.layer == "kernel"] == [
+        {"model": kernels.MODEL_MIXING, "steps": scenario.n_steps}]
+    assert tracer.layer_metrics()["kernel.steps"] == scenario.n_steps

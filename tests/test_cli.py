@@ -2,6 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
+import yaml
 
 from fanshift import cli, data_io
 from fanshift.errors import ConfigurationError, NumericalError, TuningError
@@ -184,6 +185,23 @@ class TestNumberArguments:
     def test_non_finite_option_exits_1(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("building", "c_room_j_per_k", float("nan")),
+        ("building", "r_wall_k_per_w", float("inf")),
+        ("control", "kp_temp", float("nan")),
+        ("control", "tau_fan_s", float("nan")),
+        ("control", "kp_power", float("nan")),
+    ])
+    def test_non_finite_config_field_exits_1(self, tmp_path, capsys, section, key, value):
+        raw = yaml.safe_load(CLOSED_LOOP_3H)
+        raw.setdefault(section, {})[key] = value
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParseGrid:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fanshift import ControllerGains
 from fanshift.control import SETPOINT_ADJ_LIMIT_K
+from fanshift.errors import ConfigurationError
 from fanshift.kernels import lag_step, power_pi, temp_pi
 
 from conftest import equilibrium_start, march
@@ -137,6 +139,19 @@ class TestPowerPI:
         adj2, _ = power_step(-50_000.0, 0.0, i_power, gains)
         assert adj2 == 3.0
 
+    @pytest.mark.parametrize("p_ref", [50_000.0, -50_000.0])
+    def test_march_clamps_at_setpoint_limit(self, mixing_params, gains, p_ref):
+        # the kernel applies control.SETPOINT_ADJ_LIMIT_K to every engaged sample
+        n = 20
+        start = equilibrium_start(mixing_params, gains)
+        _, out = march(mixing_params, gains, n, 1.0, start,
+                       engaged=np.ones(n + 1, dtype=np.uint8),
+                       p_ref=np.full(n + 1, p_ref),
+                       p_base=np.full(n + 1, start["p_fan0"]))
+        expected = -math.copysign(SETPOINT_ADJ_LIMIT_K, p_ref)
+        assert out["t_set"] - gains.t_set_nominal == pytest.approx(
+            np.full(n + 1, expected), abs=1e-12)
+
 
 class TestZeroStep:
     # the kernel evaluates the final sample's commands with dt = 0
@@ -190,3 +205,11 @@ class TestResetAndHandback:
         _, plain = march(mixing_params, gains, n, 1.0, start)
         for name in plain:
             assert np.array_equal(cycled[name], plain[name])
+
+
+class TestGainsValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ControllerGains)])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            ControllerGains(**{name: value})

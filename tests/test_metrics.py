@@ -245,15 +245,16 @@ class TestLinearBaseline:
 
     def test_room_moving_with_event_has_rmse(self):
         # flat power and room either side of the event; the room warms by
-        # 0.5 K while power is cut (after the t_start sample, which the
-        # pre-event anchor averages), and only that bump counts as disruption
+        # 0.5 K while power is cut from t_start on, and only that bump counts
+        # as disruption: the pre-event anchors leave the t_start sample out
         window = EventWindow(1800.0, 3600.0, 5400.0)
         tr = self._measured(500.0, 500.0)
-        in_event = (tr.t > 1800.0) & (tr.t < 3600.0)
+        in_event = (tr.t >= 1800.0) & (tr.t < 3600.0)
         tr = replace(tr, p_fan=np.where(in_event, 400.0, 500.0),
                      t_room=np.where(in_event, 22.2, 21.7))
         base = linear_baseline(tr, window)
         assert np.allclose(base.t_room, 21.7, rtol=1e-12, atol=0.0)
+        assert np.allclose(base.p_fan, 500.0, rtol=1e-12, atol=0.0)
         rmse = evaluate_event(tr, base, window).rmse_temp
         # 0.5 K over 1800 of the 3600 s settling window
         assert rmse == pytest.approx(0.5 * np.sqrt(0.5), rel=1e-3)

@@ -1,14 +1,14 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanshift import BuildingParams, equilibrium
-from fanshift.engine import _kernel_params, _model_id
+from fanshift.engine import _model_id
 from fanshift.errors import ConfigurationError, EquilibriumInfeasibleError
-from fanshift.kernels import (MODEL_ORIGINAL, derivs_mixing, derivs_original,
-                              plant_derivs, rk4_plant_step)
+from fanshift.kernels import MODEL_MIXING, MODEL_ORIGINAL, plant_rates, rk4_plant_step
 from fanshift.thermal import celsius_to_fahrenheit, fahrenheit_to_celsius
 
 # steady-state heat load at the calibrated parameters and nominal setpoint:
@@ -17,22 +17,24 @@ LOAD_NOMINAL_W = (25.55 - 21.7) / 0.0013 + 25_000.0
 
 
 def original_rates(params, t_room, t_wall, mdot, t_out, q):
-    return derivs_original(t_room, t_wall, mdot, t_out, params.c_room,
-                           params.c_wall, params.r_wall, q, params.t_supply,
-                           params.c_p_air)
+    """(d_room, d_wall) of the two-state model with internal gain ``q``."""
+    rates = plant_rates(MODEL_ORIGINAL, replace(params, q_internal=q))
+    _, d_room, d_wall = rates(t_room, t_room, t_wall, mdot, t_out)
+    return d_room, d_wall
 
 
 def mixing_rates(params, t_mix, t_room, t_wall, mdot, t_out, q):
-    return derivs_mixing(t_mix, t_room, t_wall, mdot, t_out, params.c_mix,
-                         params.c_room_rest, params.c_wall, params.r_wall,
-                         params.r_mix, q, params.t_supply, params.c_p_air)
+    rates = plant_rates(MODEL_MIXING, replace(params, q_internal=q))
+    return rates(t_mix, t_room, t_wall, mdot, t_out)
 
 
 def supply_heat(mdot, t_zone, t_supply, c_p_air):
     """Heat delivered to a zone by the supply air, W: the two-state room rate
     with unit capacitance, no wall exchange and no internal gain."""
-    d_room, _ = derivs_original(t_zone, t_zone, mdot, t_zone, 1.0, 1.0, 1.0,
-                                0.0, t_supply, c_p_air)
+    unit = BuildingParams(c_room=1.0, c_wall=1.0, r_wall=1.0, q_internal=0.0,
+                          t_supply=t_supply, c_p_air=c_p_air)
+    _, d_room, _ = plant_rates(MODEL_ORIGINAL, unit)(t_zone, t_zone, t_zone,
+                                                      mdot, t_zone)
     return d_room
 
 
@@ -73,9 +75,8 @@ class TestDerivativesOriginal:
         assert d_room == pytest.approx(8.224e-4, rel=1e-3)
 
     def test_mix_rate_aliases_room_rate(self, params):
-        d_mix, d_room, _ = plant_derivs(
-            MODEL_ORIGINAL, 20.0, 20.0, 24.0, 3.0, 30.0,
-            *_kernel_params(params), 20_000.0, params.t_supply, params.c_p_air)
+        rates = plant_rates(MODEL_ORIGINAL, replace(params, q_internal=20_000.0))
+        d_mix, d_room, _ = rates(20.0, 20.0, 24.0, 3.0, 30.0)
         assert d_mix == d_room
 
 
@@ -102,11 +103,9 @@ class TestDerivativesMixing:
 class TestRK4:
     @staticmethod
     def _march(params, state, mdot, dt, t_end):
+        rates = plant_rates(_model_id(params), params)
         for _ in range(round(t_end / dt)):
-            state = rk4_plant_step(
-                _model_id(params), *state, mdot, params.t_outdoor_nominal, dt,
-                *_kernel_params(params), params.q_internal, params.t_supply,
-                params.c_p_air)
+            state = rk4_plant_step(rates, *state, mdot, params.t_outdoor_nominal, dt)
         return state
 
     @pytest.mark.parametrize("mix_r,mix_c,dt", [(0.0, 0.0, 1200.0),
@@ -152,6 +151,12 @@ class TestParamsValidation:
     def test_rejects_heating_mode(self):
         with pytest.raises(ConfigurationError):
             BuildingParams(t_supply=35.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(BuildingParams)])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            BuildingParams(**{name: value})
 
 
 class TestEquilibrium:

@@ -7,9 +7,7 @@ Usage, from the root of a checkout:
 
 Runs the commands below with the checkout's own ``src/`` into
 subdirectories of ``OUT_DIR`` (which must be new or empty) and prints one
-``sha256  path`` line per CSV, sorted by path relative to ``OUT_DIR``. Run
-it on two checkouts and diff the outputs to show that a change leaves every
-result byte-identical.
+``sha256  path`` line per CSV, sorted by path relative to ``OUT_DIR``.
 
 * ``sim_<stem>``: ``simulate --window both`` on each ``configs/*.yaml``;
 * ``tune``: ``simulate --tune-neutral`` on ``configs/open_loop_gta.yaml``;
@@ -18,6 +16,14 @@ result byte-identical.
 * ``cmp``: ``compare-models`` at its default dt of 1 s;
 * ``measured``: ``compare-models --dt 10`` with a measured CSV and window,
   read from ``inputs/measured_site.csv``, which this script writes first.
+
+``tools/output_digests.sha256`` holds the lines this checkout prints. To
+check that a change leaves every result byte-identical, run
+
+    python3 tools/output_digests.py OUT_DIR | diff tools/output_digests.sha256 -
+
+which prints nothing when every digest matches. A change that moves a result
+on purpose updates that file in the same commit.
 
 Exits 1 when any command exits non-zero. Takes about 10 s on one core
 (2-vCPU shared cloud host, Python 3.11).
