@@ -244,6 +244,10 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     The outdoor step of the error cases lands ``step_offset`` seconds after
     event start.
     """
+    if step_f == 0 or step_offset >= Scenario.settle_duration:
+        raise ConfigurationError(
+            "the oa_step cases need a non-zero --step-f and a --step-offset below "
+            f"{Scenario.settle_duration:g} s, else their rows copy the forced ones")
     windows = _windows(window)
     out = Path(out)
     traces_dir = out / "traces"

@@ -5,8 +5,8 @@ schedule, outdoor profiles (actual and predicted), timestep, and mode. Every
 run marches the plant and controllers over [0, t_settle] with a classical
 4th-order Runge-Kutta step for the plant and exact exponential updates for
 the lags, all inputs zero-order-held over each step. Runs start from the
-analytic equilibrium with the temperature integral pre-seeded to carry the
-equilibrium flow, so baselines are flat until something changes.
+analytic equilibrium, the temperature integral carrying the equilibrium flow:
+a bit-exact fixed point, where runs sit flat and unmarched until an input changes.
 
 Identical scenarios produce bit-identical traces: the engine is seed-free;
 no-event runs are memoised (the last two) and shared read-only. The open-loop

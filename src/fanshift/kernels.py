@@ -18,6 +18,11 @@ yields a Python ``float`` (``int`` for uint8), and assigning to it stores
 straight into the array's buffer, so the march runs in Python floats
 without copying an array.
 
+Settled stretches are not marched: sample i and the state after it depend only
+on the inputs at i and the carried state, so once a step leaves that state
+bit-identical, samples up to the next input change (in any bit) are copies of
+sample i. Runs start at such a fixed point, so a flat run costs one step.
+
 Plant models
 ------------
 Original two-state model (supply air mixed straight into the room):
@@ -46,7 +51,11 @@ forward-rectangle accumulation with conditional anti-windup; lags use the
 exact exponential update, unconditionally stable for any dt.
 """
 
+import bisect
 import math
+import struct
+
+import numpy as np
 
 from .control import SETPOINT_ADJ_LIMIT_K
 
@@ -174,6 +183,11 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
         gains.kp_temp, gains.ki_temp, gains.kp_power, gains.ki_power, gains.fan_coeff)
     decay_airflow = math.exp(-dt / gains.tau_airflow)
     decay_fan = math.exp(-dt / gains.tau_fan)
+    # samples whose inputs change in any bit, and the final zero-step sample
+    moved = engaged[1:] != engaged[:-1]
+    for series in (t_out, t_set_sched, p_ref, p_base):
+        moved |= series.view(np.uint64)[1:] != series.view(np.uint64)[:-1]
+    stops = (np.flatnonzero(moved[:-1]) + 1).tolist() + [n_steps]
     t_out, t_set_sched, p_ref, engaged, p_base = map(
         memoryview, (t_out, t_set_sched, p_ref, engaged, p_base))
     (out_t_mix, out_t_room, out_t_wall, out_t_set,
@@ -181,8 +195,10 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
     t_mix, t_room, t_wall, i_temp, mdot_act, p_fan = start
     i_power = 0.0  # reset at every engagement before it is read
     was_engaged = False
+    held = (t_mix, t_room, t_wall, i_temp, i_power, mdot_act, p_fan, was_engaged)
 
-    for i in range(n_steps + 1):
+    i = 0
+    while True:
         final = i == n_steps
         step = 0.0 if final else dt  # a zero step moves no integrator
         eng = engaged[i] != 0
@@ -227,5 +243,15 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
 
         was_engaged = eng
 
-    return -1
+        before, held = held, (t_mix, t_room, t_wall, i_temp, i_power, mdot_act,
+                              p_fan, was_engaged)
+        i += 1
+        # a settled step repeats sample i - 1; ``==`` alone takes -0.0 for 0.0
+        if held == before:
+            stop = stops[bisect.bisect(stops, i - 1)]
+            if i < stop and struct.pack("8d", *held) == struct.pack("8d", *before):
+                for out in outs:
+                    out[i:stop] = out[i - 1]
+                i = stop
 
+    return -1

@@ -59,6 +59,19 @@ def count_marches(monkeypatch) -> list:
     return calls
 
 
+def count_plant_steps(monkeypatch) -> list:
+    """Spy on the kernel's RK4 step; the returned list gains one entry per
+    step the kernel marches."""
+    calls, rk4_plant_step = [], kernels.rk4_plant_step
+
+    def spy(*args):
+        calls.append(args[-1])
+        return rk4_plant_step(*args)
+
+    monkeypatch.setattr(kernels, "rk4_plant_step", spy)
+    return calls
+
+
 def quick_scenario(**overrides) -> Scenario:
     """Short-horizon scenario for fast engine tests."""
     kw = dict(

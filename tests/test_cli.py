@@ -75,6 +75,19 @@ class TestForcedSettlingMarches:
         assert len(calls) == 12
         assert len(list((tmp_path / "traces").glob("*.csv"))) == 24
 
+    @pytest.mark.parametrize("step", [
+        ["--step-offset", "1e9"],    # far past the horizon
+        ["--step-offset", "35000"],  # at the last sample, t_settle
+        ["--step-f", "0"],
+    ])
+    def test_step_that_never_happens_exits_1(self, tmp_path, capsys, monkeypatch, step):
+        # the oa_step rows would be copies of the forced ones, mislabelled
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["forced-settling", "--dt", "200", *step, "--out", str(out)]) == 1
+        assert "oa_step cases need" in capsys.readouterr().err
+        assert not calls and not out.exists()
+
 
 class TestSweepFailures:
     def _sweep(self, tmp_path, r_grid):

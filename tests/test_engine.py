@@ -12,8 +12,8 @@ from fanshift.errors import ConfigurationError, NumericalError
 from fanshift.metrics import neutrality
 from fanshift.trace import SERIES_FIELDS
 
-from conftest import (TRACE_OUTPUTS, count_marches, equilibrium_start, march,
-                      quick_scenario)
+from conftest import (TRACE_OUTPUTS, count_marches, count_plant_steps,
+                      equilibrium_start, march, quick_scenario)
 
 
 class TestOutdoorProfile:
@@ -320,16 +320,33 @@ class TestClosedLoop:
 
 
 class TestStep:
-    def test_equilibrium_is_fixed_point(self):
-        params = BuildingParams().with_mixing(0.3, 0.1)
-        gains = ControllerGains()
-        start = equilibrium_start(params, gains)
-        status, out = march(params, gains, 1, 1.0, start)
-        assert status == -1
-        assert abs(out["t_room"][1] - start["t_room0"]) < 1e-9
-        assert abs(out["t_mix"][1] - start["t_mix0"]) < 1e-9
-        assert abs(out["mdot_des"][0] - start["mdot0"]) < 1e-9
-        assert abs(out["p_fan"][1] - start["p_fan0"]) < 1e-7
+    @pytest.mark.parametrize("dt", [1.0, 10.0, 20.0])
+    @pytest.mark.parametrize(
+        "mix", [None, (0.1, 0.1), (0.3, 0.1), (0.5, 0.3), (0.9, 0.5)],
+        ids=["two_state", "r0.1_c0.1", "r0.3_c0.1", "r0.5_c0.3", "r0.9_c0.5"])
+    def test_equilibrium_is_fixed_point(self, monkeypatch, mix, dt):
+        # one step from the equilibrium start leaves every state bit-identical,
+        # so the kernel marches a no-event run once and repeats sample 0
+        params = BuildingParams() if mix is None else BuildingParams().with_mixing(*mix)
+        steps = count_plant_steps(monkeypatch)
+        trace = run_baseline(Scenario(params=params, dt=dt, warmup=1200.0,
+                                      settle_duration=4800.0))
+        for name in TRACE_OUTPUTS:
+            series = getattr(trace, name)
+            assert np.array_equal(series.view(np.uint64),
+                                  np.full_like(series, series[0]).view(np.uint64)), name
+        assert len(steps) <= 2
+
+    def test_event_warmup_not_marched(self, monkeypatch):
+        # the event run leaves the fixed point only when its inputs change
+        sc = Scenario(params=BuildingParams().with_mixing(0.5, 0.3),
+                      event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.1),
+                      mode="closed_loop", dt=10.0, warmup=7200.0,
+                      settle_duration=7200.0)
+        baseline = run_baseline(sc)
+        steps = count_plant_steps(monkeypatch)
+        run_closed_loop(sc, baseline)
+        assert len(steps) <= sc.n_steps - sc.warmup / sc.dt + 2
 
     def test_convergence_from_perturbed_start(self):
         # a small room-temperature offset decays back to the setpoint
