@@ -116,13 +116,13 @@ def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
             raise ConfigurationError("--tune-neutral applies to open-loop scenarios")
         scenario = replace(scenario, event=tune_open_loop_event(scenario))
 
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     event, control_base, counterfactual = run_event_pair(scenario)
 
     records = [_metrics_record(scenario, event, counterfactual, name)
                for name in windows]
     sid = scenario.scenario_id
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     data_io.write_trace(event, out / f"{sid}_event.csv")
     data_io.write_trace(control_base, out / f"{sid}_baseline.csv")
     if counterfactual is not control_base:
@@ -251,7 +251,6 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     windows = _windows(window)
     out = Path(out)
     traces_dir = out / "traces"
-    traces_dir.mkdir(parents=True, exist_ok=True)
 
     records = []
     for case in STUDY_CASES:
@@ -262,6 +261,8 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
             for name in windows:
                 records.append(_metrics_record(scenario, event, counterfactual, name))
             sid = scenario.scenario_id
+            # made only now, so a study rejected before its first trace writes nothing
+            traces_dir.mkdir(parents=True, exist_ok=True)
             data_io.write_trace(event, traces_dir / f"{sid}.csv")
             data_io.write_trace(control_base, traces_dir / f"{sid}_baseline.csv")
             if counterfactual is not control_base:
@@ -314,7 +315,6 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
     with the step for the mixing model.
     """
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     delta = delta_f_to_k(setpoint_delta_f)
     plants = {"original": BuildingParams(),
               "mixing": BuildingParams().with_mixing(mix_r, mix_c)}
@@ -343,6 +343,7 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
             span = metrics.EventWindow(float(clipped.t[0]), float(clipped.t[1]),
                                        float(clipped.t[-1]))
             normalized = metrics.normalize(clipped, span)
+            out.mkdir(parents=True, exist_ok=True)
             data_io.write_trace(normalized, out / f"{model_name}_{kind}.csv")
 
     if measured is not None:

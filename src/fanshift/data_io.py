@@ -10,6 +10,16 @@ Both output files are CSV: a header line, CRLF line ends, and every float as
 sample in the columns of ``trace.SERIES_COLUMNS``. A results file has one row
 per ``ResultRecord``, whose fields are its columns; an undefined RTE is an
 empty field, never 0. Readers reject a malformed row with ``DataFormatError``.
+
+A trace file holds the bytes ``np.savetxt`` writes, but each run of
+identical samples is formatted once: a sample whose ``uint64`` bits equal
+those of the sample before it in its column reuses that sample's text. The
+text of a float is a function of its bits, so the bytes do not change;
+comparing bits, not values, keeps ``-0`` apart from ``0``. The kernel
+repeats settled samples bit for bit, so more than half the cells of a
+forced-settling trace reuse a text. Rows are built ``TRACE_CHUNK_ROWS`` at
+a time, one ``"".join`` per chunk, so the memory a write takes does not
+grow with the trace.
 """
 
 from __future__ import annotations
@@ -52,6 +62,8 @@ FLOAT_FMT = "%.17g"
 # a measured file with a larger fraction of rejected rows is refused outright
 REJECT_THRESHOLD = 0.01
 TRACE_HEADER = [column for _, column in SERIES_COLUMNS]
+# rows of a trace file built and written per string
+TRACE_CHUNK_ROWS = 512
 
 
 def _fmt(x: float | None) -> str:
@@ -131,14 +143,40 @@ def read_results(path: str | Path) -> list[ResultRecord]:
         raise DataFormatError(f"cannot read results from {path}: {exc}") from exc
 
 
+def _trace_chunks(columns: list[np.ndarray]):
+    """The CSV rows of equal-length columns, ``TRACE_CHUNK_ROWS`` per string."""
+    n_rows = len(columns[0])
+    # one cell and its separator per column: "x0", ",", ..., "x9", "\r\n"
+    cells = np.empty((TRACE_CHUNK_ROWS, 2 * len(columns)), dtype=object)
+    cells[:, 1::2] = ","
+    cells[:, -1] = "\r\n"
+    last_bits = [None] * len(columns)
+    last_text = [None] * len(columns)
+    for lo in range(0, n_rows, TRACE_CHUNK_ROWS):
+        block = cells[:min(TRACE_CHUNK_ROWS, n_rows - lo)]
+        for j, column in enumerate(columns):
+            x = np.ascontiguousarray(column[lo:lo + len(block)], dtype=np.float64)
+            bits = x.view(np.uint64)
+            starts = np.empty(len(bits), dtype=bool)
+            starts[0] = lo == 0 or bits[0] != last_bits[j]
+            np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+            # a chunk that opens inside a run reuses that run's text first
+            texts = [] if starts[0] else [last_text[j]]
+            texts += [FLOAT_FMT % v for v in x[starts].tolist()]
+            runs = np.array(texts, dtype=object)
+            block[:, 2 * j] = runs[np.cumsum(starts) - starts[0]]
+            last_bits[j], last_text[j] = bits[-1], texts[-1]
+        yield "".join(block.ravel().tolist())
+
+
 def write_trace(trace: Trace, path: str | Path) -> None:
+    """Write a trace file: the bytes of ``np.savetxt`` with ``FLOAT_FMT``."""
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
-            np.savetxt(fh, np.column_stack([getattr(trace, name)
-                                            for name in SERIES_FIELDS]),
-                       fmt=FLOAT_FMT, delimiter=",", newline="\r\n",
-                       header=",".join(TRACE_HEADER), comments="")
+            fh.write(",".join(TRACE_HEADER) + "\r\n")
+            fh.writelines(_trace_chunks([getattr(trace, name)
+                                         for name in SERIES_FIELDS]))
     except OSError as exc:
         raise DataFormatError(f"cannot write trace to {path}: {exc}") from exc
 

@@ -89,6 +89,25 @@ class TestForcedSettlingMarches:
         assert not calls and not out.exists()
 
 
+class TestRejectedCommandWritesNothing:
+    @pytest.mark.parametrize("argv, message", [
+        (["forced-settling", "--dt", "7"], "not a multiple of dt"),
+        (["compare-models", "--dt", "7"], "not a multiple of dt"),
+        # the step-size check rejects this air pocket only once marching starts
+        (["simulate", "--config", "{config}", "--dt", "200"], "is unstable"),
+    ], ids=["forced-settling", "compare-models", "simulate"])
+    def test_no_output_directory(self, tmp_path, capsys, argv, message):
+        raw = yaml.safe_load(CLOSED_LOOP_3H)
+        raw["building"]["mix_c"] = 0.01
+        config = tmp_path / "fast_pocket.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        argv = [arg.format(config=config) for arg in argv]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepFailures:
     def _sweep(self, tmp_path, r_grid):
         code = cli.main(["sweep-mixing", "--r-grid", r_grid, "--c-grid", "0.1",

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from fanshift import (BuildingParams, ControllerGains, EventSchedule, Scenario,
                       data_io)
 from fanshift.errors import ConfigurationError, DataFormatError
-from fanshift.trace import SERIES_FIELDS
+from fanshift.trace import SERIES_FIELDS, Trace
 
 from conftest import make_trace
 
@@ -42,6 +43,80 @@ class TestTraceRoundTrip:
             b"0,0,nan,0,0,0,0,0.10000000000000001,0,0\r\n"
             b"0.5,0,21.699999999999999,0,0,0,0,-0,0,0\r\n"
             b"1,0,-0,0,0,0,0,1e-300,0,0\r\n")
+
+    def test_golden_bytes_signed_zeros_apart(self, tmp_path):
+        # equal by value, different bits: each zero keeps its own sign
+        trace = make_trace([0.0, 1.0, 2.0, 3.0], [0.0, -0.0, -0.0, 0.0],
+                           t_room=[-0.0, 0.0, 0.0, -0.0])
+        data_io.write_trace(trace, tmp_path / "trace.csv")
+        body = (tmp_path / "trace.csv").read_bytes().split(b"\r\n", 1)[1]
+        assert body == (b"0,0,-0,0,0,0,0,0,0,0\r\n"
+                        b"1,0,0,0,0,0,0,-0,0,0\r\n"
+                        b"2,0,0,0,0,0,0,-0,0,0\r\n"
+                        b"3,0,-0,0,0,0,0,0,0,0\r\n")
+
+
+def savetxt_bytes(trace, path):
+    """The trace file as ``np.savetxt`` writes it: the encoder's oracle."""
+    with path.open("w", newline="") as fh:
+        np.savetxt(fh, np.column_stack([getattr(trace, name) for name in SERIES_FIELDS]),
+                   fmt=data_io.FLOAT_FMT, delimiter=",", newline="\r\n",
+                   header=",".join(data_io.TRACE_HEADER), comments="")
+    return path.read_bytes()
+
+
+CHUNK = data_io.TRACE_CHUNK_ROWS
+# both zeros, two NaN payloads, infinities, the smallest subnormal and plain values
+RUN_VALUES = [0.0, -0.0, math.nan,
+              np.array([0x7FF4_0000_0000_0001], dtype=np.uint64).view(np.float64)[0],
+              math.inf, -math.inf, 5e-324, 1e308, 0.1, 21.7]
+INT_VALUES = [0, -1, 7, 2**53 + 1]  # 2**53 + 1 rounds on its way to float64
+
+
+@st.composite
+def trace_series(draw, n):
+    """A column of ``n`` samples made of runs, in one of four array forms."""
+    runs = draw(st.lists(st.tuples(st.integers(0, len(RUN_VALUES) - 1),
+                                   st.integers(1, CHUNK + 2)), min_size=1, max_size=8))
+    index = np.resize(np.repeat(*np.array(runs).T), n)
+    form = draw(st.sampled_from(["float64", "float32", "int", "strided"]))
+    if form == "int":
+        return np.array(INT_VALUES)[index % len(INT_VALUES)]
+    values = np.array(RUN_VALUES)[index]
+    if form == "float32":
+        with np.errstate(over="ignore", invalid="ignore"):
+            return values.astype(np.float32)
+    if form == "strided":
+        both = np.full(2 * n, 0.5)
+        both[::2] = values
+        return both[::2]
+    return values
+
+
+class TestTraceEncoder:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(),
+           n=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]))
+    def test_bytes_of_savetxt(self, tmp_path, data, n):
+        series = {name: data.draw(trace_series(n), label=name)
+                  for name in SERIES_FIELDS[1:]}
+        trace = Trace(t=np.arange(n), **series)
+        data_io.write_trace(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == savetxt_bytes(
+            trace, tmp_path / "oracle.csv")
+
+    def test_memory_does_not_grow_with_the_trace(self, tmp_path):
+        # stacking the columns alone would take 16 MB
+        t = np.arange(200_000.0)
+        trace = make_trace(t, 800.0 + np.sin(t / 50.0))
+        tracemalloc.start()
+        try:
+            data_io.write_trace(trace, tmp_path / "trace.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 HEADER = ",".join(data_io.TRACE_HEADER) + "\r\n"
