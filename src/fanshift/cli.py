@@ -253,6 +253,8 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     traces_dir = out / "traces"
 
     records = []
+    # the no-event runs repeat across cases; each distinct trace is encoded once
+    written: dict[bytes, Path] = {}
     for case in STUDY_CASES:
         for kind in (KIND_UP_DOWN, KIND_DOWN_UP):
             scenario = _study_scenario(case, kind, dt, step_offset, step_f,
@@ -263,11 +265,12 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
             sid = scenario.scenario_id
             # made only now, so a study rejected before its first trace writes nothing
             traces_dir.mkdir(parents=True, exist_ok=True)
-            data_io.write_trace(event, traces_dir / f"{sid}.csv")
-            data_io.write_trace(control_base, traces_dir / f"{sid}_baseline.csv")
+            data_io.write_trace(event, traces_dir / f"{sid}.csv", written)
+            data_io.write_trace(control_base, traces_dir / f"{sid}_baseline.csv",
+                                written)
             if counterfactual is not control_base:
                 data_io.write_trace(counterfactual,
-                                    traces_dir / f"{sid}_counterfactual.csv")
+                                    traces_dir / f"{sid}_counterfactual.csv", written)
     data_io.write_results(records, out / "settling_study.csv")
     _check_neutrality(records)
     return 0
@@ -303,6 +306,34 @@ def parse_window(spec: str) -> tuple[float, float, float]:
     return window
 
 
+def _measured_outputs(measured: str | Path, column_map: str | None, dt: float,
+                      measured_window: tuple[float, float, float] | None
+                      ) -> tuple[Trace, data_io.ResultRecord | None]:
+    """The normalized measured trace and, given a window, its metrics row."""
+    if column_map is None:
+        raise ConfigurationError("--measured needs --column-map")
+    series = data_io.load_measured_csv(measured, column_map)
+    trace = data_io.resample(series, dt)
+    if trace.n_samples < 2:
+        raise DataFormatError(f"{measured}: need at least 2 samples at dt={dt}, "
+                              f"got {trace.n_samples} from {len(series.t)} rows")
+    if measured_window is None:
+        full = metrics.EventWindow(float(trace.t[0]), float(trace.t[1]),
+                                   float(trace.t[-1]))
+        return metrics.normalize(trace, full), None
+    w = metrics.EventWindow(*measured_window)
+    baseline = metrics.linear_baseline(trace, w)
+    record = data_io.ResultRecord.from_metrics(
+        metrics.evaluate_event(trace, baseline, w),
+        scenario_id=series.label or "measured", mode="measured",
+        kind="MEASURED", r=float("nan"), c=float("nan"),
+        window_hr=(w.t_settle - w.t_start) / 3600.0)
+    norm_span = metrics.EventWindow(
+        max(float(trace.t[0]), w.t_start - 1800.0), w.t_end,
+        min(float(trace.t[-1]), w.t_start + 10800.0))
+    return metrics.normalize(trace, norm_span), record
+
+
 def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
                        mix_c: float, setpoint_delta_f: float,
                        measured: str | Path | None, column_map: str | None,
@@ -312,9 +343,15 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
     Traces are trimmed to 30 min before through 3 h after event start and
     scaled so the mean fan power over that span is one. Self-checks the
     two-part response: drift away from the step for the two-state model,
-    with the step for the mixing model.
+    with the step for the mixing model. Measured data is read and checked
+    before the first march, so bad data writes nothing.
     """
     out = Path(out)
+    if measured is not None:
+        measured_trace, measured_record = _measured_outputs(
+            measured, column_map, dt, measured_window)
+    elif column_map is not None or measured_window is not None:
+        raise ConfigurationError("--column-map and --measured-window need --measured")
     delta = delta_f_to_k(setpoint_delta_f)
     plants = {"original": BuildingParams(),
               "mixing": BuildingParams().with_mixing(mix_r, mix_c)}
@@ -347,31 +384,9 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
             data_io.write_trace(normalized, out / f"{model_name}_{kind}.csv")
 
     if measured is not None:
-        if column_map is None:
-            raise ConfigurationError("--measured needs --column-map")
-        series = data_io.load_measured_csv(measured, column_map)
-        trace = data_io.resample(series, dt)
-        if trace.n_samples < 2:
-            raise DataFormatError(f"{measured}: need at least 2 samples at dt={dt}, "
-                                  f"got {trace.n_samples} from {len(series.t)} rows")
-        if measured_window is not None:
-            w = metrics.EventWindow(*measured_window)
-            baseline = metrics.linear_baseline(trace, w)
-            record = data_io.ResultRecord.from_metrics(
-                metrics.evaluate_event(trace, baseline, w),
-                scenario_id=series.label or "measured", mode="measured",
-                kind="MEASURED", r=float("nan"), c=float("nan"),
-                window_hr=(w.t_settle - w.t_start) / 3600.0)
-            data_io.write_results([record], out / "measured_metrics.csv")
-            norm_span = metrics.EventWindow(
-                max(float(trace.t[0]), w.t_start - 1800.0), w.t_end,
-                min(float(trace.t[-1]), w.t_start + 10800.0))
-            trace = metrics.normalize(trace, norm_span)
-        else:
-            full = metrics.EventWindow(float(trace.t[0]), float(trace.t[1]),
-                                       float(trace.t[-1]))
-            trace = metrics.normalize(trace, full)
-        data_io.write_trace(trace, out / "measured.csv")
+        if measured_record is not None:
+            data_io.write_results([measured_record], out / "measured_metrics.csv")
+        data_io.write_trace(measured_trace, out / "measured.csv")
     return 0
 
 

@@ -20,14 +20,25 @@ repeats settled samples bit for bit, so more than half the cells of a
 forced-settling trace reuse a text. Rows are built ``TRACE_CHUNK_ROWS`` at
 a time, one ``"".join`` per chunk, so the memory a write takes does not
 grow with the trace.
+
+A command that writes the same run to several files passes ``write_trace``
+a registry, a dict it owns for the whole command, and each distinct trace is
+encoded once: a trace whose key is already registered is copied from the
+file written for it. The key is a SHA-256 digest of the sample count and of
+the ``float64`` bytes of every column, the view the encoder formats, so two
+traces share a key exactly when their files would share every byte (bar a
+digest collision); ``-0`` and ``0``, or two NaN payloads, stay apart as they
+do in the text. The registry holds only digests and paths, never text.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import logging
 import math
+import shutil
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -169,16 +180,46 @@ def _trace_chunks(columns: list[np.ndarray]):
         yield "".join(block.ravel().tolist())
 
 
-def write_trace(trace: Trace, path: str | Path) -> None:
-    """Write a trace file: the bytes of ``np.savetxt`` with ``FLOAT_FMT``."""
+def _trace_key(columns: list[np.ndarray]) -> bytes:
+    """SHA-256 of the sample count and each column's ``float64`` bytes."""
+    digest = hashlib.sha256(len(columns[0]).to_bytes(8, "little"))
+    for column in columns:
+        digest.update(np.ascontiguousarray(column, dtype=np.float64))
+    return digest.digest()
+
+
+def write_trace(trace: Trace, path: str | Path,
+                written: dict[bytes, Path] | None = None) -> None:
+    """Write a trace file: the bytes of ``np.savetxt`` with ``FLOAT_FMT``.
+
+    ``written``, when given, is the caller's registry of the traces already
+    written, from digest to file. A trace found in it is copied from that
+    file instead of encoded again; one not found is encoded and registered.
+    The registry holds no text, so it costs a digest and a path per trace.
+    """
     path = Path(path)
+    columns = [getattr(trace, name) for name in SERIES_FIELDS]
+    if written is not None:
+        key = _trace_key(columns)
+        # a file written over no longer holds the trace it was registered for
+        for stale in [k for k, p in written.items() if p == path and k != key]:
+            del written[stale]
+        if key in written:
+            try:
+                shutil.copyfile(written[key], path)
+            except shutil.SameFileError:
+                pass
+            except OSError as exc:
+                raise DataFormatError(f"cannot write trace to {path}: {exc}") from exc
+            return
     try:
         with path.open("w", newline="") as fh:
             fh.write(",".join(TRACE_HEADER) + "\r\n")
-            fh.writelines(_trace_chunks([getattr(trace, name)
-                                         for name in SERIES_FIELDS]))
+            fh.writelines(_trace_chunks(columns))
     except OSError as exc:
         raise DataFormatError(f"cannot write trace to {path}: {exc}") from exc
+    if written is not None:
+        written[key] = path
 
 
 def read_trace(path: str | Path, **meta) -> Trace:

@@ -4,7 +4,8 @@
 renamed or moved boundary leaves its layer unmeasured. The two writers are
 also timed by file size, read from their second positional argument, and
 each kernel call is counted by the plant model and step count in its first
-two.
+two. A trace copied from an identical one already written stays inside the
+``write_trace`` boundary, so ``trace_write`` counts files, not encodes.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import fanshift
 import fanshift.cli  # noqa: F401 - the tracer reaches every module through the package
-from fanshift import data_io, engine, kernels
+from fanshift import cli, data_io, engine, kernels
 
 from conftest import make_trace, quick_scenario
 
@@ -54,3 +55,24 @@ def test_kernel_span_reads_model_and_steps(monkeypatch):
     assert [s.info for s in tracer.spans if s.layer == "kernel"] == [
         {"model": kernels.MODEL_MIXING, "steps": scenario.n_steps}]
     assert tracer.layer_metrics()["kernel.steps"] == scenario.n_steps
+
+
+def test_forced_settling_sizes_every_trace_file(tmp_path, monkeypatch):
+    paths, write_trace = [], data_io.write_trace
+
+    def record_path(trace, path, *rest):
+        paths.append(Path(path))
+        return write_trace(trace, path, *rest)
+
+    # installed under the tracer, so the i-th path belongs to the i-th span
+    monkeypatch.setattr(data_io, "write_trace", record_path)
+    tracer = load_spans(monkeypatch).Tracer()
+    try:
+        assert tracer.install(fanshift) == []
+        assert cli.main(["forced-settling", "--dt", "20", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s.layer == "trace_write"]
+    assert len(spans) == len(set(paths)) == 24
+    assert sorted(paths) == sorted((tmp_path / "traces").glob("*.csv"))
+    assert [s.info["bytes"] for s in spans] == [p.stat().st_size for p in paths]

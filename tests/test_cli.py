@@ -89,20 +89,42 @@ class TestForcedSettlingMarches:
         assert not calls and not out.exists()
 
 
+MEASURED_COLUMNS = ["--column-map", "time=ts,power=fan"]
+
+
 class TestRejectedCommandWritesNothing:
     @pytest.mark.parametrize("argv, message", [
         (["forced-settling", "--dt", "7"], "not a multiple of dt"),
         (["compare-models", "--dt", "7"], "not a multiple of dt"),
         # the step-size check rejects this air pocket only once marching starts
         (["simulate", "--config", "{config}", "--dt", "200"], "is unstable"),
-    ], ids=["forced-settling", "compare-models", "simulate"])
+        # measured data is checked before the model marches write their traces
+        (["compare-models", "--dt", "100", "--measured", "{one_row}",
+          *MEASURED_COLUMNS], "need at least 2"),
+        (["compare-models", "--dt", "100", "--measured", "{hours}",
+          *MEASURED_COLUMNS, "--measured-window", "5050,5250,8050"],
+         "not on trace grid"),
+        (["compare-models", "--dt", "100", "--measured", "{one_row}"],
+         "--measured needs --column-map"),
+        (["compare-models", "--dt", "100", *MEASURED_COLUMNS],
+         "need --measured"),
+        (["compare-models", "--dt", "100", "--measured-window", "0,100,200"],
+         "need --measured"),
+    ], ids=["forced-settling", "compare-models", "simulate", "measured-one-row",
+            "measured-window-off-grid", "measured-no-column-map",
+            "column-map-alone", "measured-window-alone"])
     def test_no_output_directory(self, tmp_path, capsys, argv, message):
         raw = yaml.safe_load(CLOSED_LOOP_3H)
         raw["building"]["mix_c"] = 0.01
         config = tmp_path / "fast_pocket.yaml"
         config.write_text(yaml.safe_dump(raw))
+        one_row = tmp_path / "one_row.csv"
+        one_row.write_text("ts,fan\n0,500\n")
+        hours = tmp_path / "hours.csv"
+        hours.write_text("ts,fan\n" + "".join(f"{100 * i},500\n" for i in range(201)))
         out = tmp_path / "out"
-        argv = [arg.format(config=config) for arg in argv]
+        argv = [arg.format(config=config, one_row=one_row, hours=hours)
+                for arg in argv]
         assert cli.main([*argv, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule, Scenario,
-                      data_io)
+                      cli, data_io)
 from fanshift.errors import ConfigurationError, DataFormatError
 from fanshift.trace import SERIES_FIELDS, Trace
 
@@ -117,6 +117,87 @@ class TestTraceEncoder:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+
+NAN_OTHER_PAYLOAD = RUN_VALUES[3]
+
+
+def count_encodes(monkeypatch) -> list:
+    """Spy on the trace encoder; the returned list gains one entry per encode."""
+    calls, trace_chunks = [], data_io._trace_chunks
+
+    def spy(columns):
+        calls.append(len(columns[0]))
+        return trace_chunks(columns)
+
+    monkeypatch.setattr(data_io, "_trace_chunks", spy)
+    return calls
+
+
+class TestTraceRegistry:
+    @pytest.mark.parametrize("first, other", [(0.0, -0.0),
+                                              (math.nan, NAN_OTHER_PAYLOAD)],
+                             ids=["signed_zero", "nan_payload"])
+    def test_equal_values_other_bits_encoded_apart(self, tmp_path, monkeypatch,
+                                                   first, other):
+        p_fan = np.array([800.0, first, 810.0])
+        a = make_trace([0.0, 1.0, 2.0], p_fan)
+        b = make_trace([0.0, 1.0, 2.0], np.where([False, True, False], other, p_fan))
+        assert np.array_equal(a.p_fan, b.p_fan, equal_nan=True)
+        assert a.p_fan.view(np.uint64)[1] != b.p_fan.view(np.uint64)[1]
+        encodes = count_encodes(monkeypatch)
+        written = {}
+        data_io.write_trace(a, tmp_path / "a.csv", written)
+        data_io.write_trace(b, tmp_path / "b.csv", written)
+        assert len(encodes) == 2 and len(written) == 2
+        data_io.write_trace(a, tmp_path / "a_alone.csv")
+        data_io.write_trace(b, tmp_path / "b_alone.csv")
+        for name in ("a", "b"):
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}_alone.csv").read_bytes())
+
+    def test_repeated_trace_copied(self, tmp_path, monkeypatch):
+        trace = make_trace([0.0, 1.0, 2.0], [800.0, -0.0, 810.0])
+        encodes = count_encodes(monkeypatch)
+        written = {}
+        data_io.write_trace(trace, tmp_path / "a.csv", written)
+        data_io.write_trace(replace(trace), tmp_path / "b.csv", written)
+        assert len(encodes) == 1
+        assert list(written.values()) == [tmp_path / "a.csv"]
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+    def test_same_path_twice(self, tmp_path):
+        trace = make_trace([0.0, 1.0, 2.0], [800.0, 805.0, 810.0])
+        written = {}
+        data_io.write_trace(trace, tmp_path / "a.csv", written)
+        data_io.write_trace(trace, tmp_path / "a.csv", written)
+        data_io.write_trace(trace, tmp_path / "alone.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_file_written_over_is_forgotten(self, tmp_path):
+        a = make_trace([0.0, 1.0], [800.0, 805.0])
+        b = make_trace([0.0, 1.0], [900.0, 905.0])
+        written = {}
+        data_io.write_trace(a, tmp_path / "first.csv", written)
+        data_io.write_trace(b, tmp_path / "first.csv", written)
+        data_io.write_trace(a, tmp_path / "second.csv", written)
+        data_io.write_trace(a, tmp_path / "alone.csv")
+        assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_copy_failure_is_a_data_format_error(self, tmp_path):
+        trace = make_trace([0.0, 1.0], [800.0, 805.0])
+        written = {}
+        data_io.write_trace(trace, tmp_path / "a.csv", written)
+        with pytest.raises(DataFormatError, match="cannot write trace"):
+            data_io.write_trace(trace, tmp_path / "missing" / "b.csv", written)
+
+    def test_forced_settling_encodes_each_distinct_trace_once(self, tmp_path,
+                                                              monkeypatch):
+        encodes = count_encodes(monkeypatch)
+        assert cli.main(["forced-settling", "--dt", "20", "--out", str(tmp_path)]) == 0
+        assert len(list((tmp_path / "traces").glob("*.csv"))) == 24
+        # 10 events, the flat-forecast and the stepped-forecast baseline
+        assert len(encodes) == 12
 
 
 HEADER = ",".join(data_io.TRACE_HEADER) + "\r\n"
