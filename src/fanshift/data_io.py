@@ -327,47 +327,50 @@ def load_measured_csv(path: str | Path, spec: str) -> MeasuredSeries:
     temp_conv = conv("temp", column_map.get("temp", ("", None))[1])
     set_conv = conv("setpoint", column_map.get("setpoint", ("", None))[1])
 
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"{path}: empty file")
-        for key in column_map:
-            col = column_map[key][0]
-            if col not in reader.fieldnames:
-                raise DataFormatError(f"{path}: missing column {col!r}")
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames, list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"cannot read measured data from {path}: {exc}") from exc
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    for key in column_map:
+        col = column_map[key][0]
+        if col not in header:
+            raise DataFormatError(f"{path}: missing column {col!r}")
 
-        t, power, temp, setp = [], [], [], []
-        rejects: list[tuple[int, str]] = []
-        n_rows = 0
-        last_t = -math.inf
-        for i, row in enumerate(reader):
-            n_rows += 1
-            try:
-                stamp = _parse_time(row[column_map["time"][0]])
-                p = power_conv(float(row[column_map["power"][0]]))
-                tz = (temp_conv(float(row[column_map["temp"][0]]))
-                      if "temp" in column_map else None)
-                sz = (set_conv(float(row[column_map["setpoint"][0]]))
-                      if "setpoint" in column_map else None)
-            except (ValueError, KeyError) as exc:
-                rejects.append((i, f"unparseable: {exc}"))
-                continue
-            if not all(math.isfinite(v) for v in (stamp, p, tz, sz) if v is not None):
-                rejects.append((i, "non-finite value"))
-                continue
-            if stamp <= last_t:
-                rejects.append((i, f"non-increasing timestamp {stamp}"))
-                continue
-            if p < 0:
-                rejects.append((i, f"negative power {p}"))
-                continue
-            last_t = stamp
-            t.append(stamp)
-            power.append(p)
-            if "temp" in column_map:
-                temp.append(tz)
-            if "setpoint" in column_map:
-                setp.append(sz)
+    t, power, temp, setp = [], [], [], []
+    rejects: list[tuple[int, str]] = []
+    n_rows = len(rows)
+    last_t = -math.inf
+    for i, row in enumerate(rows):
+        try:
+            stamp = _parse_time(row[column_map["time"][0]])
+            p = power_conv(float(row[column_map["power"][0]]))
+            tz = (temp_conv(float(row[column_map["temp"][0]]))
+                  if "temp" in column_map else None)
+            sz = (set_conv(float(row[column_map["setpoint"][0]]))
+                  if "setpoint" in column_map else None)
+        except (ValueError, KeyError, TypeError) as exc:  # TypeError: a short row
+            rejects.append((i, f"unparseable: {exc}"))
+            continue
+        if not all(math.isfinite(v) for v in (stamp, p, tz, sz) if v is not None):
+            rejects.append((i, "non-finite value"))
+            continue
+        if stamp <= last_t:
+            rejects.append((i, f"non-increasing timestamp {stamp}"))
+            continue
+        if p < 0:
+            rejects.append((i, f"negative power {p}"))
+            continue
+        last_t = stamp
+        t.append(stamp)
+        power.append(p)
+        if "temp" in column_map:
+            temp.append(tz)
+        if "setpoint" in column_map:
+            setp.append(sz)
 
     if n_rows == 0:
         raise DataFormatError(f"{path}: no data rows")
@@ -513,6 +516,8 @@ def load_scenario_config(path: str | Path) -> Scenario:
         raise ConfigurationError(f"no such config file: {path}")
     try:
         raw = yaml.safe_load(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config from {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -6,9 +6,13 @@ that no compiled backend is in use.
 ``simulate_loop`` is the package's only implementation of a control step;
 the scalar helpers it calls are public so tests can pin each part of it. It
 takes the run's ``BuildingParams`` and ``ControllerGains`` and binds them once
-per march: ``plant_rates`` closes the model's rate equations over the plant's
-constants, so each RK4 stage is one five-argument call, and the gains and lag
-decays become local floats before the first step.
+per march: ``plant_step`` closes one whole RK4 step over the plant's
+constants and ``dt``, with the model's rate equations written out in its four
+stages, so a marched plant step is one five-argument call; the gains and lag
+decays become local floats before the first step. Within a stage the flow
+between two nodes is computed once and its negation used for the reverse
+flow, and ``mdot * c_p_air`` once per step; both are bit-exact (see
+``plant_step``).
 
 The arrays (1-D float64, uint8 for ``engaged``) are read and written only
 through memoryviews. Indexing a numpy array yields a numpy scalar, and one
@@ -18,10 +22,14 @@ yields a Python ``float`` (``int`` for uint8), and assigning to it stores
 straight into the array's buffer, so the march runs in Python floats
 without copying an array.
 
-Settled stretches are not marched: sample i and the state after it depend only
-on the inputs at i and the carried state, so once a step leaves that state
-bit-identical, samples up to the next input change (in any bit) are copies of
-sample i. Runs start at such a fixed point, so a flat run costs one step.
+Before the first step the march finds its stops: the samples at which an
+input changes in any bit, and the final sample. A cursor walks them in
+order; the inputs are read only at a stop, and between stops they are the
+ones last read. Settled stretches are not marched: sample i and the state
+after it depend only on the inputs at i and the carried state, so once a
+step leaves that state bit-identical, the samples up to the next stop are
+copies of sample i. Runs start at such a fixed point, so a flat run costs one
+step.
 
 Plant models
 ------------
@@ -51,7 +59,6 @@ forward-rectangle accumulation with conditional anti-windup; lags use the
 exact exponential update, unconditionally stable for any dt.
 """
 
-import bisect
 import math
 import struct
 
@@ -65,49 +72,80 @@ MODEL_MIXING = 1
 JIT_ENABLED = False
 
 
-def plant_rates(model, params):
-    """Bind one plant's rate equations to the constants in ``params``.
+def plant_step(model, params, dt):
+    """Bind one plant's classical RK4 step to ``params`` and the step ``dt``.
 
-    Returns ``rates(t_mix, t_room, t_wall, mdot, t_out) -> (d_mix, d_room,
-    d_wall)`` in K/s. The two-state model has no pocket: it ignores ``t_mix``
-    and returns ``d_room`` as ``d_mix``, so a pocket that starts at the room
-    temperature moves with it.
+    Returns ``step(t_mix, t_room, t_wall, mdot, t_out) -> (t_mix, t_room,
+    t_wall)``, the state one step on with the inputs held over the step, and
+    the model's rate equations written out in each of the four stages. The
+    two-state model has no pocket: ``t_mix`` is a passenger that the room's
+    RK4 sum moves.
+
+    Shared terms are computed once: per stage the flows ``x = (t_room -
+    t_mix) / r_mix`` and ``y = (t_wall - t_room) / r_wall``, whose negations
+    are the reverse flows, and per step ``mc = mdot * c_p_air`` (Python
+    evaluates ``mdot * c_p_air * dT`` as ``(mdot * c_p_air) * dT``). IEEE
+    subtraction, negation and division are sign-symmetric, so every rate
+    keeps the bits of the equations as written, except that a zero rate may
+    change sign; a zero's sign cannot reach a nonzero temperature.
     """
     c_wall, r_wall = params.c_wall, params.r_wall
     q_internal, t_supply, c_p_air = params.q_internal, params.t_supply, params.c_p_air
+    h2 = 0.5 * dt
+    sixth = dt / 6.0
 
     if model == MODEL_ORIGINAL:
         c_room = params.c_room
 
-        def rates(t_mix, t_room, t_wall, mdot, t_out):
-            d_room = ((t_wall - t_room) / r_wall + q_internal
-                      + mdot * c_p_air * (t_supply - t_room)) / c_room
-            d_wall = ((t_room - t_wall) / r_wall + (t_out - t_wall) / r_wall) / c_wall
-            return d_room, d_room, d_wall
-        return rates
+        def step(t_mix, t_room, t_wall, mdot, t_out):
+            mc = mdot * c_p_air
+            y = (t_wall - t_room) / r_wall
+            r1 = (y + q_internal + mc * (t_supply - t_room)) / c_room
+            w1 = ((t_out - t_wall) / r_wall - y) / c_wall
+            r, w = t_room + h2 * r1, t_wall + h2 * w1
+            y = (w - r) / r_wall
+            r2 = (y + q_internal + mc * (t_supply - r)) / c_room
+            w2 = ((t_out - w) / r_wall - y) / c_wall
+            r, w = t_room + h2 * r2, t_wall + h2 * w2
+            y = (w - r) / r_wall
+            r3 = (y + q_internal + mc * (t_supply - r)) / c_room
+            w3 = ((t_out - w) / r_wall - y) / c_wall
+            r, w = t_room + dt * r3, t_wall + dt * w3
+            y = (w - r) / r_wall
+            r4 = (y + q_internal + mc * (t_supply - r)) / c_room
+            w4 = ((t_out - w) / r_wall - y) / c_wall
+            s = r1 + 2.0 * r2 + 2.0 * r3 + r4
+            return (t_mix + sixth * s, t_room + sixth * s,
+                    t_wall + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4))
+        return step
 
     c_mix, c_room_rest, r_mix = params.c_mix, params.c_room_rest, params.r_mix
 
-    def rates(t_mix, t_room, t_wall, mdot, t_out):
-        d_mix = ((t_room - t_mix) / r_mix + q_internal
-                 + mdot * c_p_air * (t_supply - t_mix)) / c_mix
-        d_room = ((t_mix - t_room) / r_mix + (t_wall - t_room) / r_wall) / c_room_rest
-        d_wall = ((t_room - t_wall) / r_wall + (t_out - t_wall) / r_wall) / c_wall
-        return d_mix, d_room, d_wall
-    return rates
-
-
-def rk4_plant_step(rates, t_mix, t_room, t_wall, mdot, t_out, dt):
-    """One classical 4th-order Runge-Kutta step, inputs held over the step."""
-    a1, r1, w1 = rates(t_mix, t_room, t_wall, mdot, t_out)
-    h2 = 0.5 * dt
-    a2, r2, w2 = rates(t_mix + h2 * a1, t_room + h2 * r1, t_wall + h2 * w1, mdot, t_out)
-    a3, r3, w3 = rates(t_mix + h2 * a2, t_room + h2 * r2, t_wall + h2 * w2, mdot, t_out)
-    a4, r4, w4 = rates(t_mix + dt * a3, t_room + dt * r3, t_wall + dt * w3, mdot, t_out)
-    sixth = dt / 6.0
-    return (t_mix + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-            t_room + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
-            t_wall + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4))
+    def step(t_mix, t_room, t_wall, mdot, t_out):
+        mc = mdot * c_p_air
+        x, y = (t_room - t_mix) / r_mix, (t_wall - t_room) / r_wall
+        a1 = (x + q_internal + mc * (t_supply - t_mix)) / c_mix
+        r1 = (y - x) / c_room_rest
+        w1 = ((t_out - t_wall) / r_wall - y) / c_wall
+        m, r, w = t_mix + h2 * a1, t_room + h2 * r1, t_wall + h2 * w1
+        x, y = (r - m) / r_mix, (w - r) / r_wall
+        a2 = (x + q_internal + mc * (t_supply - m)) / c_mix
+        r2 = (y - x) / c_room_rest
+        w2 = ((t_out - w) / r_wall - y) / c_wall
+        m, r, w = t_mix + h2 * a2, t_room + h2 * r2, t_wall + h2 * w2
+        x, y = (r - m) / r_mix, (w - r) / r_wall
+        a3 = (x + q_internal + mc * (t_supply - m)) / c_mix
+        r3 = (y - x) / c_room_rest
+        w3 = ((t_out - w) / r_wall - y) / c_wall
+        m, r, w = t_mix + dt * a3, t_room + dt * r3, t_wall + dt * w3
+        x, y = (r - m) / r_mix, (w - r) / r_wall
+        a4 = (x + q_internal + mc * (t_supply - m)) / c_mix
+        r4 = (y - x) / c_room_rest
+        w4 = ((t_out - w) / r_wall - y) / c_wall
+        return (t_mix + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                t_room + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
+                t_wall + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4))
+    return step
 
 
 def temp_pi(t_room, t_set, integ, kp, ki, dt, mdot_max):
@@ -176,9 +214,11 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
     samples 0..i are already written.
 
     Returns -1 on success, else the index of the first sample at which a
-    state became non-finite or left [t_low, t_high].
+    state became non-finite or left [t_low, t_high]. The bounds must be
+    finite: ``t_low <= v <= t_high`` is then false for NaN and +-inf, so only
+    ``p_fan``, which has no bounds, needs its own finiteness check.
     """
-    rates = plant_rates(model, params)
+    step_plant = plant_step(model, params, dt)
     kp_temp, ki_temp, kp_power, ki_power, fan_coeff = (
         gains.kp_temp, gains.ki_temp, gains.kp_power, gains.ki_power, gains.fan_coeff)
     decay_airflow = math.exp(-dt / gains.tau_airflow)
@@ -187,7 +227,7 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
     moved = engaged[1:] != engaged[:-1]
     for series in (t_out, t_set_sched, p_ref, p_base):
         moved |= series.view(np.uint64)[1:] != series.view(np.uint64)[:-1]
-    stops = (np.flatnonzero(moved[:-1]) + 1).tolist() + [n_steps]
+    stops = iter((np.flatnonzero(moved[:-1]) + 1).tolist() + [n_steps])
     t_out, t_set_sched, p_ref, engaged, p_base = map(
         memoryview, (t_out, t_set_sched, p_ref, engaged, p_base))
     (out_t_mix, out_t_room, out_t_wall, out_t_set,
@@ -197,16 +237,21 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
     was_engaged = False
     held = (t_mix, t_room, t_wall, i_temp, i_power, mdot_act, p_fan, was_engaged)
 
-    i = 0
+    i = stop = 0
     while True:
-        final = i == n_steps
-        step = 0.0 if final else dt  # a zero step moves no integrator
-        eng = engaged[i] != 0
+        if i == stop:
+            # the inputs hold their bits from one stop to the next
+            final = i == n_steps
+            step = 0.0 if final else dt  # a zero step moves no integrator
+            eng = engaged[i] != 0
+            t_out_i, t_set_i = t_out[i], t_set_sched[i]
+            p_ref_i, p_base_i = p_ref[i], p_base[i]
+            stop = next(stops, None)  # None only after the final sample
 
         if eng:
             if not was_engaged:
                 i_power = 0.0  # fresh integral at engagement
-            adj, i_power = power_pi(p_ref[i], p_fan - p_base[i], i_power,
+            adj, i_power = power_pi(p_ref_i, p_fan - p_base_i, i_power,
                                     kp_power, ki_power, step, SETPOINT_ADJ_LIMIT_K)
         else:
             # the temperature PI never stops running: the power PI only adds
@@ -214,7 +259,7 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
             # its accumulated state and the proportional term absorbs the
             # setpoint snap
             adj = 0.0
-        t_set = t_set_sched[i] + adj
+        t_set = t_set_i + adj
         mdot_des, i_temp = temp_pi(t_room, t_set, i_temp,
                                    kp_temp, ki_temp, step, mdot_max)
 
@@ -226,8 +271,7 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
         out_mdot_act[i] = mdot_act
         out_p_fan[i] = p_fan
 
-        if not (math.isfinite(t_mix) and math.isfinite(t_room)
-                and math.isfinite(t_wall) and math.isfinite(p_fan)
+        if not (math.isfinite(p_fan)
                 and t_low <= t_mix <= t_high
                 and t_low <= t_room <= t_high
                 and t_low <= t_wall <= t_high):
@@ -237,19 +281,17 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
 
         mdot_act = lag_step(mdot_act, mdot_des, decay_airflow)
         p_fan = lag_step(p_fan, fan_coeff * mdot_act, decay_fan)
-
-        t_mix, t_room, t_wall = rk4_plant_step(
-            rates, t_mix, t_room, t_wall, mdot_act, t_out[i], dt)
+        t_mix, t_room, t_wall = step_plant(t_mix, t_room, t_wall, mdot_act, t_out_i)
 
         was_engaged = eng
 
         before, held = held, (t_mix, t_room, t_wall, i_temp, i_power, mdot_act,
                               p_fan, was_engaged)
         i += 1
-        # a settled step repeats sample i - 1; ``==`` alone takes -0.0 for 0.0
-        if held == before:
-            stop = stops[bisect.bisect(stops, i - 1)]
-            if i < stop and struct.pack("8d", *held) == struct.pack("8d", *before):
+        # a settled step repeats sample i - 1 up to the next stop; ``==``
+        # alone takes -0.0 for 0.0
+        if held == before and i < stop:
+            if struct.pack("8d", *held) == struct.pack("8d", *before):
                 for out in outs:
                     out[i:stop] = out[i - 1]
                 i = stop

@@ -60,15 +60,19 @@ def count_marches(monkeypatch) -> list:
 
 
 def count_plant_steps(monkeypatch) -> list:
-    """Spy on the kernel's RK4 step; the returned list gains one entry per
-    step the kernel marches."""
-    calls, rk4_plant_step = [], kernels.rk4_plant_step
+    """Spy on the kernel's plant step; the returned list gains one entry
+    (the ``t_out`` it was given) per step the kernel marches."""
+    calls, plant_step = [], kernels.plant_step
 
-    def spy(*args):
-        calls.append(args[-1])
-        return rk4_plant_step(*args)
+    def bind(*args):
+        step = plant_step(*args)
 
-    monkeypatch.setattr(kernels, "rk4_plant_step", spy)
+        def spy(*state):
+            calls.append(state[-1])
+            return step(*state)
+        return spy
+
+    monkeypatch.setattr(kernels, "plant_step", bind)
     return calls
 
 

@@ -110,9 +110,20 @@ class TestRejectedCommandWritesNothing:
          "need --measured"),
         (["compare-models", "--dt", "100", "--measured-window", "0,100,200"],
          "need --measured"),
+        # files that cannot be read or decoded
+        (["compare-models", "--dt", "100", "--measured", "{directory}",
+          *MEASURED_COLUMNS], "cannot read measured data"),
+        (["compare-models", "--dt", "100", "--measured", "{latin1}",
+          *MEASURED_COLUMNS], "cannot read measured data"),
+        (["compare-models", "--dt", "100", "--measured", "{huge_field}",
+          *MEASURED_COLUMNS], "cannot read measured data"),
+        (["simulate", "--config", "{directory}"], "cannot read config"),
+        (["simulate", "--config", "{latin1}"], "cannot read config"),
     ], ids=["forced-settling", "compare-models", "simulate", "measured-one-row",
             "measured-window-off-grid", "measured-no-column-map",
-            "column-map-alone", "measured-window-alone"])
+            "column-map-alone", "measured-window-alone", "measured-directory",
+            "measured-not-utf8", "measured-huge-field", "config-directory",
+            "config-not-utf8"])
     def test_no_output_directory(self, tmp_path, capsys, argv, message):
         raw = yaml.safe_load(CLOSED_LOOP_3H)
         raw["building"]["mix_c"] = 0.01
@@ -122,8 +133,13 @@ class TestRejectedCommandWritesNothing:
         one_row.write_text("ts,fan\n0,500\n")
         hours = tmp_path / "hours.csv"
         hours.write_text("ts,fan\n" + "".join(f"{100 * i},500\n" for i in range(201)))
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("ts,fan\n0,500\n100,500 \xb0\n".encode("latin-1"))
+        huge_field = tmp_path / "huge_field.csv"  # past the csv module's field limit
+        huge_field.write_text("ts,fan\n0," + "5" * 200_000 + "\n100,500\n")
         out = tmp_path / "out"
-        argv = [arg.format(config=config, one_row=one_row, hours=hours)
+        argv = [arg.format(config=config, one_row=one_row, hours=hours,
+                           directory=tmp_path, latin1=latin1, huge_field=huge_field)
                 for arg in argv]
         assert cli.main([*argv, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err

@@ -350,6 +350,14 @@ class TestMeasuredNonFinite:
         assert series.rejects == [(7, "non-finite value")]
         assert np.all(np.isfinite(series.power))
 
+    def test_short_row_rejected(self, tmp_path):
+        path = write_measured(tmp_path, [(float(i), 500.0) for i in range(200)])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[8] = "7\n"  # row 7 lacks its power field
+        path.write_text("".join(lines))
+        series = data_io.load_measured_csv(path, "time=ts,power=fan")
+        assert [i for i, _ in series.rejects] == [7]
+
     def test_non_finite_rows_count_toward_threshold(self, tmp_path):
         rows = [(float(i), "nan" if i < 3 else 500.0) for i in range(100)]
         with pytest.raises(DataFormatError, match="3/100 rows rejected"):

@@ -348,6 +348,20 @@ class TestStep:
         run_closed_loop(sc, baseline)
         assert len(steps) <= sc.n_steps - sc.warmup / sc.dt + 2
 
+    @pytest.mark.parametrize("mix", [None, (0.5, 0.3)], ids=["two_state", "mixing"])
+    def test_moving_event_counts_marched_steps(self, monkeypatch, mix):
+        # the spy sees the steps the kernel marches, so a moving run cannot
+        # pass a step-count bound with zero
+        params = BuildingParams() if mix is None else BuildingParams().with_mixing(*mix)
+        sc = Scenario(params=params,
+                      event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.1),
+                      mode="closed_loop", dt=10.0, warmup=7200.0,
+                      settle_duration=7200.0)
+        baseline = run_baseline(sc)
+        steps = count_plant_steps(monkeypatch)
+        run_closed_loop(sc, baseline)
+        assert 2 * sc.event.half_duration / sc.dt < len(steps) < sc.n_steps
+
     def test_convergence_from_perturbed_start(self):
         # a small room-temperature offset decays back to the setpoint
         params = BuildingParams().with_mixing(0.3, 0.1)
@@ -400,6 +414,26 @@ class TestNumericalFailure:
             assert np.all(np.isfinite(series[:i])), name
             assert np.array_equal(series[:i + 1],
                                   getattr(reference, name)[:i + 1]), name
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["t_mix0", "t_room0", "t_wall0", "p_fan0"])
+    def test_non_finite_start_fails_at_sample_0(self, monkeypatch, name, value):
+        params, gains = BuildingParams().with_mixing(0.3, 0.1), ControllerGains()
+        start = {**equilibrium_start(params, gains), name: value}
+        status, _ = march(params, gains, 10, 10.0, start)
+        assert status == 0
+        # the engine reports that index as a numerical failure
+        index, simulate_loop = list(start).index(name), kernels.simulate_loop
+
+        def spoiled(*args):
+            *head, state, outs = args
+            state = state[:index] + (value,) + state[index + 1:]
+            return simulate_loop(*head, state, outs)
+
+        monkeypatch.setattr(kernels, "simulate_loop", spoiled)
+        with pytest.raises(NumericalError) as info:
+            run_baseline(quick_scenario())
+        assert info.value.sample["t"] == 0.0
 
 
 class TestEnergyBookkeeping:

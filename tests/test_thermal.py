@@ -1,14 +1,17 @@
 import math
+import struct
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanshift import BuildingParams, equilibrium
+from fanshift.control import MDOT_LIMIT_FACTOR
 from fanshift.engine import _model_id
 from fanshift.errors import ConfigurationError, EquilibriumInfeasibleError
-from fanshift.kernels import MODEL_MIXING, MODEL_ORIGINAL, plant_rates, rk4_plant_step
+from fanshift.kernels import MODEL_MIXING, MODEL_ORIGINAL, plant_step
 from fanshift.thermal import celsius_to_fahrenheit, fahrenheit_to_celsius
 
 # steady-state heat load at the calibrated parameters and nominal setpoint:
@@ -16,15 +19,51 @@ from fanshift.thermal import celsius_to_fahrenheit, fahrenheit_to_celsius
 LOAD_NOMINAL_W = (25.55 - 21.7) / 0.0013 + 25_000.0
 
 
+def reference_rates(model, params):
+    """The paper's rate equations as written: ``rates(t_mix, t_room, t_wall,
+    mdot, t_out) -> (d_mix, d_room, d_wall)`` in K/s. The two-state model has
+    no pocket and returns ``d_room`` as ``d_mix``."""
+    p = params
+    if model == MODEL_ORIGINAL:
+        def rates(t_mix, t_room, t_wall, mdot, t_out):
+            d_room = ((t_wall - t_room) / p.r_wall + p.q_internal
+                      + mdot * p.c_p_air * (p.t_supply - t_room)) / p.c_room
+            d_wall = ((t_room - t_wall) / p.r_wall
+                      + (t_out - t_wall) / p.r_wall) / p.c_wall
+            return d_room, d_room, d_wall
+        return rates
+
+    def rates(t_mix, t_room, t_wall, mdot, t_out):
+        d_mix = ((t_room - t_mix) / p.r_mix + p.q_internal
+                 + mdot * p.c_p_air * (p.t_supply - t_mix)) / p.c_mix
+        d_room = ((t_mix - t_room) / p.r_mix
+                  + (t_wall - t_room) / p.r_wall) / p.c_room_rest
+        d_wall = ((t_room - t_wall) / p.r_wall
+                  + (t_out - t_wall) / p.r_wall) / p.c_wall
+        return d_mix, d_room, d_wall
+    return rates
+
+
+def reference_rk4(rates, state, mdot, t_out, dt):
+    """Classical four-stage RK4 with the inputs held over the step."""
+    h2, sixth = 0.5 * dt, dt / 6.0
+    k1 = rates(*state, mdot, t_out)
+    k2 = rates(*(s + h2 * k for s, k in zip(state, k1)), mdot, t_out)
+    k3 = rates(*(s + h2 * k for s, k in zip(state, k2)), mdot, t_out)
+    k4 = rates(*(s + dt * k for s, k in zip(state, k3)), mdot, t_out)
+    return tuple(s + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+
+
 def original_rates(params, t_room, t_wall, mdot, t_out, q):
     """(d_room, d_wall) of the two-state model with internal gain ``q``."""
-    rates = plant_rates(MODEL_ORIGINAL, replace(params, q_internal=q))
+    rates = reference_rates(MODEL_ORIGINAL, replace(params, q_internal=q))
     _, d_room, d_wall = rates(t_room, t_room, t_wall, mdot, t_out)
     return d_room, d_wall
 
 
 def mixing_rates(params, t_mix, t_room, t_wall, mdot, t_out, q):
-    rates = plant_rates(MODEL_MIXING, replace(params, q_internal=q))
+    rates = reference_rates(MODEL_MIXING, replace(params, q_internal=q))
     return rates(t_mix, t_room, t_wall, mdot, t_out)
 
 
@@ -33,8 +72,8 @@ def supply_heat(mdot, t_zone, t_supply, c_p_air):
     with unit capacitance, no wall exchange and no internal gain."""
     unit = BuildingParams(c_room=1.0, c_wall=1.0, r_wall=1.0, q_internal=0.0,
                           t_supply=t_supply, c_p_air=c_p_air)
-    _, d_room, _ = plant_rates(MODEL_ORIGINAL, unit)(t_zone, t_zone, t_zone,
-                                                      mdot, t_zone)
+    _, d_room, _ = reference_rates(MODEL_ORIGINAL, unit)(t_zone, t_zone, t_zone,
+                                                         mdot, t_zone)
     return d_room
 
 
@@ -75,9 +114,10 @@ class TestDerivativesOriginal:
         assert d_room == pytest.approx(8.224e-4, rel=1e-3)
 
     def test_mix_rate_aliases_room_rate(self, params):
-        rates = plant_rates(MODEL_ORIGINAL, replace(params, q_internal=20_000.0))
-        d_mix, d_room, _ = rates(20.0, 20.0, 24.0, 3.0, 30.0)
-        assert d_mix == d_room
+        # the two-state step moves t_mix by the room's RK4 sum
+        step = plant_step(MODEL_ORIGINAL, replace(params, q_internal=20_000.0), 10.0)
+        t_mix, t_room, _ = step(20.0, 20.0, 24.0, 3.0, 30.0)
+        assert t_mix == t_room != 20.0
 
 
 class TestDerivativesMixing:
@@ -100,13 +140,56 @@ class TestDerivativesMixing:
         assert d_mix == pytest.approx(expected, rel=1e-12)
 
 
+# one step from any state with no -0.0 in it; a -0.0 start is the one case in
+# which ``plant_step``'s shared terms may give a zero of the other sign
+temperatures = st.floats(min_value=-20.0, max_value=60.0).map(lambda v: v + 0.0)
+
+
 class TestRK4:
     @staticmethod
     def _march(params, state, mdot, dt, t_end):
-        rates = plant_rates(_model_id(params), params)
+        step = plant_step(_model_id(params), params, dt)
         for _ in range(round(t_end / dt)):
-            state = rk4_plant_step(rates, *state, mdot, params.t_outdoor_nominal, dt)
+            state = step(*state, mdot, params.t_outdoor_nominal)
         return state
+
+    @given(mix=st.none() | st.tuples(st.floats(0.05, 1.0), st.floats(0.01, 0.9)),
+           state=st.tuples(temperatures, temperatures, temperatures),
+           flow=st.floats(0.0, 1.0), t_out=temperatures,
+           dt=st.sampled_from([1.0, 10.0, 20.0, 50.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_step_is_textbook_rk4_bit_for_bit(self, mix, state, flow, t_out, dt):
+        params = BuildingParams() if mix is None else BuildingParams().with_mixing(*mix)
+        mdot = flow * MDOT_LIMIT_FACTOR * equilibrium(params, 21.7)[2]
+        model = _model_id(params)
+        got = plant_step(model, params, dt)(*state, mdot, t_out)
+        want = reference_rk4(reference_rates(model, params), state, mdot, t_out, dt)
+        assert struct.pack("3d", *got) == struct.pack("3d", *want)
+
+    @pytest.mark.parametrize("mix", [None, (0.5, 0.3)])
+    def test_energy_balance(self, mix):
+        # over three hours of over-cooling, the heat stored in the
+        # capacitances is the heat that flowed in; the supply air enters the
+        # pocket, or the room, whose temperature the two-state t_mix carries
+        p = BuildingParams() if mix is None else BuildingParams().with_mixing(*mix)
+        t_mix, t_wall, mdot = equilibrium(p, 21.7)
+        mdot *= 1.2
+        dt = 10.0
+        step = plant_step(_model_id(p), p, dt)
+        states = [(t_mix, 21.7, t_wall)]
+        for _ in range(1080):
+            states.append(step(*states[-1], mdot, p.t_outdoor_nominal))
+        t_air, _, t_wall = np.array(states).T
+        change = np.array(states[-1]) - np.array(states[0])
+        capacitances = ((0.0, p.c_room, p.c_wall) if mix is None
+                        else (p.c_mix, p.c_room_rest, p.c_wall))
+        stored = float(np.dot(capacitances, change))
+        q_supply = mdot * p.c_p_air * (p.t_supply - t_air)
+        q_outdoor = (p.t_outdoor_nominal - t_wall) / p.r_wall
+        inflow = np.trapezoid(p.q_internal + q_supply + q_outdoor, dx=dt)
+        gross = np.trapezoid(np.abs(q_supply), dx=dt)
+        assert abs(stored - inflow) < 1e-5 * gross
+        assert abs(stored) > 1e-2 * gross  # the march stored heat
 
     @pytest.mark.parametrize("mix_r,mix_c,dt", [(0.0, 0.0, 1200.0),
                                                 (0.3, 0.1, 60.0)])
