@@ -108,6 +108,7 @@ def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
                  window: str, tune_neutral: bool) -> int:
     """Run the scenario described by a config file; write traces + metrics."""
     windows = _windows(window)
+    out = data_io.check_output_dir(out)
     scenario = data_io.load_scenario_config(config)
     if dt is not None:
         scenario = replace(scenario, dt=dt)
@@ -121,8 +122,7 @@ def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
     records = [_metrics_record(scenario, event, counterfactual, name)
                for name in windows]
     sid = scenario.scenario_id
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    data_io.make_output_dir(out)
     data_io.write_trace(event, out / f"{sid}_event.csv")
     data_io.write_trace(control_base, out / f"{sid}_baseline.csv")
     if counterfactual is not control_base:
@@ -173,6 +173,7 @@ def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
     if kind not in KINDS:
         raise ConfigurationError(f"unknown kind {kind!r}")
     windows = _windows(window)
+    out = data_io.check_output_dir(out)
 
     failures: list[tuple[float, float, FanshiftError]] = []
     results: list[data_io.ResultRecord] = []
@@ -192,8 +193,7 @@ def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
                 failures.append((r, c, exc))
 
     results.sort(key=lambda rec: (rec.r, rec.c, -rec.window_hr))
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    data_io.make_output_dir(out)
     data_io.write_results(results, out / "mixing_sweep.csv")
     if failures:
         print("sweep points failed:",
@@ -249,7 +249,7 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
             "the oa_step cases need a non-zero --step-f and a --step-offset below "
             f"{Scenario.settle_duration:g} s, else their rows copy the forced ones")
     windows = _windows(window)
-    out = Path(out)
+    out = data_io.check_output_dir(out)
     traces_dir = out / "traces"
 
     records = []
@@ -264,7 +264,7 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
                 records.append(_metrics_record(scenario, event, counterfactual, name))
             sid = scenario.scenario_id
             # made only now, so a study rejected before its first trace writes nothing
-            traces_dir.mkdir(parents=True, exist_ok=True)
+            data_io.make_output_dir(traces_dir)
             data_io.write_trace(event, traces_dir / f"{sid}.csv", written)
             data_io.write_trace(control_base, traces_dir / f"{sid}_baseline.csv",
                                 written)
@@ -346,7 +346,7 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
     with the step for the mixing model. Measured data is read and checked
     before the first march, so bad data writes nothing.
     """
-    out = Path(out)
+    out = data_io.check_output_dir(out)
     if measured is not None:
         measured_trace, measured_record = _measured_outputs(
             measured, column_map, dt, measured_window)
@@ -380,7 +380,7 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
             span = metrics.EventWindow(float(clipped.t[0]), float(clipped.t[1]),
                                        float(clipped.t[-1]))
             normalized = metrics.normalize(clipped, span)
-            out.mkdir(parents=True, exist_ok=True)
+            data_io.make_output_dir(out)
             data_io.write_trace(normalized, out / f"{model_name}_{kind}.csv")
 
     if measured is not None:

@@ -10,7 +10,9 @@ a bit-exact fixed point, where runs sit flat and unmarched until an input change
 
 Identical scenarios produce bit-identical traces: the engine is seed-free;
 no-event runs are memoised (the last two) and shared read-only. The open-loop
-tuner judges neutrality by ``metrics.NEUTRAL_FRAC``, like every result row.
+tuner judges neutrality by ``metrics.NEUTRAL_FRAC``, like every result row,
+and keeps the march of the schedule it accepts (one slot, read-only), so the
+event run of that schedule is not marched again.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ _RK4_DT_SAFETY = 2.5
 _BASELINE_MEMO_SIZE = 2
 # bisections the tuner makes once it has bracketed a neutral schedule
 _MAX_BISECTIONS = 40
+# the tuner's accepted probe: its scenario without the id -> its read-only trace
+_tuned_event: dict[Scenario, Trace] = {}
 
 
 @dataclass(frozen=True)
@@ -347,6 +351,10 @@ def run_open_loop(scenario: Scenario) -> Trace:
         raise ConfigurationError("run_open_loop needs an open-loop scenario")
     if scenario.event.setpoint_deltas is None:
         raise ConfigurationError("open-loop event needs setpoint_deltas")
+    tuned = _tuned_event.get(replace(scenario, scenario_id=""))
+    if tuned is not None:
+        return replace(tuned, scenario_id=scenario.scenario_id,
+                       scenario_hash=scenario.digest())
     return _run(scenario, scenario.oa_actual, MODE_OPEN_LOOP,
                 t_set_delta=_halves(scenario, *scenario.event.setpoint_deltas))
 
@@ -389,7 +397,9 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
     it, so a sign-bracketing bisection converges. A schedule that already
     meets the criterion (``metrics.NEUTRAL_FRAC``) is returned unchanged. No
     magnitude is marched twice, and the baseline is the shared read-only one
-    from :func:`run_baseline`.
+    from :func:`run_baseline`. The tuner returns on its first neutral probe;
+    that probe's trace replaces the one kept for :func:`run_open_loop`, which
+    then returns it for the same scenario instead of marching it again.
     """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("tuning applies to open-loop scenarios")
@@ -404,8 +414,15 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
     def probe(mag: float):
         if mag not in probes:
             sched = replace(scenario.event, setpoint_deltas=(d1, sign2 * mag))
-            trace = run_open_loop(replace(scenario, event=sched))
-            probes[mag] = (*metrics.neutrality(trace, baseline, window), sched)
+            probed = replace(scenario, event=sched)
+            trace = run_open_loop(probed)
+            signed, ok = metrics.neutrality(trace, baseline, window)
+            if ok:
+                for name in SERIES_FIELDS:
+                    getattr(trace, name).setflags(write=False)
+                _tuned_event.clear()
+                _tuned_event[replace(probed, scenario_id="")] = trace
+            probes[mag] = (signed, ok, sched)
         return probes[mag]
 
     signed0, ok0, _ = probe(abs(d2_init))

@@ -1,10 +1,15 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import fanshift
 import numpy as np
 import pytest
 import yaml
 
-from fanshift import cli, data_io
+from fanshift import cli, data_io, engine
 from fanshift.errors import ConfigurationError, NumericalError, TuningError
 
 from conftest import count_marches, make_trace
@@ -146,6 +151,27 @@ class TestRejectedCommandWritesNothing:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "{config}"],
+        ["sweep-mixing", "--r-grid", "0.5", "--dt", "10"],
+        ["forced-settling", "--dt", "200"],
+        ["compare-models", "--dt", "10"],
+    ], ids=["simulate", "sweep-mixing", "forced-settling", "compare-models"])
+    @pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
+    def test_out_not_a_directory(self, tmp_path, capsys, monkeypatch, argv, beneath):
+        config = tmp_path / "short.yaml"
+        config.write_text(CLOSED_LOOP_3H)
+        taken = tmp_path / "taken.csv"
+        taken.write_text("kept\n")
+        out = taken / "out" if beneath else taken
+        calls = count_marches(monkeypatch)
+        argv = [arg.format(config=config) for arg in argv]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert f"error: cannot write output to {out}" in capsys.readouterr().err
+        # refused before the first march, and the file is left alone
+        assert not calls and taken.read_text() == "kept\n"
+
+
 class TestSweepFailures:
     def _sweep(self, tmp_path, r_grid):
         code = cli.main(["sweep-mixing", "--r-grid", r_grid, "--c-grid", "0.1",
@@ -197,6 +223,23 @@ class TestTuningFailure:
                          "--out", str(tmp_path)])
         assert code == 2
         assert "could not bracket" in capsys.readouterr().err
+
+
+class TestTunedEvent:
+    def test_accepted_schedule_marched_once(self, tmp_path, monkeypatch):
+        config = tmp_path / "open.yaml"
+        config.write_text(OPEN_LOOP_SHORT)
+        calls = count_marches(monkeypatch)
+        engine.tune_open_loop_event(data_io.load_scenario_config(config))
+        tuning = len(calls)  # the baseline and every probe
+        engine._memo_baseline.cache_clear()
+        engine._tuned_event.clear()
+        calls.clear()
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--tune-neutral",
+                         "--out", str(out)]) == 0
+        # the event run reuses the accepted probe's march
+        assert len(calls) == tuning
 
 
 class TestMeasuredErrors:
@@ -302,3 +345,12 @@ class TestParser:
         assert set(args) == set(params)
         assert all(p.kind is p.KEYWORD_ONLY and p.default is p.empty
                    for p in params.values())
+
+
+def test_import_leaves_yaml_out():
+    # only config files need PyYAML, so the commands that read none skip its import
+    src = str(Path(fanshift.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, fanshift.cli; sys.exit('yaml' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

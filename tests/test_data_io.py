@@ -119,6 +119,81 @@ class TestTraceEncoder:
         assert peak < 2e6
 
 
+def encoded_cells(column) -> list[str]:
+    """Each sample's text as the trace encoder writes a one-column trace."""
+    return b"".join(data_io._trace_chunks([column])).decode().split("\r\n")[:-1]
+
+
+def percent_cells(values) -> list[str]:
+    """The encoder's oracle: ``FLOAT_FMT % v`` of each value."""
+    return [data_io.FLOAT_FMT % v for v in values]
+
+
+# the exact integer path covers 2**-6 <= |x| < 2**53; draw a little beyond it
+LOG_UNIFORM = st.builds(lambda e, sign: sign * 2.0 ** e,
+                        st.floats(-7.0, 54.0), st.sampled_from([-1.0, 1.0]))
+
+
+def with_neighbours(values) -> np.ndarray:
+    """Each value and the doubles on either side of it."""
+    x = np.array(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+class TestCellEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_bit_patterns(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert encoded_cells(x) == percent_cells(x.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(LOG_UNIFORM, min_size=1, max_size=40))
+    def test_log_uniform(self, values):
+        assert encoded_cells(np.array(values)) == percent_cells(values)
+
+    @pytest.mark.parametrize("values", [
+        [10.0 ** k for k in range(-2, 16)],
+        [-(10.0 ** k) for k in range(-2, 16)],
+        [2.0 ** -6, 2.0 ** 53, -(2.0 ** -6), -(2.0 ** 53)],
+    ], ids=["powers_of_ten", "negative_powers_of_ten", "range_ends"])
+    def test_edges_and_neighbours(self, values):
+        x = with_neighbours(values)
+        assert encoded_cells(x) == percent_cells(x.tolist())
+
+    @pytest.mark.parametrize("value, text", [
+        (131073 / 2**17, "1.0000076293945312"),  # ...3125: the even floor stays
+        (131075 / 2**17, "1.0000228881835938"),  # ...9375: the odd floor rounds up
+        (-131075 / 2**17, "-1.0000228881835938"),
+        (2.0 ** 51 + 0.5, "2251799813685248.5"),
+        (0.015625, "0.015625"),
+        (21.7, "21.699999999999999"),
+        (100.0, "100"),
+    ])
+    def test_exact_ties_and_trims(self, value, text):
+        assert encoded_cells(np.array([value])) == [text] == percent_cells([value])
+
+    def test_ties_at_every_scale(self):
+        odd = np.arange(1, 2**18, 2 * 97, dtype=np.float64) / 2.0 ** 17
+        x = np.concatenate([odd * 2.0 ** j for j in range(-6, 36, 5)])
+        assert encoded_cells(x) == percent_cells(x.tolist())
+
+    @pytest.mark.parametrize("toward", [-np.inf, np.inf], ids=["low", "high"])
+    def test_decimal_exponent_corrected_after_log10(self, monkeypatch, toward):
+        # the text must not rest on np.log10 being correctly rounded
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+        x = with_neighbours([10.0 ** k for k in range(-1, 16)])
+        assert encoded_cells(x) == percent_cells(x.tolist())
+
+    @pytest.mark.parametrize("column", [
+        np.array([0.1, 21.7, 1e-3, 3e20, 2.0 ** -6], dtype=np.float32),
+        np.array([0, -1, 7, 10**15, 2**53 - 1, 2**53 + 1]),
+    ], ids=["float32", "int"])
+    def test_other_dtypes(self, column):
+        assert encoded_cells(column) == percent_cells(column.tolist())
+
+
 NAN_OTHER_PAYLOAD = RUN_VALUES[3]
 
 
@@ -198,6 +273,22 @@ class TestTraceRegistry:
         assert len(list((tmp_path / "traces").glob("*.csv"))) == 24
         # 10 events, the flat-forecast and the stepped-forecast baseline
         assert len(encodes) == 12
+
+
+class TestOutputDir:
+    def test_file_in_the_way_is_a_data_format_error(self, tmp_path):
+        (tmp_path / "taken").write_text("")
+        with pytest.raises(DataFormatError, match="cannot create output directory"):
+            data_io.make_output_dir(tmp_path / "taken" / "out")
+        with pytest.raises(DataFormatError, match="taken is not a directory"):
+            data_io.check_output_dir(tmp_path / "taken" / "out")
+
+    def test_new_and_existing_directories_pass(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert data_io.check_output_dir(str(out)) == out
+        data_io.make_output_dir(out)
+        data_io.make_output_dir(out)
+        assert data_io.check_output_dir(out).is_dir()
 
 
 HEADER = ",".join(data_io.TRACE_HEADER) + "\r\n"

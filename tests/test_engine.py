@@ -499,6 +499,22 @@ class TestTuner:
         again = tune_open_loop_event(replace(sc, event=tuned))
         assert again is tuned
 
+    def test_accepted_probe_reused_bit_for_bit(self, monkeypatch):
+        sc = self._scenario()
+        tuned = replace(sc, event=tune_open_loop_event(sc), scenario_id="renamed")
+        assert len(engine._tuned_event) == 1  # the accepted probe's trace only
+        calls = count_marches(monkeypatch)
+        kept = run_open_loop(tuned)
+        assert not calls
+        engine._tuned_event.clear()
+        fresh = run_open_loop(tuned)
+        assert len(calls) == 1
+        for name in SERIES_FIELDS:
+            assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
+            assert not getattr(kept, name).flags.writeable
+        assert (kept.scenario_id, kept.scenario_hash) == ("renamed", tuned.digest())
+        assert (kept.mode, kept.scenario_hash) == (fresh.mode, fresh.scenario_hash)
+
     def test_requires_open_loop(self):
         sc = Scenario(params=BuildingParams().with_mixing(0.3, 0.1),
                       event=EventSchedule(kind="DOWN_UP", power_delta_frac=0.1),
