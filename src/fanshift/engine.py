@@ -1,7 +1,7 @@
 """Fixed-step simulation engine for load-shifting experiments.
 
 A :class:`Scenario` fully describes one experiment: building, gains, event
-schedule, outdoor profiles (actual and predicted), timestep, and mode. Every
+schedule, outdoor profiles (actual and predicted), timestep, and mode. A
 run marches the plant and controllers over [0, t_settle] with a classical
 4th-order Runge-Kutta step for the plant and exact exponential updates for
 the lags, all inputs zero-order-held over each step. Runs start from the
@@ -10,9 +10,13 @@ a bit-exact fixed point, where runs sit flat and unmarched until an input change
 
 Identical scenarios produce bit-identical traces: the engine is seed-free;
 no-event runs are memoised (the last two) and shared read-only. The open-loop
-tuner judges neutrality by ``metrics.NEUTRAL_FRAC``, like every result row,
-and keeps the march of the schedule it accepts (one slot, read-only), so the
-event run of that schedule is not marched again.
+tuner solves the signed net over the event window for zero, to within
+``NET_STOP_FRAC`` of the probe's own integral of |p_fan - p_base| there. Its
+probes march only to the t_end sample, the prefix of the full march to the
+bit, since the net reads nothing later. It then marches the root once to
+t_settle, judges it by ``metrics.NEUTRAL_FRAC`` like every result row, and
+keeps that march (one slot, read-only), so the event run of the tuned
+schedule is not marched again.
 """
 
 from __future__ import annotations
@@ -62,8 +66,16 @@ _SANITY_MARGIN_K = 5.0
 _RK4_DT_SAFETY = 2.5
 # no-event runs memoised; the settling study alternates flat and stepped forecasts
 _BASELINE_MEMO_SIZE = 2
-# bisections the tuner makes once it has bracketed a neutral schedule
-_MAX_BISECTIONS = 40
+# the tuner stops at |net| <= NET_STOP_FRAC * integral of |p_fan - p_base|,
+# both over the probe's event window
+NET_STOP_FRAC = 1e-4
+# probes the tuner makes after its first, bracketing and solving together
+_MAX_PROBES = 40
+# the first nonzero magnitude probed when the initial |delta2| is 0, K
+_FIRST_MAGNITUDE_K = 1e-3
+# the longest step outward before a sign bracket, in spacings of the two
+# latest probes
+_MAX_EXPANSION = 8.0
 # the tuner's accepted probe: its scenario without the id -> its read-only trace
 _tuned_event: dict[Scenario, Trace] = {}
 
@@ -265,12 +277,16 @@ def _halves(scenario: Scenario, d1: float, d2: float) -> np.ndarray:
 
 def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
          t_set_delta: np.ndarray | None = None, p_ref: np.ndarray | None = None,
-         engaged: np.ndarray | None = None, p_base: np.ndarray | None = None
-         ) -> Trace:
+         engaged: np.ndarray | None = None, p_base: np.ndarray | None = None,
+         until: float | None = None) -> Trace:
     """March one run under outdoor profile ``oa`` from the equilibrium start.
 
     Omitted inputs keep their no-event values: the nominal setpoint, a zero
-    power reference and the power PI disengaged.
+    power reference and the power PI disengaged. With ``until`` (a time on
+    the grid) the march stops at that sample: the inputs and sanity bounds
+    are the full horizon's, cut there, so every state and ``p_fan`` sample is
+    the full march's to the bit (the last sample's commands are evaluated
+    with a zero step, as at any march's end).
     """
     p, g = scenario.params, scenario.gains
     n = scenario.n_steps
@@ -289,6 +305,10 @@ def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
 
     t_low = p.t_supply - _SANITY_MARGIN_K
     t_high = max(float(np.max(t_out)), p.t_outdoor_nominal) + _SANITY_MARGIN_K
+    if until is not None:
+        n = int(round(until / scenario.dt))
+        times, t_out, t_set, p_ref, engaged, p_base = (
+            a[:n + 1] for a in (times, t_out, t_set, p_ref, engaged, p_base))
     # the kernel's output arrays, in the order of its ``outs``
     outs = {name: np.empty(n + 1) for name in (
         "t_mix", "t_room", "t_wall", "t_set_eff", "mdot_desired", "mdot_actual",
@@ -355,8 +375,13 @@ def run_open_loop(scenario: Scenario) -> Trace:
     if tuned is not None:
         return replace(tuned, scenario_id=scenario.scenario_id,
                        scenario_hash=scenario.digest())
+    return _march_open_loop(scenario)
+
+
+def _march_open_loop(scenario: Scenario, until: float | None = None) -> Trace:
     return _run(scenario, scenario.oa_actual, MODE_OPEN_LOOP,
-                t_set_delta=_halves(scenario, *scenario.event.setpoint_deltas))
+                t_set_delta=_halves(scenario, *scenario.event.setpoint_deltas),
+                until=until)
 
 
 def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
@@ -390,16 +415,24 @@ def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
 
 
 def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
-    """Adjust the second setpoint delta until the event is energy neutral.
+    """Solve the second setpoint delta for an energy-neutral event.
 
-    Holds the first delta fixed and searches the magnitude of the second:
-    the net power deviation over the event window grows monotonically with
-    it, so a sign-bracketing bisection converges. A schedule that already
-    meets the criterion (``metrics.NEUTRAL_FRAC``) is returned unchanged. No
-    magnitude is marched twice, and the baseline is the shared read-only one
-    from :func:`run_baseline`. The tuner returns on its first neutral probe;
-    that probe's trace replaces the one kept for :func:`run_open_loop`, which
-    then returns it for the same scenario instead of marching it again.
+    Holds the first delta fixed and finds the magnitude of the second at
+    which the signed event-window net (:func:`metrics.event_net`, taken
+    against the counterfactual that result rows use: the no-event run under
+    the *actual* outdoor profile) is zero, to within ``NET_STOP_FRAC`` of the
+    probe's own integral of |p_fan - p_base| over [t_start, t_end]. The net
+    moves monotonically with the magnitude, so a safeguarded secant search
+    finds its sign change (:func:`_neutral_magnitude`). Each probe marches
+    only to the t_end sample, which is all the net reads, with the full
+    horizon's inputs and sanity bounds cut there, so its net is the full
+    march's to the bit; no magnitude is probed twice.
+
+    The root is then marched once to t_settle and judged by the results'
+    verdict (``metrics.NEUTRAL_FRAC``); its trace replaces the one kept for
+    :func:`run_open_loop`, which returns it for the same scenario instead of
+    marching it again. A schedule that already meets the stop rule is
+    returned unchanged.
     """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("tuning applies to open-loop scenarios")
@@ -408,55 +441,70 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
     d1, d2_init = scenario.event.setpoint_deltas
     sign2 = -1.0 if scenario.event.kind == KIND_DOWN_UP else 1.0
     window = scenario.window()
-    baseline = run_baseline(scenario)
+    counterfactual = run_baseline(replace(scenario, oa_predicted=scenario.oa_actual))
+    base_cut = counterfactual.sliced(0, counterfactual.index_at(scenario.t_end))
 
-    probes = {}  # magnitude -> (signed residual, neutral, schedule)
-    def probe(mag: float):
-        if mag not in probes:
-            sched = replace(scenario.event, setpoint_deltas=(d1, sign2 * mag))
-            probed = replace(scenario, event=sched)
-            trace = run_open_loop(probed)
-            signed, ok = metrics.neutrality(trace, baseline, window)
-            if ok:
-                for name in SERIES_FIELDS:
-                    getattr(trace, name).setflags(write=False)
-                _tuned_event.clear()
-                _tuned_event[replace(probed, scenario_id="")] = trace
-            probes[mag] = (signed, ok, sched)
-        return probes[mag]
+    def schedule(mag: float) -> Scenario:
+        return replace(scenario, event=replace(scenario.event,
+                                               setpoint_deltas=(d1, sign2 * mag)))
 
-    signed0, ok0, _ = probe(abs(d2_init))
-    if ok0:
-        return scenario.event
+    def net(mag: float) -> float | None:
+        """The probe's signed net (J), or None when it meets the stop rule."""
+        cut = _march_open_loop(schedule(mag), until=scenario.t_end)
+        signed, scale = metrics.event_net(cut, base_cut, window)
+        return None if abs(signed) <= NET_STOP_FRAC * scale else signed
 
-    # expand away from the initial magnitude until the signed residual flips
-    lo = 0.0
-    signed_lo, ok_lo, sched_lo = probe(lo)
-    if ok_lo:
-        return sched_lo
-    hi = max(abs(d2_init), 1e-3)
-    signed_hi, ok_hi, sched_hi = probe(hi)
-    expansions = 0
-    while signed_hi * signed_lo > 0 and expansions < 12:
-        if ok_hi:
-            return sched_hi
-        hi *= 2.0
-        signed_hi, ok_hi, sched_hi = probe(hi)
-        expansions += 1
-    if signed_hi * signed_lo > 0:
+    mag = _neutral_magnitude(net, abs(d2_init))
+    tuned = scenario if mag == abs(d2_init) else schedule(mag)
+    trace = _march_open_loop(tuned)
+    signed, neutral = metrics.neutrality(trace, counterfactual, window)
+    if not neutral:
         raise TuningError(
-            f"could not bracket a neutral schedule: residual {signed_lo:.3g} J at "
-            f"|delta2|={lo}, {signed_hi:.3g} J at |delta2|={hi:.3g}")
+            f"the root |delta2|={mag:.6g} is not neutral over t_settle: "
+            f"net {signed:.3g} J")
+    for name in SERIES_FIELDS:
+        getattr(trace, name).setflags(write=False)
+    _tuned_event.clear()
+    _tuned_event[replace(tuned, scenario_id="")] = trace
+    return tuned.event
 
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        signed_mid, ok_mid, sched_mid = probe(mid)
-        if ok_mid:
-            return sched_mid
-        if signed_mid * signed_lo > 0:
-            lo, signed_lo = mid, signed_mid
+
+def _neutral_magnitude(net, m0: float) -> float:
+    """The magnitude at which ``net`` returns None, searched from ``m0``.
+
+    ``net(mag)`` is the signed net at a magnitude, or None once it meets the
+    stop rule; it is monotone in the magnitude. Probes m0, then 0 (or
+    ``_FIRST_MAGNITUDE_K`` when m0 is 0), then the secant root of the two
+    latest probes, safeguarded: inside a sign bracket a secant root outside
+    it is replaced by the bracket's midpoint; before one, all probes share
+    the sign of the net at 0, so the root lies beyond the largest magnitude,
+    and the step outward is at least one and at most ``_MAX_EXPANSION``
+    spacings of the two latest probes. On a near-linear net the secant
+    converges superlinearly, so the stop rule is met a few probes after m0.
+    """
+    f_m0 = net(m0)
+    if f_m0 is None:
+        return m0
+    prev = (m0, f_m0)
+    mag = 0.0 if m0 > 0.0 else _FIRST_MAGNITUDE_K
+    ends = {f_m0 > 0.0: prev}  # the latest probe with each sign of the net
+    for _ in range(_MAX_PROBES):
+        f = net(mag)
+        if f is None:
+            return mag
+        (x0, f0), (x1, f1) = prev, (mag, f)
+        prev = ends[f > 0.0] = (x1, f1)
+        step = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+        if len(ends) == 2:
+            lo, hi = sorted(x for x, _ in ends.values())
+            mag = step if lo < step < hi else 0.5 * (lo + hi)
         else:
-            hi, signed_hi = mid, signed_mid
+            top, spacing = max(x0, x1), abs(x1 - x0)
+            if not step > top:
+                step = top + spacing
+            mag = min(step, top + _MAX_EXPANSION * spacing)
+    failure = ("no neutral schedule" if len(ends) == 2
+               else "could not bracket a neutral schedule")
     raise TuningError(
-        f"no neutral schedule within {_MAX_BISECTIONS} bisections "
-        f"(bracket [{lo:.6g}, {hi:.6g}], residuals [{signed_lo:.3g}, {signed_hi:.3g}] J)")
+        f"{failure} within {_MAX_PROBES + 1} probes: net "
+        + ", ".join(f"{fx:.3g} J at |delta2|={x:.6g}" for x, fx in ends.values()))

@@ -9,8 +9,9 @@ the settling window [t_start, t_settle]:
     rte        = energy_out / energy_in
 
 An event is energy neutral when the *net* deviation over the event window
-[t_start, t_end] stays below ``NEUTRAL_FRAC`` of the total shifted energy,
-the one criterion every verdict and the open-loop tuner use. Room disruption
+[t_start, t_end] (``event_net``) stays below ``NEUTRAL_FRAC`` of the total
+shifted energy, the one criterion every verdict uses; the open-loop tuner
+solves the same net for zero. Room disruption
 is measured as the RMS room-temperature deviation over the settling window.
 All integrals are trapezoidal on the shared trace grid, exact for the
 piecewise-linear synthetic traces used as oracles.
@@ -32,6 +33,7 @@ __all__ = [
     "EventMetrics",
     "energy_in_out",
     "rte",
+    "event_net",
     "neutrality",
     "temp_rmse",
     "normalize",
@@ -113,18 +115,28 @@ def rte(energy_in: float, energy_out: float) -> float | None:
     return energy_out / energy_in
 
 
-def neutrality(event: Trace, baseline: Trace, window: EventWindow) -> tuple[float, bool]:
-    """Signed net deviation (J) over [t_start, t_end] and the verdict.
+def event_net(event: Trace, baseline: Trace, window: EventWindow) -> tuple[float, float]:
+    """Signed net deviation (J) over the event window [t_start, t_end], and
+    the integral of its magnitude there.
 
     The net is positive when the event drew more energy than its baseline.
-    Neutral when |net| < NEUTRAL_FRAC * (energy_in + energy_out), the energies
-    taken over the full settling window. A pair with no shifted energy at all
-    is classified neutral.
+    The traces need reach only t_end, so a march cut there gives the net of
+    the full one.
     """
     aligned(event, baseline)
     i0, i1 = _window_indices(event, window.t_start, window.t_end)
     diff = event.p_fan[i0:i1 + 1] - baseline.p_fan[i0:i1 + 1]
-    net = _trapz(diff, event.dt)
+    return _trapz(diff, event.dt), _trapz(np.abs(diff), event.dt)
+
+
+def neutrality(event: Trace, baseline: Trace, window: EventWindow) -> tuple[float, bool]:
+    """Signed net deviation (J) over [t_start, t_end] and the verdict.
+
+    The net is :func:`event_net`'s. Neutral when |net| < NEUTRAL_FRAC *
+    (energy_in + energy_out), the energies taken over the full settling
+    window. A pair with no shifted energy at all is classified neutral.
+    """
+    net, _ = event_net(event, baseline, window)
     e_in, e_out = energy_in_out(event, baseline, window)
     total = e_in + e_out
     if total == 0.0:

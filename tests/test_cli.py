@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fanshift import cli, data_io, engine
+from fanshift import cli, data_io, engine, metrics
 from fanshift.errors import ConfigurationError, NumericalError, TuningError
 
 from conftest import count_marches, make_trace
@@ -240,6 +240,36 @@ class TestTunedEvent:
                          "--out", str(out)]) == 0
         # the event run reuses the accepted probe's march
         assert len(calls) == tuning
+
+
+class TestTunedResidual:
+    def test_row_residual_meets_the_stop_rule(self, tmp_path):
+        # the actual outdoor profile steps +6 F at event start; the forecast
+        # stays flat, so the row's counterfactual is not the control baseline
+        config = tmp_path / "open.yaml"
+        config.write_text(OPEN_LOOP_SHORT + "scenario_id: stepped\n"
+                          "outdoor:\n  actual: {step_at_s: 600, step_f: 6}\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--tune-neutral",
+                         "--out", str(out)]) == 0
+        [row] = data_io.read_results(out / "stepped_metrics.csv")
+        event = data_io.read_trace(out / "stepped_event.csv")
+        counterfactual = data_io.read_trace(out / "stepped_counterfactual.csv")
+        net, scale = metrics.event_net(event, counterfactual,
+                                       metrics.EventWindow(600.0, 4200.0, 7800.0))
+        assert row.residual_j == abs(net)
+        assert row.residual_j <= engine.NET_STOP_FRAC * scale
+
+    def test_rte_converged_in_dt(self, tmp_path):
+        config = Path(__file__).resolve().parent.parent / "configs" / "open_loop_gta.yaml"
+        rtes = []
+        for dt in ("2", "10"):
+            out = tmp_path / dt
+            assert cli.main(["simulate", "--config", str(config), "--tune-neutral",
+                             "--dt", dt, "--out", str(out)]) == 0
+            [row] = data_io.read_results(out / "open_loop_gta_metrics.csv")
+            rtes.append(row.rte)
+        assert abs(rtes[0] - rtes[1]) <= 1e-3
 
 
 class TestMeasuredErrors:

@@ -8,7 +8,7 @@ from fanshift import (BuildingParams, ControllerGains, EventSchedule,
                       OutdoorProfile, Scenario, engine, equilibrium, kernels,
                       metrics, run_baseline,
                       run_closed_loop, run_open_loop, tune_open_loop_event)
-from fanshift.errors import ConfigurationError, NumericalError
+from fanshift.errors import ConfigurationError, NumericalError, TuningError
 from fanshift.metrics import neutrality
 from fanshift.trace import SERIES_FIELDS
 
@@ -475,23 +475,58 @@ class TestTuner:
         assert tuned.setpoint_deltas[0] == sc.event.setpoint_deltas[0]
         assert tuned.setpoint_deltas[1] <= 0.0
 
-    def test_each_schedule_marched_once(self, monkeypatch):
-        marched = []
-
-        def spy(scenario):
-            marched.append(scenario.event.setpoint_deltas)
-            return run_open_loop(scenario)
-
-        monkeypatch.setattr(engine, "run_open_loop", spy)
-        tuned = tune_open_loop_event(self._scenario())
-        assert len(marched) == len(set(marched)) == 5
-        # exact: skipping a repeated probe must not move the result
-        assert tuned.setpoint_deltas == (0.5555555555555556, -0.6944444444444444)
-
-    def test_vacuous_tolerance_returns_unchanged(self, monkeypatch):
-        monkeypatch.setattr(metrics, "NEUTRAL_FRAC", 1.0)
+    def test_root_pinned_each_magnitude_probed_once(self, monkeypatch):
         sc = self._scenario()
-        assert tune_open_loop_event(sc) is sc.event
+        calls = count_marches(monkeypatch)
+        tuned = tune_open_loop_event(sc)
+        # exact: a changed search or stop rule moves the root
+        assert tuned.setpoint_deltas == (0.5555555555555556, -0.6622184483101543)
+        # the baseline, four probes cut at t_end, and the root to t_settle
+        n_end = round(sc.t_end / sc.dt)
+        assert calls == [sc.n_steps] + [n_end] * 4 + [sc.n_steps]
+
+    def test_only_the_root_returned_unchanged(self):
+        sc = self._scenario()
+        root = tune_open_loop_event(sc)
+        assert tune_open_loop_event(replace(sc, event=root)) is root
+        # inside the 5% band but off the root: the band does not stop the search
+        d1, d2 = root.setpoint_deltas
+        off = replace(sc, event=replace(root, setpoint_deltas=(d1, d2 * 1.01)))
+        assert neutrality(run_open_loop(off), run_baseline(off), off.window())[1]
+        moved = tune_open_loop_event(off)
+        assert moved.setpoint_deltas[1] != off.event.setpoint_deltas[1]
+        assert moved.setpoint_deltas == pytest.approx(root.setpoint_deltas, abs=1e-4)
+
+    @pytest.mark.parametrize("kind, m0", [("DOWN_UP", 0.5), ("UP_DOWN", 0.5),
+                                          ("DOWN_UP", 0.0), ("DOWN_UP", 3.0)])
+    def test_one_full_event_march(self, monkeypatch, kind, m0):
+        d1 = 0.5 if kind == "DOWN_UP" else -0.5
+        sc = quick_scenario(dt=10.0, event=EventSchedule(
+            kind=kind, setpoint_deltas=(d1, math.copysign(m0, -d1))))
+        n_end = round(sc.t_end / sc.dt)
+        marches, simulate_loop = [], kernels.simulate_loop
+
+        def spy(*args):
+            # the scheduled setpoint over the event's last step
+            marches.append((args[1], args[9][n_end - 1]))
+            return simulate_loop(*args)
+
+        monkeypatch.setattr(kernels, "simulate_loop", spy)
+        tuned = tune_open_loop_event(sc)
+        full = [t_set for n, t_set in marches if n == sc.n_steps]
+        probes = [t_set for n, t_set in marches if n != sc.n_steps]
+        # the baseline at the nominal setpoint, then the root
+        assert full == [sc.gains.t_set_nominal,
+                        sc.gains.t_set_nominal + tuned.setpoint_deltas[1]]
+        assert len(probes) == len(set(probes)) >= 2
+        assert all(n == n_end for n, _ in marches[1:-1])
+
+    def test_root_does_not_move_with_the_stop_rule(self, monkeypatch):
+        roots = []
+        for frac in (1e-3, 1e-4):
+            monkeypatch.setattr(engine, "NET_STOP_FRAC", frac)
+            roots.append(tune_open_loop_event(self._scenario()).setpoint_deltas[1])
+        assert abs(roots[0] - roots[1]) <= 1e-4
 
     def test_neutral_schedule_returned_unchanged(self):
         sc = self._scenario()
@@ -521,3 +556,86 @@ class TestTuner:
                       mode="closed_loop")
         with pytest.raises(ConfigurationError):
             tune_open_loop_event(sc)
+
+
+class TestCutProbe:
+    """A march cut at t_end is the prefix of the full march."""
+
+    @pytest.mark.parametrize("dt", [1.0, 8.0])
+    @pytest.mark.parametrize("kind, deltas", [("DOWN_UP", (0.6, -0.7)),
+                                              ("UP_DOWN", (-0.6, 0.7))])
+    @pytest.mark.parametrize("mixing", [False, True])
+    def test_p_fan_and_net_bits(self, mixing, kind, deltas, dt):
+        params = BuildingParams().with_mixing(0.3, 0.1) if mixing else BuildingParams()
+        sc = quick_scenario(params=params, dt=dt,
+                            event=EventSchedule(kind=kind, setpoint_deltas=deltas))
+        full = engine._march_open_loop(sc)
+        cut = engine._march_open_loop(sc, until=sc.t_end)
+        k = round(sc.t_end / dt)
+        assert cut.n_samples == k + 1
+        assert cut.p_fan.tobytes() == full.p_fan[:k + 1].tobytes()
+        for name in ("t_mix", "t_room", "t_wall", "mdot_actual"):
+            assert getattr(cut, name).tobytes() == getattr(full, name)[:k + 1].tobytes()
+        base = run_baseline(sc)
+        net_cut = metrics.event_net(cut, base.sliced(0, k), sc.window())
+        net_full = metrics.event_net(full, base, sc.window())
+        assert [x.hex() for x in net_cut] == [x.hex() for x in net_full]
+        assert net_full[0] == neutrality(full, base, sc.window())[0]
+
+    def test_inputs_and_bounds_are_the_full_horizons(self, monkeypatch):
+        # the outdoor air steps up 30 K after t_end, which raises the upper bound
+        sc = quick_scenario(oa_actual=OutdoorProfile.step_at(29.4, 6000.0, 30.0))
+        calls, simulate_loop = [], kernels.simulate_loop
+
+        def spy(*args):
+            calls.append(args)
+            return simulate_loop(*args)
+
+        monkeypatch.setattr(kernels, "simulate_loop", spy)
+        engine._march_open_loop(sc)
+        engine._march_open_loop(sc, until=sc.t_end)
+        (full, cut), k = calls, round(sc.t_end / sc.dt)
+        assert cut[:2] == (full[0], k) and cut[2:8] == full[2:8]
+        assert full[7] == 29.4 + 30.0 + 5.0
+        for series in range(8, 13):
+            assert cut[series].tobytes() == full[series][:k + 1].tobytes()
+
+
+class TestNeutralMagnitude:
+    """The root finder on synthetic nets, probe by probe."""
+
+    def _solve(self, f, m0, tol):
+        probed = []
+
+        def net(mag):
+            probed.append(mag)
+            value = f(mag)
+            return None if abs(value) <= tol else value
+
+        return engine._neutral_magnitude(net, m0), probed
+
+    @pytest.mark.parametrize("m0", [0.0, 0.3, 0.66, 1.0, 50.0])
+    @pytest.mark.parametrize("slope", [2e6, -2e6])
+    def test_near_linear_net(self, m0, slope):
+        root = 0.66
+        mag, probed = self._solve(lambda m: slope * (m - root) + 1e4 * (m - root) ** 2,
+                                  m0, 1.0)
+        assert abs(mag - root) <= 1e-6
+        assert len(probed) == len(set(probed)) <= 9
+        assert probed[0] == m0
+
+    def test_bent_net_bisects_inside_the_bracket(self):
+        # a secant step off a kinked net leaves the bracket; the midpoint is taken
+        mag, probed = self._solve(lambda m: math.atan(50.0 * (m - 0.7)), 0.5, 1e-9)
+        assert abs(mag - 0.7) <= 1e-9
+        assert len(probed) == len(set(probed))
+
+    def test_flat_net_steps_outward(self):
+        # equal nets give no secant; the search still steps past the flat stretch
+        mag, probed = self._solve(lambda m: max(m, 1.0) - 2.0, 0.5, 1e-9)
+        assert mag == 2.0
+        assert probed == [0.5, 0.0, 1.0, 2.0]
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(TuningError, match="could not bracket"):
+            self._solve(lambda m: 1.0 + m, 0.5, 1e-9)
