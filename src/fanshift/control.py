@@ -7,9 +7,8 @@ on top of the scheduled setpoint. Both integrals accumulate by the forward
 rectangle rule and freeze while their output is pinned at a limit in the
 direction of the error. Lag states are physical signals and never jump.
 
-This module holds the stack's gains and limits. The step itself is
-:func:`fanshift.kernels.simulate_loop` with its scalar helpers
-``temp_pi``, ``power_pi`` and ``lag_step``.
+This module holds the stack's gains and limits. The step itself is written
+out in the loop body of :func:`fanshift.kernels.simulate_loop`.
 """
 
 from __future__ import annotations

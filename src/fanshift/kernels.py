@@ -3,16 +3,18 @@
 Everything in this module runs as plain Python; ``JIT_ENABLED`` records
 that no compiled backend is in use.
 
-``simulate_loop`` is the package's only implementation of a control step;
-the scalar helpers it calls are public so tests can pin each part of it. It
-takes the run's ``BuildingParams`` and ``ControllerGains`` and binds them once
-per march: ``plant_step`` closes one whole RK4 step over the plant's
+``simulate_loop`` is the package's only implementation of a control step.
+It takes the run's ``BuildingParams`` and ``ControllerGains`` and binds them
+once per march: ``plant_step`` closes one whole RK4 step over the plant's
 constants and ``dt``, with the model's rate equations written out in its four
 stages, so a marched plant step is one five-argument call; the gains and lag
 decays become local floats before the first step. Within a stage the flow
 between two nodes is computed once and its negation used for the reverse
 flow, and ``mdot * c_p_air`` once per step; both are bit-exact (see
-``plant_step``).
+``plant_step``). The temperature PI, the power PI and the two lags are
+written out in the loop body, so the plant is the only call a marched step
+makes. Tests pin ``plant_step`` to a textbook RK4 and the loop to reference
+implementations of each controller update, bit for bit.
 
 The arrays (1-D float64, uint8 for ``engaged``) are read and written only
 through memoryviews. Indexing a numpy array yields a numpy scalar, and one
@@ -29,7 +31,9 @@ ones last read. Settled stretches are not marched: sample i and the state
 after it depend only on the inputs at i and the carried state, so once a
 step leaves that state bit-identical, the samples up to the next stop are
 copies of sample i. Runs start at such a fixed point, so a flat run costs one
-step.
+step. A step is tested for that only when ``t_wall`` kept its bits, and the
+sanity bounds are checked once per march, in one numpy pass over the written
+samples after the last step.
 
 Plant models
 ------------
@@ -148,52 +152,6 @@ def plant_step(model, params, dt):
     return step
 
 
-def temp_pi(t_room, t_set, integ, kp, ki, dt, mdot_max):
-    """Temperature PI step. Returns (desired airflow kg/s, new integral).
-
-    Error is room minus setpoint (warmer room -> more airflow). The integral
-    is held whenever the unsaturated command sits on a limit that the current
-    error would push it past (conditional anti-windup).
-    """
-    err = t_room - t_set
-    cand = integ + err * dt
-    u = kp * err + ki * cand
-    # the integral freezes while the command is saturated in the error's direction
-    if not ((u >= mdot_max and err > 0.0) or (u <= 0.0 and err < 0.0)):
-        integ = cand
-    u = kp * err + ki * integ
-    if u < 0.0:
-        u = 0.0
-    elif u > mdot_max:
-        u = mdot_max
-    return u, integ
-
-
-def power_pi(p_ref, p_diff, integ, kp, ki, dt, adj_max):
-    """Power PI step. Returns (setpoint adjustment K, new integral).
-
-    Error is reference minus measured power deviation; the adjustment is the
-    negated PI sum (raising fan power requires lowering the cooling setpoint)
-    and is clamped to +-adj_max with conditional anti-windup.
-    """
-    err = p_ref - p_diff
-    cand = integ + err * dt
-    adj = -(kp * err + ki * cand)
-    if not ((adj >= adj_max and err < 0.0) or (adj <= -adj_max and err > 0.0)):
-        integ = cand
-    adj = -(kp * err + ki * integ)
-    if adj > adj_max:
-        adj = adj_max
-    elif adj < -adj_max:
-        adj = -adj_max
-    return adj, integ
-
-
-def lag_step(state, target, decay):
-    """Exact first-order lag update; decay = exp(-dt/tau)."""
-    return target + (state - target) * decay
-
-
 def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
                   t_out, t_set_sched, p_ref, engaged, p_base, start, outs):
     """March the closed loop over n_steps of size dt.
@@ -205,24 +163,41 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
     t_wall, setpoint, desired and actual airflow, fan power). Input arrays
     have n_steps + 1 samples; the value at index i applies over
     [t_i, t_i + dt). Sample i of each output array holds the state at t_i and
-    the commands computed at t_i. The final sample's commands come from the
-    same ``power_pi`` / ``temp_pi`` calls with a zero step, which evaluates
-    them without advancing either integrator. The power integral starts at
-    zero at every engagement.
+    the commands computed at t_i.
 
-    Output samples are stored in place as they are computed, so on failure
-    samples 0..i are already written.
+    Each step runs, in this order: the power PI (engaged samples only; its
+    integral starts at zero at every engagement), the temperature PI on the
+    adjusted setpoint, the airflow and fan-power lags, and the plant. The PI
+    and lag updates are written out in the loop body. A PI's sum is computed
+    with the candidate integral first; it is computed again with the held
+    integral only when anti-windup holds it, since with the candidate kept
+    the two are the same expression. The final sample's commands come from
+    the same PI updates with a zero step, which evaluates them without
+    advancing either integrator.
 
-    Returns -1 on success, else the index of the first sample at which a
-    state became non-finite or left [t_low, t_high]. The bounds must be
-    finite: ``t_low <= v <= t_high`` is then false for NaN and +-inf, so only
-    ``p_fan``, which has no bounds, needs its own finiteness check.
+    The march does not stop at a bad sample. Every sample is stored in place
+    as it is computed, and once the march ends one numpy pass over ``t_mix``,
+    ``t_room``, ``t_wall`` and ``p_fan`` finds the first sample at which a
+    state is non-finite or outside [t_low, t_high]; so on failure samples
+    0..i hold what they would have held had the march stopped at i. Float
+    arithmetic past a failure raises nothing: no state is ever a divisor.
+
+    A settled stretch is tested for only when ``t_wall`` kept its bits over
+    the step: a state that is bit-identical to the one before it has an
+    identical ``t_wall``, so this one compare skips only the packing of the
+    two states, never a settle.
+
+    Returns -1 on success, else the index of the first bad sample. The
+    bounds must be finite: ``(t_low <= v) & (v <= t_high)`` is then false for
+    NaN and +-inf, so only ``p_fan``, which has no bounds, needs its own
+    finiteness check.
     """
     step_plant = plant_step(model, params, dt)
     kp_temp, ki_temp, kp_power, ki_power, fan_coeff = (
         gains.kp_temp, gains.ki_temp, gains.kp_power, gains.ki_power, gains.fan_coeff)
     decay_airflow = math.exp(-dt / gains.tau_airflow)
     decay_fan = math.exp(-dt / gains.tau_fan)
+    adj_max, adj_min = SETPOINT_ADJ_LIMIT_K, -SETPOINT_ADJ_LIMIT_K
     # samples whose inputs change in any bit, and the final zero-step sample
     moved = engaged[1:] != engaged[:-1]
     for series in (t_out, t_set_sched, p_ref, p_base):
@@ -235,7 +210,6 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
     t_mix, t_room, t_wall, i_temp, mdot_act, p_fan = start
     i_power = 0.0  # reset at every engagement before it is read
     was_engaged = False
-    held = (t_mix, t_room, t_wall, i_temp, i_power, mdot_act, p_fan, was_engaged)
 
     i = stop = 0
     while True:
@@ -248,20 +222,46 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
             p_ref_i, p_base_i = p_ref[i], p_base[i]
             stop = next(stops, None)  # None only after the final sample
 
+        # the state entering this step, kept for the settled-stretch test
+        i_temp_0, i_power_0, t_wall_0 = i_temp, i_power, t_wall
         if eng:
+            # power PI: the fan-power error becomes a setpoint adjustment,
+            # negated (more fan power needs a lower cooling setpoint) and
+            # clamped to +-adj_max with conditional anti-windup
             if not was_engaged:
                 i_power = 0.0  # fresh integral at engagement
-            adj, i_power = power_pi(p_ref_i, p_fan - p_base_i, i_power,
-                                    kp_power, ki_power, step, SETPOINT_ADJ_LIMIT_K)
+            err = p_ref_i - (p_fan - p_base_i)
+            cand = i_power + err * step
+            adj = -(kp_power * err + ki_power * cand)
+            if (adj >= adj_max and err < 0.0) or (adj <= adj_min and err > 0.0):
+                adj = -(kp_power * err + ki_power * i_power)
+            else:
+                i_power = cand
+            if adj > adj_max:
+                adj = adj_max
+            elif adj < adj_min:
+                adj = adj_min
+            t_set = t_set_i + adj
         else:
             # the temperature PI never stops running: the power PI only adds
             # to its setpoint, so at handback the temperature integral keeps
             # its accumulated state and the proportional term absorbs the
-            # setpoint snap
-            adj = 0.0
-        t_set = t_set_i + adj
-        mdot_des, i_temp = temp_pi(t_room, t_set, i_temp,
-                                   kp_temp, ki_temp, step, mdot_max)
+            # setpoint snap; ``+ 0.0`` is the zero adjustment (-0.0 -> 0.0)
+            t_set = t_set_i + 0.0
+        # temperature PI (warmer room -> more airflow), clamped to
+        # [0, mdot_max]; the integral freezes while the command is saturated
+        # in the error's direction
+        err = t_room - t_set
+        cand = i_temp + err * step
+        mdot_des = kp_temp * err + ki_temp * cand
+        if (mdot_des >= mdot_max and err > 0.0) or (mdot_des <= 0.0 and err < 0.0):
+            mdot_des = kp_temp * err + ki_temp * i_temp
+        else:
+            i_temp = cand
+        if mdot_des < 0.0:
+            mdot_des = 0.0
+        elif mdot_des > mdot_max:
+            mdot_des = mdot_max
 
         out_t_mix[i] = t_mix
         out_t_room[i] = t_room
@@ -270,30 +270,31 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
         out_mdot_des[i] = mdot_des
         out_mdot_act[i] = mdot_act
         out_p_fan[i] = p_fan
-
-        if not (math.isfinite(p_fan)
-                and t_low <= t_mix <= t_high
-                and t_low <= t_room <= t_high
-                and t_low <= t_wall <= t_high):
-            return i
         if final:
             break
 
-        mdot_act = lag_step(mdot_act, mdot_des, decay_airflow)
-        p_fan = lag_step(p_fan, fan_coeff * mdot_act, decay_fan)
+        # exact first-order lags: x <- target + (x - target) * exp(-dt/tau)
+        mdot_act = mdot_des + (mdot_act - mdot_des) * decay_airflow
+        p_target = fan_coeff * mdot_act
+        p_fan = p_target + (p_fan - p_target) * decay_fan
         t_mix, t_room, t_wall = step_plant(t_mix, t_room, t_wall, mdot_act, t_out_i)
 
+        i += 1
+        # a settled step repeats sample i - 1 up to the next stop; the state
+        # entering it is sample i - 1's, with the two integrals kept above
+        if t_wall == t_wall_0 and i < stop and struct.pack(
+                "8d", t_mix, t_room, t_wall, i_temp, i_power, mdot_act, p_fan,
+                eng) == struct.pack(
+                "8d", out_t_mix[i - 1], out_t_room[i - 1], t_wall_0, i_temp_0,
+                i_power_0, out_mdot_act[i - 1], out_p_fan[i - 1], was_engaged):
+            for out in outs:
+                out[i:stop] = out[i - 1]
+            i = stop
         was_engaged = eng
 
-        before, held = held, (t_mix, t_room, t_wall, i_temp, i_power, mdot_act,
-                              p_fan, was_engaged)
-        i += 1
-        # a settled step repeats sample i - 1 up to the next stop; ``==``
-        # alone takes -0.0 for 0.0
-        if held == before and i < stop:
-            if struct.pack("8d", *held) == struct.pack("8d", *before):
-                for out in outs:
-                    out[i:stop] = out[i - 1]
-                i = stop
-
-    return -1
+    # the first sample that is non-finite or outside the bounds, if any
+    ok = np.isfinite(outs[6])
+    for out in outs[:3]:
+        ok &= (out >= t_low) & (out <= t_high)
+    first_bad = int(ok.argmin())
+    return -1 if ok[first_bad] else first_bad

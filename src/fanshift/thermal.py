@@ -83,6 +83,12 @@ class BuildingParams:
             raise ConfigurationError(
                 "mix_r and mix_c must both be zero (two-state model) or both "
                 f"positive (mixing model); got mix_r={self.mix_r}, mix_c={self.mix_c}")
+        if self.mix_r > 0 and not min(self.r_mix, self.c_mix, self.c_room_rest) > 0:
+            # a product that underflows to zero would be a divisor in the march
+            raise ConfigurationError(
+                "mixing pocket needs positive r_mix, c_mix and c_room_rest; got "
+                f"{self.r_mix}, {self.c_mix} and {self.c_room_rest} from "
+                f"mix_r={self.mix_r}, mix_c={self.mix_c}")
         if self.t_supply >= self.t_outdoor_nominal:
             raise ConfigurationError(
                 "cooling mode requires supply air colder than outdoor air")

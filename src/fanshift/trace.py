@@ -53,8 +53,12 @@ class Trace:
                 raise TraceAlignmentError(
                     f"series {name!r} has shape {arr.shape}, expected ({n},)")
         if n > 1:
+            # each sample time is rounded to its own float spacing, which on
+            # an epoch clock (t ~ 1.7e9 s: 2.4e-7 s) dwarfs 1 ns; a step then
+            # differs from the first by up to two of those spacings
             steps = np.diff(self.t)
-            if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
+            atol = max(1e-9, 4.0 * float(np.spacing(np.max(np.abs(self.t)))))
+            if not np.allclose(steps, steps[0], rtol=0.0, atol=atol):
                 raise TraceAlignmentError("trace sampling is not uniform")
 
     @property

@@ -6,6 +6,10 @@ also timed by file size, read from their second positional argument, and
 each kernel call is counted by the plant model and step count in its first
 two. A trace copied from an identical one already written stays inside the
 ``write_trace`` boundary, so ``trace_write`` counts files, not encodes.
+
+Before it measures anything, ``perfbench/run.py`` runs its environment probe
+in a child process and fails if the probe fails; the probe reads
+``kernels.JIT_ENABLED``.
 """
 
 import importlib.util
@@ -18,11 +22,12 @@ from fanshift import cli, data_io, engine, kernels
 
 from conftest import make_trace, quick_scenario
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -31,7 +36,7 @@ def load_spans(monkeypatch):
 
 
 def test_every_boundary_found_and_writers_sized(tmp_path, monkeypatch):
-    tracer = load_spans(monkeypatch).Tracer()
+    tracer = load_perfbench(monkeypatch, "spans").Tracer()
     try:
         assert tracer.install(fanshift) == []
         trace_path, results_path = tmp_path / "trace.csv", tmp_path / "results.csv"
@@ -45,7 +50,7 @@ def test_every_boundary_found_and_writers_sized(tmp_path, monkeypatch):
 
 
 def test_kernel_span_reads_model_and_steps(monkeypatch):
-    tracer = load_spans(monkeypatch).Tracer()
+    tracer = load_perfbench(monkeypatch, "spans").Tracer()
     scenario = quick_scenario(warmup=300.0, settle_duration=3600.0)
     try:
         assert tracer.install(fanshift) == []
@@ -66,7 +71,7 @@ def test_forced_settling_sizes_every_trace_file(tmp_path, monkeypatch):
 
     # installed under the tracer, so the i-th path belongs to the i-th span
     monkeypatch.setattr(data_io, "write_trace", record_path)
-    tracer = load_spans(monkeypatch).Tracer()
+    tracer = load_perfbench(monkeypatch, "spans").Tracer()
     try:
         assert tracer.install(fanshift) == []
         assert cli.main(["forced-settling", "--dt", "20", "--out", str(tmp_path)]) == 0
@@ -76,3 +81,12 @@ def test_forced_settling_sizes_every_trace_file(tmp_path, monkeypatch):
     assert len(spans) == len(set(paths)) == 24
     assert sorted(paths) == sorted((tmp_path / "traces").glob("*.csv"))
     assert [s.info["bytes"] for s in spans] == [p.stat().st_size for p in paths]
+
+
+def test_environment_probe_prints_its_record(monkeypatch):
+    run = load_perfbench(monkeypatch, "run")
+    # the benchmark's own call: ENV_PROBE under sys.executable with
+    # PYTHONPATH=src, checked, its last line parsed as JSON
+    record = run.probe_environment(run.child_env())
+    assert record["jit_enabled"] is False
+    assert {"python", "numpy", "numba_imports", "platform"} <= record.keys()

@@ -184,6 +184,15 @@ class TestSweepFailures:
         assert rows == []
         assert "r=2.0 c=0.1" in capsys.readouterr().err
 
+    def test_underflowing_pocket_is_a_listed_failure(self, tmp_path, capsys):
+        # 5e-324 * r_wall rounds to an r_mix of zero
+        code, rows = self._sweep(tmp_path, "5e-324")
+        assert code == 1
+        assert rows == []
+        err = capsys.readouterr().err
+        assert "r=5e-324 c=0.1: mixing pocket needs positive r_mix" in err
+        assert "Traceback" not in err
+
     def test_good_points_still_written(self, tmp_path):
         code, rows = self._sweep(tmp_path, "0.2,2.0")
         assert code == 1

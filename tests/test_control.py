@@ -1,15 +1,27 @@
+"""The control stack: each part of the step ``kernels.simulate_loop`` writes
+out, pinned through reference implementations, and the march composed of
+them pinned bit for bit.
+
+``temp_pi``, ``power_pi`` and ``lag_step`` below are the references: each
+controller update as its own function. ``reference_march`` composes them in
+the loop's order, with ``kernels.plant_step`` (pinned to a textbook RK4 in
+``test_thermal.py``) for the plant.
+"""
+
 import math
+import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanshift import ControllerGains
-from fanshift.control import SETPOINT_ADJ_LIMIT_K
+from fanshift import BuildingParams, ControllerGains, equilibrium
+from fanshift.control import MDOT_LIMIT_FACTOR, SETPOINT_ADJ_LIMIT_K
+from fanshift.engine import _model_id
 from fanshift.errors import ConfigurationError
-from fanshift.kernels import lag_step, power_pi, temp_pi
+from fanshift.kernels import plant_step
 
 from conftest import equilibrium_start, march
 
@@ -17,6 +29,86 @@ from conftest import equilibrium_start, march
 TABLE_GAINS = ControllerGains(kp_temp=2.0, ki_temp=0.001)
 
 MDOT_MAX = 20.0
+
+
+def temp_pi(t_room, t_set, integ, kp, ki, dt, mdot_max):
+    """Temperature PI step. Returns (desired airflow kg/s, new integral).
+
+    Error is room minus setpoint (warmer room -> more airflow). The integral
+    is held whenever the unsaturated command sits on a limit that the current
+    error would push it past (conditional anti-windup).
+    """
+    err = t_room - t_set
+    cand = integ + err * dt
+    u = kp * err + ki * cand
+    # the integral freezes while the command is saturated in the error's direction
+    if not ((u >= mdot_max and err > 0.0) or (u <= 0.0 and err < 0.0)):
+        integ = cand
+    u = kp * err + ki * integ
+    if u < 0.0:
+        u = 0.0
+    elif u > mdot_max:
+        u = mdot_max
+    return u, integ
+
+
+def power_pi(p_ref, p_diff, integ, kp, ki, dt, adj_max):
+    """Power PI step. Returns (setpoint adjustment K, new integral).
+
+    Error is reference minus measured power deviation; the adjustment is the
+    negated PI sum (raising fan power requires lowering the cooling setpoint)
+    and is clamped to +-adj_max with conditional anti-windup.
+    """
+    err = p_ref - p_diff
+    cand = integ + err * dt
+    adj = -(kp * err + ki * cand)
+    if not ((adj >= adj_max and err < 0.0) or (adj <= -adj_max and err > 0.0)):
+        integ = cand
+    adj = -(kp * err + ki * integ)
+    if adj > adj_max:
+        adj = adj_max
+    elif adj < -adj_max:
+        adj = -adj_max
+    return adj, integ
+
+
+def lag_step(state, target, decay):
+    """Exact first-order lag update; decay = exp(-dt/tau)."""
+    return target + (state - target) * decay
+
+
+def reference_march(params, gains, dt, start, engaged, p_ref, p_base):
+    """The samples of ``march`` under the same inputs, one tuple of the seven
+    outputs per sample, from the references in the loop's order: power PI on
+    engaged samples (integral reset at each engagement), temperature PI on
+    the adjusted setpoint, airflow lag, fan lag, plant. The final sample's
+    commands use a zero step."""
+    step_plant = plant_step(_model_id(params), params, dt)
+    mdot_max = MDOT_LIMIT_FACTOR * equilibrium(params, gains.t_set_nominal)[2]
+    decay_airflow = math.exp(-dt / gains.tau_airflow)
+    decay_fan = math.exp(-dt / gains.tau_fan)
+    t_mix, t_room, t_wall, i_temp, mdot_act, p_fan = start.values()
+    i_power, was_engaged, rows = 0.0, False, []
+    n = len(engaged) - 1
+    for i, eng in enumerate(map(bool, engaged)):
+        h = 0.0 if i == n else dt
+        adj = 0.0
+        if eng:
+            if not was_engaged:
+                i_power = 0.0
+            adj, i_power = power_pi(float(p_ref[i]), p_fan - float(p_base[i]),
+                                    i_power, gains.kp_power, gains.ki_power, h,
+                                    SETPOINT_ADJ_LIMIT_K)
+        t_set = gains.t_set_nominal + adj
+        mdot_des, i_temp = temp_pi(t_room, t_set, i_temp, gains.kp_temp,
+                                   gains.ki_temp, h, mdot_max)
+        rows.append((t_mix, t_room, t_wall, t_set, mdot_des, mdot_act, p_fan))
+        mdot_act = lag_step(mdot_act, mdot_des, decay_airflow)
+        p_fan = lag_step(p_fan, gains.fan_coeff * mdot_act, decay_fan)
+        t_mix, t_room, t_wall = step_plant(t_mix, t_room, t_wall, mdot_act,
+                                           params.t_outdoor_nominal)
+        was_engaged = eng
+    return rows
 
 
 def temp_step(t_room, t_set, integ, gains, dt=1.0):
@@ -170,6 +262,70 @@ class TestZeroStep:
         adj, integ = power_step(p_ref, 20.0, 500.0, gains, dt=0.0)
         assert integ == 500.0
         assert adj == pytest.approx(expected, rel=1e-12)
+
+
+def march_and_reference(mix, dt, offset_k, engaged, p_ref):
+    """Outputs of a ``len(engaged) - 1``-step ``march`` from an equilibrium
+    start with air temperatures raised by ``offset_k``, under a constant
+    power reference; asserts that they are ``reference_march``'s bit for
+    bit."""
+    params = BuildingParams() if mix is None else BuildingParams().with_mixing(*mix)
+    gains = ControllerGains()
+    start = equilibrium_start(params, gains, offset_k)
+    engaged = np.array(engaged, dtype=np.uint8)
+    p_ref = np.full(engaged.shape, p_ref)
+    p_base = np.full(engaged.shape, start["p_fan0"])
+    status, out = march(params, gains, engaged.size - 1, dt, start,
+                        engaged=engaged, p_ref=p_ref, p_base=p_base,
+                        t_low=-1e3, t_high=1e3)
+    assert status == -1
+    got = np.column_stack(list(out.values())).ravel().tolist()
+    want = [v for row in reference_march(params, gains, dt, start, engaged,
+                                         p_ref, p_base) for v in row]
+    assert struct.pack(f"{len(want)}d", *got) == struct.pack(f"{len(want)}d", *want)
+    mdot_max = MDOT_LIMIT_FACTOR * equilibrium(params, gains.t_set_nominal)[2]
+    return out, mdot_max
+
+
+class TestMarchIsTheReferences:
+    # the step ``simulate_loop`` writes out is the references composed
+
+    @given(mix=st.one_of(st.none(), st.tuples(st.floats(0.05, 1.2),
+                                              st.floats(0.05, 0.9))),
+           dt=st.floats(0.5, 20.0), offset_k=st.floats(-3.0, 6.0),
+           engaged=st.lists(st.booleans(), min_size=2, max_size=4),
+           p_ref=st.floats(-2000.0, 2000.0))
+    @example(mix=None, dt=10.0, offset_k=0.0, engaged=[True, False, True],
+             p_ref=500.0)
+    # the candidate integral crosses the clamp, the held one does not
+    @example(mix=None, dt=10.0, offset_k=0.0, engaged=[True, True], p_ref=880.0)
+    @example(mix=None, dt=10.0, offset_k=3.81, engaged=[False, False], p_ref=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit(self, mix, dt, offset_k, engaged, p_ref):
+        march_and_reference(mix, dt, offset_k, engaged, p_ref)
+
+    @pytest.mark.parametrize("mix", [None, (0.5, 0.3)])
+    @pytest.mark.parametrize("offset_k", [6.0, -3.0])
+    def test_airflow_saturated(self, mix, offset_k):
+        out, mdot_max = march_and_reference(mix, 10.0, offset_k,
+                                            [False, False], 0.0)
+        assert out["mdot_des"][0] == (mdot_max if offset_k > 0 else 0.0)
+
+    @pytest.mark.parametrize("mix", [None, (0.5, 0.3)])
+    @pytest.mark.parametrize("p_ref", [2000.0, -2000.0])
+    def test_setpoint_clamped(self, mix, p_ref):
+        out, _ = march_and_reference(mix, 10.0, 0.0, [True, True], p_ref)
+        assert np.all(out["t_set"] - ControllerGains().t_set_nominal
+                      == -math.copysign(SETPOINT_ADJ_LIMIT_K, p_ref))
+
+    @pytest.mark.parametrize("mix", [None, (0.5, 0.3)])
+    def test_integral_reset_at_engagement(self, mix):
+        # the first engagement winds the integral up; the second, on the zero
+        # step, starts it from zero: only the proportional term is left
+        gains = ControllerGains()
+        out, _ = march_and_reference(mix, 10.0, 0.0, [True, False, True], 500.0)
+        err = 500.0 - (out["p_fan"][2] - out["p_fan"][0])
+        assert out["t_set"][2] == gains.t_set_nominal - gains.kp_power * err
 
 
 class TestResetAndHandback:

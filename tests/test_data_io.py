@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule, Scenario,
                       cli, data_io)
-from fanshift.errors import ConfigurationError, DataFormatError
+from fanshift.errors import (ConfigurationError, DataFormatError,
+                             TraceAlignmentError)
 from fanshift.trace import SERIES_FIELDS, Trace
 
 from conftest import make_trace
@@ -420,6 +421,25 @@ def write_measured(tmp_path, rows, name="measured.csv"):
     path = tmp_path / name
     path.write_text("ts,fan\n" + "".join(f"{t},{p}\n" for t, p in rows))
     return path
+
+
+class TestEpochClock:
+    # measured files keep their own clock: seconds since 1970 are ~1.7e9,
+    # where one float spacing is 2.4e-7 s
+
+    def test_grid_at_decimal_step_accepted(self, tmp_path):
+        series = data_io.load_measured_csv(
+            write_measured(tmp_path, [(1.7e9, 500.0), (1.7e9 + 100.0, 600.0)]),
+            "time=ts,power=fan")
+        trace = data_io.resample(series, 0.1)
+        assert trace.n_samples == 1001
+        assert trace.t[0] == 1.7e9 and trace.t[-1] == 1.7e9 + 100.0
+
+    def test_millisecond_jitter_rejected(self):
+        t = 1.7e9 + 0.1 * np.arange(11)
+        t[5] += 1e-3
+        with pytest.raises(TraceAlignmentError, match="not uniform"):
+            make_trace(t, np.zeros(11))
 
 
 class TestMeasuredNonFinite:

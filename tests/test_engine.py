@@ -414,6 +414,10 @@ class TestNumericalFailure:
             assert np.all(np.isfinite(series[:i])), name
             assert np.array_equal(series[:i + 1],
                                   getattr(reference, name)[:i + 1]), name
+        # i is the first failure: every checked state before it is in bounds
+        t_low, t_high = sample["bounds"]
+        for series in outputs[-1][:3]:
+            assert np.all((t_low <= series[:i]) & (series[:i] <= t_high))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["t_mix0", "t_room0", "t_wall0", "p_fan0"])

@@ -20,7 +20,7 @@ from fanshift import (BuildingParams, ControllerGains, EventSchedule,
                       OutdoorProfile, Scenario, run_baseline, run_closed_loop,
                       run_open_loop)
 
-from conftest import TRACE_OUTPUTS, equilibrium_start, march
+from conftest import TRACE_OUTPUTS, count_plant_steps, equilibrium_start, march
 
 
 def _closed_loop(params, event, mode):
@@ -154,3 +154,20 @@ def test_skip_edges_bit_identical(run, expected):
     trace = run()
     assert trace.n_samples == 2001
     assert output_digest(trace) == expected
+
+
+# A settle test that stops firing changes no digest above, only the number of
+# steps marched. These are the counts of plant steps each march takes (both
+# marches of ``unpredicted_step_in_warmup``), as taken from the march that
+# tested every step for a settled stretch.
+@pytest.mark.parametrize("run, marched", [
+    (mixing_no_event, 1),
+    (two_state_no_event, 1),
+    (unpredicted_step_in_warmup, 1702),
+    (engaged_mid_stretch, 1501),
+    (reengaged_mid_stretch, 1204),
+])
+def test_skip_edges_marched_steps(monkeypatch, run, marched):
+    steps = count_plant_steps(monkeypatch)
+    run()
+    assert len(steps) == marched

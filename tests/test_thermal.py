@@ -231,6 +231,15 @@ class TestParamsValidation:
         with pytest.raises(ConfigurationError):
             BuildingParams(mix_r=r, mix_c=c)
 
+    @pytest.mark.parametrize("base, r, c", [
+        (BuildingParams(), 5e-324, 0.1),                # r_mix underflows
+        (BuildingParams(c_room=5e-324), 0.3, 0.1),      # c_mix underflows
+        (BuildingParams(c_room=5e-324), 0.3, 0.9),      # c_room_rest underflows
+    ], ids=["r_mix", "c_mix", "c_room_rest"])
+    def test_rejects_pocket_that_underflows(self, base, r, c):
+        with pytest.raises(ConfigurationError, match="mixing pocket needs positive"):
+            base.with_mixing(r, c)
+
     def test_rejects_heating_mode(self):
         with pytest.raises(ConfigurationError):
             BuildingParams(t_supply=35.0)
