@@ -49,6 +49,14 @@ the ``float64`` bytes of every column, the view the encoder formats, so two
 traces share a key exactly when their files would share every byte (bar a
 digest collision); ``-0`` and ``0``, or two NaN payloads, stay apart as they
 do in the text. The registry holds only digests and paths, never text.
+
+A trace file holds ``t_s`` but not the step, so ``read_trace``, the one place
+a ``t`` column comes in from outside, derives it and checks the sampling. The
+step is ``t[1] - t[0]`` when ``t[0] + k * step`` rebuilds the column bit for
+bit, as on a grid from zero. On an epoch clock (t ~ 1.7e9 s) that difference
+carries the clock's rounding, so the step is then the span over the sample
+count, with each sample within 4 float spacings of the largest |t| of
+``t[0] + k * step``. A one-row file has no step.
 """
 
 from __future__ import annotations
@@ -389,6 +397,7 @@ def write_trace(trace: Trace, path: str | Path,
 
 
 def read_trace(path: str | Path, **meta) -> Trace:
+    """Read a trace file on the step derived from its ``t_s`` column (above)."""
     path = Path(path)
     try:
         with path.open(newline="") as fh:
@@ -406,7 +415,17 @@ def read_trace(path: str | Path, **meta) -> Trace:
             raise ValueError(f"{arr.shape[1]} columns, expected {len(SERIES_FIELDS)}")
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    return Trace(**dict(zip(SERIES_FIELDS, arr.T)), **meta)
+    t, n = arr[:, 0], arr.shape[0]
+    if n < 2:
+        raise DataFormatError(f"{path}: a one-row trace has no step")
+    k, step = np.arange(n, dtype=float), float(t[1] - t[0])
+    if not np.array_equal(t[0] + k * step, t):
+        step = float(t[-1] - t[0]) / (n - 1)
+        if not np.all(np.abs(t[0] + k * step - t) <= 4.0 * np.spacing(np.max(np.abs(t)))):
+            raise DataFormatError(f"{path}: t_s is not uniformly sampled")
+    if not 0 < step < math.inf:
+        raise DataFormatError(f"{path}: t_s does not increase")
+    return Trace(**dict(zip(SERIES_FIELDS, arr.T)), dt=step, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +580,7 @@ def resample(series: MeasuredSeries, dt: float) -> Trace:
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be finite and positive")
-    t0 = float(series.t[0])
-    t1 = float(series.t[-1])
+    t0, t1 = float(series.t[0]), float(series.t[-1])
     n = int(math.floor((t1 - t0) / dt + 1e-9))
     grid = t0 + np.arange(n + 1, dtype=float) * dt
     kw = {name: np.full(n + 1, math.nan) for name in SERIES_FIELDS}
@@ -571,7 +589,7 @@ def resample(series: MeasuredSeries, dt: float) -> Trace:
     for name, measured in (("t_room", series.temp), ("t_set_eff", series.setpoint)):
         if measured is not None:
             kw[name] = np.interp(grid, series.t, measured)
-    return Trace(**kw, mode="measured", scenario_id=series.label, source="measured")
+    return Trace(**kw, dt=dt, mode="measured", scenario_id=series.label, source="measured")
 
 
 # ---------------------------------------------------------------------------

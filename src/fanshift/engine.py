@@ -202,6 +202,9 @@ class Scenario:
                 and self.event.duration + self.event.forced_settle_duration
                 > self.settle_duration):
             raise ConfigurationError("forced-settling period exceeds the settling window")
+        # from 2**53 steps on every float is an integer: no multiple check can fail
+        if max(self.t_settle, self.event.forced_settle_duration) / self.dt >= 2.0 ** 53:
+            raise ConfigurationError(f"a run takes at most 2**53 - 1 steps of dt={self.dt}")
         for name, value in (("warmup", self.warmup),
                             ("half_duration", self.event.half_duration),
                             ("settle_duration", self.settle_duration),
@@ -330,7 +333,7 @@ def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
                     "bounds": (t_low, t_high)})
 
     return Trace(
-        t=times, **outs, t_outdoor=t_out, p_event_ref=p_ref,
+        t=times, **outs, t_outdoor=t_out, p_event_ref=p_ref, dt=scenario.dt,
         mode=label, scenario_id=scenario.scenario_id,
         scenario_hash=scenario.digest())
 

@@ -84,15 +84,9 @@ class EventMetrics:
 def _window_indices(trace: Trace, t0: float, t1: float) -> tuple[int, int]:
     i0 = trace.index_at(t0)
     i1 = trace.index_at(t1)
-    if i1 < i0:
-        raise ConfigurationError("window end precedes window start")
+    if i1 <= i0:
+        raise ConfigurationError(f"window [{t0}, {t1}] spans no step of dt={trace.dt}")
     return i0, i1
-
-
-def _trapz(y: np.ndarray, dt: float) -> float:
-    if y.shape[0] < 2:
-        return 0.0
-    return float(np.trapezoid(y, dx=dt))
 
 
 def energy_in_out(event: Trace, baseline: Trace,
@@ -101,8 +95,8 @@ def energy_in_out(event: Trace, baseline: Trace,
     aligned(event, baseline)
     i0, i1 = _window_indices(event, window.t_start, window.t_settle)
     diff = event.p_fan[i0:i1 + 1] - baseline.p_fan[i0:i1 + 1]
-    e_in = _trapz(np.maximum(diff, 0.0), event.dt)
-    e_out = _trapz(np.maximum(-diff, 0.0), event.dt)
+    e_in = float(np.trapezoid(np.maximum(diff, 0.0), dx=event.dt))
+    e_out = float(np.trapezoid(np.maximum(-diff, 0.0), dx=event.dt))
     return e_in, e_out
 
 
@@ -126,7 +120,8 @@ def event_net(event: Trace, baseline: Trace, window: EventWindow) -> tuple[float
     aligned(event, baseline)
     i0, i1 = _window_indices(event, window.t_start, window.t_end)
     diff = event.p_fan[i0:i1 + 1] - baseline.p_fan[i0:i1 + 1]
-    return _trapz(diff, event.dt), _trapz(np.abs(diff), event.dt)
+    return (float(np.trapezoid(diff, dx=event.dt)),
+            float(np.trapezoid(np.abs(diff), dx=event.dt)))
 
 
 def neutrality(event: Trace, baseline: Trace, window: EventWindow) -> tuple[float, bool]:
@@ -148,20 +143,16 @@ def temp_rmse(event: Trace, baseline: Trace, window: EventWindow) -> float:
     """RMS room-temperature deviation (K) over [t_start, t_settle]."""
     aligned(event, baseline)
     i0, i1 = _window_indices(event, window.t_start, window.t_settle)
-    if i1 == i0:
-        return abs(float(event.t_room[i0] - baseline.t_room[i0]))
     dev = event.t_room[i0:i1 + 1] - baseline.t_room[i0:i1 + 1]
     duration = float(event.t[i1] - event.t[i0])
-    return math.sqrt(_trapz(dev * dev, event.dt) / duration)
+    return math.sqrt(float(np.trapezoid(dev * dev, dx=event.dt)) / duration)
 
 
 def normalize(trace: Trace, window: EventWindow) -> Trace:
     """Scale fan power so its mean over [t_start, t_settle] is unity."""
     i0, i1 = _window_indices(trace, window.t_start, window.t_settle)
-    if i1 == i0:
-        mean = float(trace.p_fan[i0])
-    else:
-        mean = _trapz(trace.p_fan[i0:i1 + 1], trace.dt) / float(trace.t[i1] - trace.t[i0])
+    duration = float(trace.t[i1] - trace.t[i0])
+    mean = float(np.trapezoid(trace.p_fan[i0:i1 + 1], dx=trace.dt)) / duration
     if mean <= 0.0:
         raise ConfigurationError("cannot normalize a trace with non-positive mean power")
     return trace.with_p_fan(trace.p_fan / mean)

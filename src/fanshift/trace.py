@@ -1,4 +1,4 @@
-"""Uniformly sampled simulation/measurement traces."""
+"""Uniformly sampled simulation/measurement traces, each with its given step."""
 
 from __future__ import annotations
 
@@ -24,8 +24,10 @@ SERIES_FIELDS = tuple(name for name, _ in SERIES_COLUMNS)
 class Trace:
     """Time series of every signal in a run, sampled every ``dt`` seconds.
 
-    ``t`` need not start at zero (measured data keeps its own clock); it must
-    be uniform. Series unavailable in measured data are NaN-filled.
+    ``dt`` comes from whatever builds the grid, never from ``t``, whose
+    ``t[0]`` need not be zero (measured data keeps its own clock). Sampling is
+    checked only where a ``t`` column comes in from outside, by ``read_trace``.
+    Series unavailable in measured data are NaN-filled.
     """
 
     t: np.ndarray
@@ -38,6 +40,7 @@ class Trace:
     p_fan: np.ndarray
     t_outdoor: np.ndarray
     p_event_ref: np.ndarray
+    dt: float
     mode: str = "unknown"
     scenario_id: str = ""
     scenario_hash: str = ""
@@ -52,20 +55,6 @@ class Trace:
             if arr.shape != (n,):
                 raise TraceAlignmentError(
                     f"series {name!r} has shape {arr.shape}, expected ({n},)")
-        if n > 1:
-            # each sample time is rounded to its own float spacing, which on
-            # an epoch clock (t ~ 1.7e9 s: 2.4e-7 s) dwarfs 1 ns; a step then
-            # differs from the first by up to two of those spacings
-            steps = np.diff(self.t)
-            atol = max(1e-9, 4.0 * float(np.spacing(np.max(np.abs(self.t)))))
-            if not np.allclose(steps, steps[0], rtol=0.0, atol=atol):
-                raise TraceAlignmentError("trace sampling is not uniform")
-
-    @property
-    def dt(self) -> float:
-        if self.t.shape[0] < 2:
-            return 0.0
-        return float(self.t[1] - self.t[0])
 
     @property
     def n_samples(self) -> int:
@@ -73,27 +62,26 @@ class Trace:
 
     def index_at(self, time: float) -> int:
         """Index of the sample at ``time``; the time must sit on the grid."""
-        if self.n_samples == 1:
-            if abs(time - float(self.t[0])) > 1e-6:
-                raise TraceAlignmentError(f"time {time} outside single-sample trace")
-            return 0
-        pos = (time - float(self.t[0])) / self.dt
+        t0 = float(self.t[0])
+        pos = (time - t0) / self.dt
         idx = int(round(pos))
-        if idx < 0 or idx >= self.n_samples or abs(pos - idx) > 1e-6:
+        # twice the 4 float spacings of the clock read_trace allows, >= 1e-6 steps
+        slack = max(1e-6, 8.0 * np.spacing(max(abs(t0), abs(self.t[-1]))) / self.dt)
+        if idx < 0 or idx >= self.n_samples or abs(pos - idx) > slack:
             raise TraceAlignmentError(
-                f"time {time} not on trace grid (t0={self.t[0]}, dt={self.dt})")
+                f"time {time} not on trace grid (t0={t0}, dt={self.dt})")
         return idx
 
     def with_p_fan(self, p_fan: np.ndarray, **meta) -> "Trace":
         return replace(self, p_fan=np.asarray(p_fan, dtype=float), **meta)
 
     def sliced(self, start: int, stop: int) -> "Trace":
-        """Sub-trace over sample indices [start, stop] inclusive."""
+        """Sub-trace over sample indices [start, stop] inclusive, on the same step."""
         kw = {name: getattr(self, name)[start:stop + 1] for name in SERIES_FIELDS}
         return replace(self, **kw)
 
 
 def aligned(a: Trace, b: Trace) -> None:
-    """Raise unless two traces share the same time grid."""
-    if a.n_samples != b.n_samples or not np.array_equal(a.t, b.t):
+    """Raise unless two traces share the same time grid, bit for bit."""
+    if a.dt != b.dt or not np.array_equal(a.t, b.t):
         raise TraceAlignmentError("traces are not on the same time grid")

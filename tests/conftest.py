@@ -39,14 +39,15 @@ def gains():
 
 
 def make_trace(t, p_fan, t_room=None, **meta) -> Trace:
-    """Synthetic trace with every other series zero-filled."""
+    """Synthetic trace with every other series zero-filled, on the step of its
+    first two samples (every caller's grid starts at zero)."""
     t = np.asarray(t, dtype=float)
     kw = {name: np.zeros_like(t) for name in SERIES_FIELDS}
     kw["t"] = t
     kw["p_fan"] = np.asarray(p_fan, dtype=float)
     if t_room is not None:
         kw["t_room"] = np.asarray(t_room, dtype=float)
-    return Trace(**kw, **meta)
+    return Trace(**kw, dt=float(t[1] - t[0]), **meta)
 
 
 def count_marches(monkeypatch) -> list:

@@ -172,6 +172,34 @@ class TestRejectedCommandWritesNothing:
         assert not calls and taken.read_text() == "kept\n"
 
 
+class TestStepCountLimit:
+    # from 2**53 steps on, no float step count can fail the multiple-of-dt
+    # check; the scenario is rejected before any array is sized from it
+
+    @pytest.mark.parametrize("key, value", [("dt_s", "1.0e-300"),
+                                            ("settle_duration_s", "1.0e+300")])
+    def test_simulate_exits_1(self, tmp_path, capsys, key, value):
+        raw = yaml.safe_load(CLOSED_LOOP_3H)
+        raw[key] = float(value)
+        config = tmp_path / "huge.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at most 2**53 - 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_sweep_point_is_a_listed_failure(self, tmp_path, capsys):
+        code = cli.main(["sweep-mixing", "--r-grid", "0.3", "--c-grid", "0.1",
+                         "--dt", "1e-300", "--out", str(tmp_path)])
+        assert code == 1
+        assert data_io.read_results(tmp_path / "mixing_sweep.csv") == []
+        err = capsys.readouterr().err
+        assert "sweep points failed:\n  r=0.3 c=0.1: " in err
+        assert "at most 2**53 - 1" in err and "Traceback" not in err
+
+
 class TestSweepFailures:
     def _sweep(self, tmp_path, r_grid):
         code = cli.main(["sweep-mixing", "--r-grid", r_grid, "--c-grid", "0.1",
@@ -309,6 +337,30 @@ class TestMeasuredErrors:
         assert code == 0
         [record] = data_io.read_results(tmp_path / "measured_metrics.csv")
         assert record.e_in_j > 0.0
+
+
+class TestMeasuredEpochClock:
+    # a measured file keeps its epoch clock, where one float spacing is
+    # 2.4e-7 s: a decimal step is not exact on it
+
+    def test_decimal_step(self, tmp_path):
+        measured = tmp_path / "epoch.csv"
+        measured.write_text("ts,fan\n1700000000,500\n1700000100,600\n")
+        trace, record = cli._measured_outputs(measured, "time=ts,power=fan", 0.1, None)
+        assert trace.n_samples == 1001 and trace.dt == 0.1 and record is None
+
+    def test_window_on_grid_gives_a_row(self, tmp_path):
+        # the linear baseline averages 30 min on either side of the window,
+        # so the file spans 2.5 h; a +50 W step from 1 h to 1 h 10 min
+        measured = tmp_path / "epoch.csv"
+        measured.write_text("ts,fan\n1700000000,500\n1700003599.9,500\n"
+                            "1700003600,550\n1700004199.9,550\n"
+                            "1700004200,500\n1700009000,500\n")
+        window = (1700003600.0, 1700004200.1, 1700005400.3)
+        trace, record = cli._measured_outputs(measured, "time=ts,power=fan", 0.1,
+                                              window)
+        assert trace.n_samples == 90_001 and trace.dt == 0.1
+        assert record.kind == "MEASURED" and record.e_in_j > 0.0
 
 
 class TestNumberArguments:

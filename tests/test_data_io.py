@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule, Scenario,
                       cli, data_io)
-from fanshift.errors import (ConfigurationError, DataFormatError,
-                             TraceAlignmentError)
+from fanshift.errors import ConfigurationError, DataFormatError
 from fanshift.trace import SERIES_FIELDS, Trace
 
 from conftest import make_trace
@@ -102,7 +101,7 @@ class TestTraceEncoder:
     def test_bytes_of_savetxt(self, tmp_path, data, n):
         series = {name: data.draw(trace_series(n), label=name)
                   for name in SERIES_FIELDS[1:]}
-        trace = Trace(t=np.arange(n), **series)
+        trace = Trace(t=np.arange(n), **series, dt=1.0)
         data_io.write_trace(trace, tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == savetxt_bytes(
             trace, tmp_path / "oracle.csv")
@@ -435,11 +434,39 @@ class TestEpochClock:
         assert trace.n_samples == 1001
         assert trace.t[0] == 1.7e9 and trace.t[-1] == 1.7e9 + 100.0
 
-    def test_millisecond_jitter_rejected(self):
+    def test_millisecond_jitter_rejected(self, tmp_path):
+        # the sampling of a t column from outside is checked where it is read
         t = 1.7e9 + 0.1 * np.arange(11)
         t[5] += 1e-3
-        with pytest.raises(TraceAlignmentError, match="not uniform"):
-            make_trace(t, np.zeros(11))
+        data_io.write_trace(make_trace(t, np.zeros(11)), tmp_path / "jitter.csv")
+        with pytest.raises(DataFormatError,
+                           match="jitter.csv: t_s is not uniformly sampled"):
+            data_io.read_trace(tmp_path / "jitter.csv")
+
+    def test_one_row_trace_rejected(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_bytes((HEADER + "1700000000,0,0,0,0,0,0,500,0,0\r\n").encode())
+        with pytest.raises(DataFormatError, match="one.csv: a one-row trace has no step"):
+            data_io.read_trace(path)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(t0=st.floats(0.0, 2e9),
+           dt=st.sampled_from([0.003, 0.01, 0.07, 0.1, 0.25, 1.0, 8.0, 20.0]),
+           n=st.integers(2, 3000))
+    def test_every_sample_found(self, tmp_path, t0, dt, n):
+        # half a step of slack, so the grid has n samples
+        series = data_io.MeasuredSeries(t=np.array([t0, t0 + (n - 0.5) * dt]),
+                                        power=np.array([500.0, 600.0]))
+        trace = data_io.resample(series, dt)
+        assert trace.dt == dt and trace.n_samples == n
+        data_io.write_trace(trace, tmp_path / "trace.csv")
+        back = data_io.read_trace(tmp_path / "trace.csv")
+        assert np.array_equal(back.t, trace.t)
+        # the file knows the step only to the rounding of its clock
+        assert abs(back.dt - dt) * (n - 1) <= 4.0 * np.spacing(trace.t[-1])
+        for tr in (trace, back):
+            assert [tr.index_at(float(x)) for x in tr.t] == list(range(tr.n_samples))
 
 
 class TestMeasuredNonFinite:

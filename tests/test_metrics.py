@@ -279,3 +279,9 @@ class TestEvaluateEvent:
             EventWindow(100.0, 100.0, 200.0)
         with pytest.raises(ConfigurationError):
             EventWindow(0.0, 300.0, 200.0)
+
+    def test_window_within_one_sample_rejected(self):
+        # 1e-7 s is on the grid of sample 0, so the event window spans no step
+        ev, base = square_pair()
+        with pytest.raises(ConfigurationError, match="spans no step"):
+            metrics.event_net(ev, base, EventWindow(0.0, 1e-7, 3600.0))

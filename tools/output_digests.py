@@ -25,8 +25,8 @@ check that a change leaves every result byte-identical, run
 which prints nothing when every digest matches. A change that moves a result
 on purpose updates that file in the same commit.
 
-Exits 1 when any command exits non-zero. Takes 4.8-5.7 s on one core
-(three runs on a 2-vCPU shared cloud host, Python 3.11).
+Exits 1 when any command exits non-zero. Takes 2.8-3.2 s on one core
+(five runs on a 2-vCPU shared cloud host, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
