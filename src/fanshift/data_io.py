@@ -79,7 +79,7 @@ from .engine import EventSchedule, OutdoorProfile, Scenario
 from .errors import ConfigurationError, DataFormatError
 from .metrics import EventMetrics
 from .thermal import BuildingParams, delta_f_to_k, fahrenheit_to_celsius
-from .trace import SERIES_COLUMNS, SERIES_FIELDS, Trace
+from .trace import SERIES_COLUMNS, SERIES_FIELDS, Trace, grid_slack
 
 __all__ = [
     "MeasuredSeries",
@@ -418,6 +418,8 @@ def read_trace(path: str | Path, **meta) -> Trace:
     t, n = arr[:, 0], arr.shape[0]
     if n < 2:
         raise DataFormatError(f"{path}: a one-row trace has no step")
+    if not np.all(np.isfinite(t)):
+        raise DataFormatError(f"{path}: t_s holds a non-finite time")
     k, step = np.arange(n, dtype=float), float(t[1] - t[0])
     if not np.array_equal(t[0] + k * step, t):
         step = float(t[-1] - t[0]) / (n - 1)
@@ -576,12 +578,13 @@ def load_measured_csv(path: str | Path, spec: str) -> MeasuredSeries:
 def resample(series: MeasuredSeries, dt: float) -> Trace:
     """Linearly interpolate a measured series onto a uniform grid over its span.
 
-    Series the measurement lacks are NaN-filled.
+    A grid sample within the clock's rounding of the last time (``grid_slack``)
+    is kept. Series the measurement lacks are NaN-filled.
     """
     if not 0 < dt < math.inf:
         raise ConfigurationError("dt must be finite and positive")
     t0, t1 = float(series.t[0]), float(series.t[-1])
-    n = int(math.floor((t1 - t0) / dt + 1e-9))
+    n = int(math.floor((t1 - t0) / dt + grid_slack(t0, t1, dt)))
     grid = t0 + np.arange(n + 1, dtype=float) * dt
     kw = {name: np.full(n + 1, math.nan) for name in SERIES_FIELDS}
     kw.update(t=grid, p_fan=np.interp(grid, series.t, series.power),

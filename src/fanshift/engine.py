@@ -8,15 +8,15 @@ the lags, all inputs zero-order-held over each step. Runs start from the
 analytic equilibrium, the temperature integral carrying the equilibrium flow:
 a bit-exact fixed point, where runs sit flat and unmarched until an input changes.
 
-Identical scenarios produce bit-identical traces: the engine is seed-free;
-no-event runs are memoised (the last two) and shared read-only. The open-loop
-tuner solves the signed net over the event window for zero, to within
-``NET_STOP_FRAC`` of the probe's own integral of |p_fan - p_base| there. Its
-probes march only to the t_end sample, the prefix of the full march to the
-bit, since the net reads nothing later. It then marches the root once to
-t_settle, judges it by ``metrics.NEUTRAL_FRAC`` like every result row, and
-keeps that march (one slot, read-only), so the event run of the tuned
-schedule is not marched again.
+Identical scenarios produce bit-identical traces: the engine is seed-free.
+The last three open-loop runs are memoised on the scenario without its id and
+shared read-only. A baseline is the open-loop run of a zero setpoint schedule
+under the forecast, so shared baselines and the tuned event march once. The
+open-loop tuner solves the signed net over the event window for zero, to
+within ``NET_STOP_FRAC`` of the probe's own integral of |p_fan - p_base|
+there. Its probes march only to the t_end sample, the prefix of the full
+march to the bit, since the net reads nothing later. It then runs the root to
+t_settle, and judges it by ``metrics.NEUTRAL_FRAC`` like every result row.
 """
 
 from __future__ import annotations
@@ -59,13 +59,11 @@ KIND_DOWN_UP = "DOWN_UP"
 KINDS = (KIND_UP_DOWN, KIND_DOWN_UP)
 
 # temperatures this far outside [t_supply, max outdoor] mean the integrator
-# has blown up; checked every step
+# has blown up; checked in one numpy pass once the march ends
 _SANITY_MARGIN_K = 5.0
 # explicit RK4 is stable on the real axis to about 2.785/tau; reject steps
 # beyond 2.5x the fastest estimated plant time constant
 _RK4_DT_SAFETY = 2.5
-# no-event runs memoised; the settling study alternates flat and stepped forecasts
-_BASELINE_MEMO_SIZE = 2
 # the tuner stops at |net| <= NET_STOP_FRAC * integral of |p_fan - p_base|,
 # both over the probe's event window
 NET_STOP_FRAC = 1e-4
@@ -76,8 +74,6 @@ _FIRST_MAGNITUDE_K = 1e-3
 # the longest step outward before a sign bracket, in spacings of the two
 # latest probes
 _MAX_EXPANSION = 8.0
-# the tuner's accepted probe: its scenario without the id -> its read-only trace
-_tuned_event: dict[Scenario, Trace] = {}
 
 
 @dataclass(frozen=True)
@@ -338,19 +334,9 @@ def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
         scenario_hash=scenario.digest())
 
 
-@functools.lru_cache(maxsize=_BASELINE_MEMO_SIZE)
-def _memo_baseline(params: BuildingParams, gains: ControllerGains, dt: float,
-                   warmup: float, settle_duration: float,
-                   oa_predicted: OutdoorProfile) -> Trace:
-    """The no-event march fixed by its six inputs, with read-only arrays."""
-    scenario = Scenario(params=params, gains=gains, dt=dt, warmup=warmup,
-                        settle_duration=settle_duration, oa_predicted=oa_predicted,
-                        event=EventSchedule(half_duration=0.0,
-                                            forced_settle_duration=0.0))
-    trace = _run(scenario, oa_predicted, "baseline")
-    for name in SERIES_FIELDS:
-        getattr(trace, name).setflags(write=False)
-    return trace
+# the zero setpoint schedule of every baseline
+_NO_EVENT = EventSchedule(half_duration=0.0, setpoint_deltas=(0.0, 0.0),
+                          forced_settle_duration=0.0)
 
 
 def run_baseline(scenario: Scenario) -> Trace:
@@ -358,27 +344,37 @@ def run_baseline(scenario: Scenario) -> Trace:
 
     This is the counterfactual the power controller subtracts from measured
     fan power; it starts at the analytic equilibrium for the nominal setpoint.
-    The last two distinct runs are memoised on the six inputs they depend on,
-    and every caller of one shares its read-only arrays.
+    It is the open-loop run of a zero setpoint schedule under the forecast,
+    and shares :func:`run_open_loop`'s memo and read-only arrays.
     """
-    cached = _memo_baseline(scenario.params, scenario.gains, scenario.dt,
-                            scenario.warmup, scenario.settle_duration,
-                            scenario.oa_predicted)
-    return replace(cached, scenario_id=scenario.scenario_id,
-                   scenario_hash=scenario.digest())
+    no_event = replace(scenario, event=_NO_EVENT, mode=MODE_OPEN_LOOP,
+                       oa_actual=scenario.oa_predicted, scenario_id="")
+    return replace(_memo_open_loop(no_event), mode="baseline",
+                   scenario_id=scenario.scenario_id, scenario_hash=scenario.digest())
 
 
 def run_open_loop(scenario: Scenario) -> Trace:
-    """Predetermined setpoint-schedule event under the *actual* outdoor profile."""
+    """Predetermined setpoint-schedule event under the *actual* outdoor profile.
+
+    The last three distinct runs are memoised on the scenario without its id,
+    and every caller of one shares its read-only arrays.
+    """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("run_open_loop needs an open-loop scenario")
     if scenario.event.setpoint_deltas is None:
         raise ConfigurationError("open-loop event needs setpoint_deltas")
-    tuned = _tuned_event.get(replace(scenario, scenario_id=""))
-    if tuned is not None:
-        return replace(tuned, scenario_id=scenario.scenario_id,
-                       scenario_hash=scenario.digest())
-    return _march_open_loop(scenario)
+    return replace(_memo_open_loop(replace(scenario, scenario_id="")),
+                   scenario_id=scenario.scenario_id)
+
+
+# a command reuses its flat and stepped baselines and its tuned event
+@functools.lru_cache(maxsize=3)
+def _memo_open_loop(scenario: Scenario) -> Trace:
+    """The full open-loop march of ``scenario``, with read-only arrays."""
+    trace = _march_open_loop(scenario)
+    for name in SERIES_FIELDS:
+        getattr(trace, name).setflags(write=False)
+    return trace
 
 
 def _march_open_loop(scenario: Scenario, until: float | None = None) -> Trace:
@@ -431,11 +427,10 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
     horizon's inputs and sanity bounds cut there, so its net is the full
     march's to the bit; no magnitude is probed twice.
 
-    The root is then marched once to t_settle and judged by the results'
-    verdict (``metrics.NEUTRAL_FRAC``); its trace replaces the one kept for
-    :func:`run_open_loop`, which returns it for the same scenario instead of
-    marching it again. A schedule that already meets the stop rule is
-    returned unchanged.
+    The root is then run to t_settle through :func:`run_open_loop`, whose
+    memo keeps it for the event run of the tuned schedule, and judged by the
+    results' verdict (``metrics.NEUTRAL_FRAC``). A schedule that already
+    meets the stop rule is returned unchanged.
     """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("tuning applies to open-loop scenarios")
@@ -459,16 +454,11 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
 
     mag = _neutral_magnitude(net, abs(d2_init))
     tuned = scenario if mag == abs(d2_init) else schedule(mag)
-    trace = _march_open_loop(tuned)
-    signed, neutral = metrics.neutrality(trace, counterfactual, window)
+    signed, neutral = metrics.neutrality(run_open_loop(tuned), counterfactual, window)
     if not neutral:
         raise TuningError(
             f"the root |delta2|={mag:.6g} is not neutral over t_settle: "
             f"net {signed:.3g} J")
-    for name in SERIES_FIELDS:
-        getattr(trace, name).setflags(write=False)
-    _tuned_event.clear()
-    _tuned_event[replace(tuned, scenario_id="")] = trace
     return tuned.event
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import TraceAlignmentError
 
-__all__ = ["Trace", "SERIES_COLUMNS", "SERIES_FIELDS", "aligned"]
+__all__ = ["Trace", "SERIES_COLUMNS", "SERIES_FIELDS", "aligned", "grid_slack"]
 
 # (field, CSV column) of every per-sample series of a trace, in column order
 SERIES_COLUMNS = (
@@ -65,9 +65,8 @@ class Trace:
         t0 = float(self.t[0])
         pos = (time - t0) / self.dt
         idx = int(round(pos))
-        # twice the 4 float spacings of the clock read_trace allows, >= 1e-6 steps
-        slack = max(1e-6, 8.0 * np.spacing(max(abs(t0), abs(self.t[-1]))) / self.dt)
-        if idx < 0 or idx >= self.n_samples or abs(pos - idx) > slack:
+        if (idx < 0 or idx >= self.n_samples
+                or abs(pos - idx) > grid_slack(t0, self.t[-1], self.dt)):
             raise TraceAlignmentError(
                 f"time {time} not on trace grid (t0={t0}, dt={self.dt})")
         return idx
@@ -79,6 +78,12 @@ class Trace:
         """Sub-trace over sample indices [start, stop] inclusive, on the same step."""
         kw = {name: getattr(self, name)[start:stop + 1] for name in SERIES_FIELDS}
         return replace(self, **kw)
+
+
+def grid_slack(t0: float, t1: float, dt: float) -> float:
+    """How far, in steps of ``dt``, a time on a grid over [t0, t1] may sit off
+    it: twice the 4 float spacings of the clock read_trace allows, >= 1e-6."""
+    return max(1e-6, 8.0 * np.spacing(max(abs(t0), abs(t1))) / dt)
 
 
 def aligned(a: Trace, b: Trace) -> None:

@@ -15,12 +15,11 @@ TRACE_OUTPUTS = ("t_mix", "t_room", "t_wall", "t_set_eff", "mdot_desired",
 
 
 @pytest.fixture(autouse=True)
-def empty_baseline_memo():
-    """Start every test with no memoised baseline or tuned event, so a run a
-    previous test left in a memo cannot hide a march from a spied or patched
-    kernel."""
-    engine._memo_baseline.cache_clear()
-    engine._tuned_event.clear()
+def empty_open_loop_memo():
+    """Start every test with no memoised open-loop run (baselines and tuned
+    events alike), so a run a previous test left in the memo cannot hide a
+    march from a spied or patched kernel."""
+    engine._memo_open_loop.cache_clear()
 
 
 @pytest.fixture

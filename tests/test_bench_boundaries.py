@@ -7,6 +7,10 @@ each kernel call is counted by the plant model and step count in its first
 two. A trace copied from an identical one already written stays inside the
 ``write_trace`` boundary, so ``trace_write`` counts files, not encodes.
 
+The work of each benchmark workload, built by ``perfbench/workloads.py`` at
+seed 1 and run in-process, is pinned in kernel calls, simulated steps and
+trace encodes, so a run or an encode that stops being reused fails here.
+
 Before it measures anything, ``perfbench/run.py`` runs its environment probe
 in a child process and fails if the probe fails; the probe reads
 ``kernels.JIT_ENABLED``.
@@ -15,6 +19,8 @@ in a child process and fails if the probe fails; the probe reads
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 import fanshift
 import fanshift.cli  # noqa: F401 - the tracer reaches every module through the package
@@ -81,6 +87,32 @@ def test_forced_settling_sizes_every_trace_file(tmp_path, monkeypatch):
     assert len(spans) == len(set(paths)) == 24
     assert sorted(paths) == sorted((tmp_path / "traces").glob("*.csv"))
     assert [s.info["bytes"] for s in spans] == [p.stat().st_size for p in paths]
+
+
+@pytest.mark.parametrize("workload, work", [
+    ("settling_study", (12, 25_320, 12)),
+    ("mixing_sweep", (20, 84_400, 0)),
+    ("neutral_tune", (6, 15_950, 2)),
+])
+def test_workload_work_pinned(tmp_path, monkeypatch, workload, work):
+    """Kernel calls, simulated steps and trace encodes of each benchmark
+    workload at seed 1: a lost reuse of a run or an encode fails here."""
+    command = load_perfbench(monkeypatch, "workloads").WORKLOADS[workload](1, tmp_path)
+    steps, encodes = [], []
+    simulate_loop, trace_chunks = kernels.simulate_loop, data_io._trace_chunks
+
+    def count_steps(*args):
+        steps.append(args[1])
+        return simulate_loop(*args)
+
+    def count_encodes(columns):
+        encodes.append(len(columns[0]))
+        return trace_chunks(columns)
+
+    monkeypatch.setattr(kernels, "simulate_loop", count_steps)
+    monkeypatch.setattr(data_io, "_trace_chunks", count_encodes)
+    assert cli.main(command.argv + ["--out", str(tmp_path / "out")]) == 0
+    assert (len(steps), sum(steps), len(encodes)) == work
 
 
 def test_environment_probe_prints_its_record(monkeypatch):

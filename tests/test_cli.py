@@ -269,14 +269,25 @@ class TestTunedEvent:
         calls = count_marches(monkeypatch)
         engine.tune_open_loop_event(data_io.load_scenario_config(config))
         tuning = len(calls)  # the baseline and every probe
-        engine._memo_baseline.cache_clear()
-        engine._tuned_event.clear()
+        engine._memo_open_loop.cache_clear()
         calls.clear()
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(config), "--tune-neutral",
                          "--out", str(out)]) == 0
         # the event run reuses the accepted probe's march
         assert len(calls) == tuning
+
+    def test_forecast_off_the_actual_profile(self, tmp_path, monkeypatch):
+        # the control baseline (forecast), the counterfactual (actual) and the
+        # root each march once to t_settle; the four probes stop at t_end
+        config = tmp_path / "open.yaml"
+        config.write_text(OPEN_LOOP_SHORT
+                          + "outdoor:\n  actual: {step_at_s: 600, step_f: 6}\n")
+        calls = count_marches(monkeypatch)
+        assert cli.main(["simulate", "--config", str(config), "--tune-neutral",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 7
+        assert calls.count(780) == 3  # n_steps of 7,800 s at dt 10
 
 
 class TestTunedResidual:

@@ -316,6 +316,18 @@ class TestTraceReadErrors:
             with pytest.raises(DataFormatError, match="trace.csv: empty trace"):
                 data_io.read_trace(path)
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_time(self, tmp_path, bad):
+        # rejected before the grid is rebuilt from it, so numpy warns of nothing
+        path = tmp_path / "trace.csv"
+        path.write_bytes((HEADER + "0,0,0,0,0,0,0,500,0,0\r\n"
+                          f"{bad},0,0,0,0,0,0,500,0,0\r\n").encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError,
+                               match="trace.csv: t_s holds a non-finite time"):
+                data_io.read_trace(path)
+
 
 class TestResultsRoundTrip:
     def test_records_survive(self, tmp_path):
@@ -449,14 +461,24 @@ class TestEpochClock:
         with pytest.raises(DataFormatError, match="one.csv: a one-row trace has no step"):
             data_io.read_trace(path)
 
+    @pytest.mark.parametrize("t, dt, n", [((1.7e9, 1.7e9 + 0.3), 0.1, 4),
+                                          ((32768.0, 32768.003), 0.003, 2)])
+    def test_last_sample_kept(self, t, dt, n):
+        # t1 - t0 is 0.29999995 s here: the clock's rounding, far more than 1e-9 steps
+        series = data_io.MeasuredSeries(t=np.array(t), power=np.array([500.0, 600.0]))
+        trace = data_io.resample(series, dt)
+        assert trace.n_samples == n
+        assert trace.index_at(t[1]) == n - 1
+        assert trace.p_fan[-1] == 600.0
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(t0=st.floats(0.0, 2e9),
            dt=st.sampled_from([0.003, 0.01, 0.07, 0.1, 0.25, 1.0, 8.0, 20.0]),
            n=st.integers(2, 3000))
     def test_every_sample_found(self, tmp_path, t0, dt, n):
-        # half a step of slack, so the grid has n samples
-        series = data_io.MeasuredSeries(t=np.array([t0, t0 + (n - 0.5) * dt]),
+        # the series ends on the grid's last sample, to the clock's rounding
+        series = data_io.MeasuredSeries(t=np.array([t0, t0 + (n - 1) * dt]),
                                         power=np.array([500.0, 600.0]))
         trace = data_io.resample(series, dt)
         assert trace.dt == dt and trace.n_samples == n

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule,
                       OutdoorProfile, Scenario, engine, equilibrium, kernels,
@@ -134,7 +136,7 @@ class TestBaseline:
     def test_determinism_bit_identical(self):
         sc = quick_scenario()
         cached = run_baseline(sc)
-        engine._memo_baseline.cache_clear()
+        engine._memo_open_loop.cache_clear()
         fresh = run_baseline(sc)
         assert fresh.p_fan is not cached.p_fan
         for name in SERIES_FIELDS:
@@ -175,6 +177,30 @@ class TestBaselineMemo:
         assert (b.scenario_id, b.scenario_hash) == (other.scenario_id,
                                                      other.digest())
         assert b.mode == "baseline"
+
+    @settings(max_examples=30, deadline=None)
+    @given(mixing=st.sampled_from([None, (0.3, 0.1), (0.9, 0.3)]),
+           dt=st.sampled_from([1.0, 8.0, 20.0]),
+           forecast=st.sampled_from([
+               OutdoorProfile.constant(29.4), OutdoorProfile.step_at(29.4, 1200.0, 1.7),
+               OutdoorProfile(times=(0.0, 800.0, 2000.0), values=(29.4, 31.0, 27.5))]),
+           gains=st.sampled_from([ControllerGains(),
+                                  replace(ControllerGains(), kp_temp=0.5, ki_temp=4e-3)]))
+    def test_zero_schedule_is_the_no_event_run(self, mixing, dt, forecast, gains):
+        # a baseline is the open-loop run of a zero setpoint schedule under the
+        # forecast: the same bits as the run with no setpoint input at all
+        params = BuildingParams() if mixing is None else BuildingParams().with_mixing(*mixing)
+        sc = quick_scenario(params=params, gains=gains, dt=dt, warmup=800.0,
+                            settle_duration=3600.0, oa_predicted=forecast)
+        engine._memo_open_loop.cache_clear()
+        memo = run_baseline(sc)
+        no_event = replace(sc, event=EventSchedule(half_duration=0.0,
+                                                   forced_settle_duration=0.0))
+        marched = engine._run(no_event, sc.oa_predicted, "baseline")
+        for name in SERIES_FIELDS:
+            assert getattr(memo, name).tobytes() == getattr(marched, name).tobytes(), name
+        assert (memo.mode, memo.dt) == (marched.mode, marched.dt)
+        assert (memo.scenario_id, memo.scenario_hash) == (sc.scenario_id, sc.digest())
 
     def test_cached_arrays_reject_writes(self):
         trace = run_baseline(quick_scenario())
@@ -394,6 +420,7 @@ class TestNumericalFailure:
         sc = quick_scenario(event=EventSchedule(kind="DOWN_UP",
                                                 setpoint_deltas=(5.0, -5.0)))
         reference = run_open_loop(sc)  # default bounds: never left
+        engine._memo_open_loop.cache_clear()  # so the patched run marches
         outputs, simulate_loop = [], kernels.simulate_loop
 
         def spy(*args):
@@ -541,11 +568,18 @@ class TestTuner:
     def test_accepted_probe_reused_bit_for_bit(self, monkeypatch):
         sc = self._scenario()
         tuned = replace(sc, event=tune_open_loop_event(sc), scenario_id="renamed")
-        assert len(engine._tuned_event) == 1  # the accepted probe's trace only
+        # the memo holds exactly the counterfactual and the root, no probe
+        counterfactual = replace(sc, event=engine._NO_EVENT, oa_actual=sc.oa_predicted,
+                                 scenario_id="")
+        info = engine._memo_open_loop.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        for run in (counterfactual, replace(tuned, scenario_id="")):
+            engine._memo_open_loop(run)
+        assert engine._memo_open_loop.cache_info().misses == 2
         calls = count_marches(monkeypatch)
         kept = run_open_loop(tuned)
         assert not calls
-        engine._tuned_event.clear()
+        engine._memo_open_loop.cache_clear()
         fresh = run_open_loop(tuned)
         assert len(calls) == 1
         for name in SERIES_FIELDS:
