@@ -53,30 +53,40 @@ def run_event_pair(scenario: Scenario) -> tuple[Trace, Trace, Trace]:
     Returns (event, control_baseline, counterfactual). The control baseline
     is the no-event run under the *predicted* outdoor profile that the power
     controller subtracts; the counterfactual is the no-event run under the
-    *actual* profile that metrics compare against. They are one and the same
-    run whenever the profiles agree.
+    *actual* profile that metrics compare against. Whenever the profiles
+    agree they are one memoised trace, marched once.
     """
     control_base = run_baseline(scenario)
     if scenario.mode == MODE_OPEN_LOOP:
         event = run_open_loop(scenario)
     else:
         event = run_closed_loop(scenario, control_base)
-    if scenario.oa_actual == scenario.oa_predicted:
-        counterfactual = control_base
-    else:
-        counterfactual = run_baseline(replace(scenario, oa_predicted=scenario.oa_actual))
+    counterfactual = run_baseline(replace(scenario, oa_predicted=scenario.oa_actual))
     return event, control_base, counterfactual
+
+
+def _metrics_window(scenario: Scenario,
+                    window_name: str) -> tuple[metrics.EventWindow, float]:
+    """The "full" settling window or the "2h" one after event start, and its hours."""
+    window = scenario.window()
+    if window_name == "full":
+        return window, scenario.settle_duration / 3600.0
+    t_short = scenario.t_start + SHORT_WINDOW_HR * 3600.0
+    steps = SHORT_WINDOW_HR * 3600.0 / scenario.dt
+    if (not scenario.t_end <= t_short <= scenario.t_settle
+            or abs(steps - round(steps)) > 1e-9):
+        raise ConfigurationError(
+            f"the {SHORT_WINDOW_HR:g} h window ends at {t_short:g} s, which must lie on "
+            f"the dt={scenario.dt:g} s grid, no earlier than the event end "
+            f"({scenario.t_end:g} s) and no later than the end of the settling "
+            f"window ({scenario.t_settle:g} s)")
+    return window.with_settle(t_short), SHORT_WINDOW_HR
 
 
 def _metrics_record(scenario: Scenario, event: Trace, counterfactual: Trace,
                     window_name: str) -> data_io.ResultRecord:
-    """Metrics over the "full" settling window or the "2h" one after event start."""
-    window = scenario.window()
-    if window_name == "full":
-        window_hr = scenario.settle_duration / 3600.0
-    else:
-        window_hr = SHORT_WINDOW_HR
-        window = window.with_settle(scenario.t_start + window_hr * 3600.0)
+    """Metrics over the window named ``window_name`` (see ``_metrics_window``)."""
+    window, window_hr = _metrics_window(scenario, window_name)
     m = metrics.evaluate_event(event, counterfactual, window)
     return data_io.ResultRecord.from_metrics(
         m, scenario_id=scenario.scenario_id, mode=scenario.mode,
@@ -112,6 +122,8 @@ def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
     scenario = data_io.load_scenario_config(config)
     if dt is not None:
         scenario = replace(scenario, dt=dt)
+    for name in windows:  # a window that does not fit is rejected before any march
+        _metrics_window(scenario, name)
     if tune_neutral:
         if scenario.mode != MODE_OPEN_LOOP:
             raise ConfigurationError("--tune-neutral applies to open-loop scenarios")
@@ -125,7 +137,7 @@ def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
     data_io.make_output_dir(out)
     data_io.write_trace(event, out / f"{sid}_event.csv")
     data_io.write_trace(control_base, out / f"{sid}_baseline.csv")
-    if counterfactual is not control_base:
+    if scenario.oa_actual != scenario.oa_predicted:
         data_io.write_trace(counterfactual, out / f"{sid}_counterfactual.csv")
     data_io.write_results(records, out / f"{sid}_metrics.csv")
     return 0
@@ -268,7 +280,7 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
             data_io.write_trace(event, traces_dir / f"{sid}.csv", written)
             data_io.write_trace(control_base, traces_dir / f"{sid}_baseline.csv",
                                 written)
-            if counterfactual is not control_base:
+            if scenario.oa_actual != scenario.oa_predicted:
                 data_io.write_trace(counterfactual,
                                     traces_dir / f"{sid}_counterfactual.csv", written)
     data_io.write_results(records, out / "settling_study.csv")
@@ -346,6 +358,9 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
     with the step for the mixing model. Measured data is read and checked
     before the first march, so bad data writes nothing.
     """
+    if not 0 < setpoint_delta_f < math.inf:
+        raise ConfigurationError(
+            f"--setpoint-delta-f must be positive and finite, got {setpoint_delta_f:g}")
     out = data_io.check_output_dir(out)
     if measured is not None:
         measured_trace, measured_record = _measured_outputs(

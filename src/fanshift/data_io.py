@@ -396,8 +396,11 @@ def write_trace(trace: Trace, path: str | Path,
         written[key] = path
 
 
-def read_trace(path: str | Path, **meta) -> Trace:
-    """Read a trace file on the step derived from its ``t_s`` column (above)."""
+def read_trace(path: str | Path) -> Trace:
+    """Read a trace file on the step derived from its ``t_s`` column (above).
+
+    The file holds samples only, so the trace has no labels to restore.
+    """
     path = Path(path)
     try:
         with path.open(newline="") as fh:
@@ -427,7 +430,7 @@ def read_trace(path: str | Path, **meta) -> Trace:
             raise DataFormatError(f"{path}: t_s is not uniformly sampled")
     if not 0 < step < math.inf:
         raise DataFormatError(f"{path}: t_s does not increase")
-    return Trace(**dict(zip(SERIES_FIELDS, arr.T)), dt=step, **meta)
+    return Trace(**dict(zip(SERIES_FIELDS, arr.T)), dt=step)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +595,7 @@ def resample(series: MeasuredSeries, dt: float) -> Trace:
     for name, measured in (("t_room", series.temp), ("t_set_eff", series.setpoint)):
         if measured is not None:
             kw[name] = np.interp(grid, series.t, measured)
-    return Trace(**kw, dt=dt, mode="measured", scenario_id=series.label, source="measured")
+    return Trace(**kw, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ analytic equilibrium, the temperature integral carrying the equilibrium flow:
 a bit-exact fixed point, where runs sit flat and unmarched until an input changes.
 
 Identical scenarios produce bit-identical traces: the engine is seed-free.
-The last three open-loop runs are memoised on the scenario without its id and
-shared read-only. A baseline is the open-loop run of a zero setpoint schedule
-under the forecast, so shared baselines and the tuned event march once. The
+The last three open-loop runs are memoised on the scenario without its id, and
+every caller of one gets the memoised trace itself, read-only and shared. A
+baseline is the open-loop run of a zero setpoint schedule under the forecast,
+so shared baselines and the tuned event march once. A trace carries no label
+of the scenario it came from; the command that writes it holds that. The
 open-loop tuner solves the signed net over the event window for zero, to
 within ``NET_STOP_FRAC`` of the probe's own integral of |p_fan - p_base|
 there. Its probes march only to the t_end sample, the prefix of the full
@@ -22,7 +24,6 @@ t_settle, and judges it by ``metrics.NEUTRAL_FRAC`` like every result row.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -237,13 +238,6 @@ class Scenario:
     def window(self) -> metrics.EventWindow:
         return metrics.EventWindow(self.t_start, self.t_end, self.t_settle)
 
-    def digest(self) -> str:
-        """Stable hash of everything that determines the trace."""
-        text = repr((self.params, self.gains, self.event, self.mode, self.dt,
-                     self.warmup, self.settle_duration, self.oa_actual,
-                     self.oa_predicted))
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
-
 
 def _model_id(params: BuildingParams) -> int:
     return kernels.MODEL_MIXING if params.uses_mixing_model else kernels.MODEL_ORIGINAL
@@ -274,7 +268,7 @@ def _halves(scenario: Scenario, d1: float, d2: float) -> np.ndarray:
     return wave
 
 
-def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
+def _run(scenario: Scenario, oa: OutdoorProfile,
          t_set_delta: np.ndarray | None = None, p_ref: np.ndarray | None = None,
          engaged: np.ndarray | None = None, p_base: np.ndarray | None = None,
          until: float | None = None) -> Trace:
@@ -329,9 +323,7 @@ def _run(scenario: Scenario, oa: OutdoorProfile, label: str,
                     "bounds": (t_low, t_high)})
 
     return Trace(
-        t=times, **outs, t_outdoor=t_out, p_event_ref=p_ref, dt=scenario.dt,
-        mode=label, scenario_id=scenario.scenario_id,
-        scenario_hash=scenario.digest())
+        t=times, **outs, t_outdoor=t_out, p_event_ref=p_ref, dt=scenario.dt)
 
 
 # the zero setpoint schedule of every baseline
@@ -344,27 +336,25 @@ def run_baseline(scenario: Scenario) -> Trace:
 
     This is the counterfactual the power controller subtracts from measured
     fan power; it starts at the analytic equilibrium for the nominal setpoint.
-    It is the open-loop run of a zero setpoint schedule under the forecast,
-    and shares :func:`run_open_loop`'s memo and read-only arrays.
+    It is the open-loop run of a zero setpoint schedule under the forecast:
+    :func:`run_open_loop`'s memoised trace itself, read-only and shared by
+    every scenario that differs only in its event, mode, id or actual profile.
     """
-    no_event = replace(scenario, event=_NO_EVENT, mode=MODE_OPEN_LOOP,
-                       oa_actual=scenario.oa_predicted, scenario_id="")
-    return replace(_memo_open_loop(no_event), mode="baseline",
-                   scenario_id=scenario.scenario_id, scenario_hash=scenario.digest())
+    return _memo_open_loop(replace(scenario, event=_NO_EVENT, mode=MODE_OPEN_LOOP,
+                                   oa_actual=scenario.oa_predicted, scenario_id=""))
 
 
 def run_open_loop(scenario: Scenario) -> Trace:
     """Predetermined setpoint-schedule event under the *actual* outdoor profile.
 
     The last three distinct runs are memoised on the scenario without its id,
-    and every caller of one shares its read-only arrays.
+    and each call returns the memoised trace itself, read-only and shared.
     """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("run_open_loop needs an open-loop scenario")
     if scenario.event.setpoint_deltas is None:
         raise ConfigurationError("open-loop event needs setpoint_deltas")
-    return replace(_memo_open_loop(replace(scenario, scenario_id="")),
-                   scenario_id=scenario.scenario_id)
+    return _memo_open_loop(replace(scenario, scenario_id=""))
 
 
 # a command reuses its flat and stepped baselines and its tuned event
@@ -378,7 +368,7 @@ def _memo_open_loop(scenario: Scenario) -> Trace:
 
 
 def _march_open_loop(scenario: Scenario, until: float | None = None) -> Trace:
-    return _run(scenario, scenario.oa_actual, MODE_OPEN_LOOP,
+    return _run(scenario, scenario.oa_actual,
                 t_set_delta=_halves(scenario, *scenario.event.setpoint_deltas),
                 until=until)
 
@@ -408,7 +398,7 @@ def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
         engaged_until += scenario.event.forced_settle_duration
     engaged = _interval_mask(scenario.times(), scenario.t_start, engaged_until)
 
-    return _run(scenario, scenario.oa_actual, scenario.mode,
+    return _run(scenario, scenario.oa_actual,
                 p_ref=_halves(scenario, d1, d2), engaged=engaged.astype(np.uint8),
                 p_base=baseline.p_fan)
 

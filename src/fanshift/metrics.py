@@ -185,8 +185,7 @@ def linear_baseline(measured: Trace, window: EventWindow) -> Trace:
         post = float(np.mean(series[ib0:ib1 + 1]))
         return pre + (post - pre) * frac
 
-    return replace(measured, p_fan=line(measured.p_fan),
-                   t_room=line(measured.t_room), source="linear_baseline")
+    return replace(measured, p_fan=line(measured.p_fan), t_room=line(measured.t_room))
 
 
 def evaluate_event(event: Trace, baseline: Trace, window: EventWindow) -> EventMetrics:

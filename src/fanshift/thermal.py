@@ -12,7 +12,9 @@ by two dimensionless knobs:
   (C_mix = mix_c * C_room, C_room' = (1 - mix_c) * C_room).
 
 All temperatures are degrees Celsius internally; temperature differences are
-then identical in kelvin. Fahrenheit only appears at ingestion and reporting.
+then identical in kelvin. Fahrenheit appears only at ingestion: measured
+columns, config fields and command options given in it are converted as they
+are read.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ __all__ = [
     "BuildingParams",
     "equilibrium",
     "fahrenheit_to_celsius",
-    "celsius_to_fahrenheit",
     "delta_f_to_k",
-    "delta_k_to_f",
 ]
 
 
@@ -36,17 +36,9 @@ def fahrenheit_to_celsius(t_f: float) -> float:
     return (t_f - 32.0) * 5.0 / 9.0
 
 
-def celsius_to_fahrenheit(t_c: float) -> float:
-    return t_c * 9.0 / 5.0 + 32.0
-
-
 def delta_f_to_k(dt_f: float) -> float:
     """Convert a temperature *difference* from Fahrenheit to kelvin."""
     return dt_f * 5.0 / 9.0
-
-
-def delta_k_to_f(dt_k: float) -> float:
-    return dt_k * 9.0 / 5.0
 
 
 @dataclass(frozen=True)

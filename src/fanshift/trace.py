@@ -27,7 +27,9 @@ class Trace:
     ``dt`` comes from whatever builds the grid, never from ``t``, whose
     ``t[0]`` need not be zero (measured data keeps its own clock). Sampling is
     checked only where a ``t`` column comes in from outside, by ``read_trace``.
-    Series unavailable in measured data are NaN-filled.
+    Series unavailable in measured data are NaN-filled. A trace is its
+    samples and its step only, as its file is; the command that writes it
+    holds the ``Scenario`` it came from.
     """
 
     t: np.ndarray
@@ -41,10 +43,6 @@ class Trace:
     t_outdoor: np.ndarray
     p_event_ref: np.ndarray
     dt: float
-    mode: str = "unknown"
-    scenario_id: str = ""
-    scenario_hash: str = ""
-    source: str = "simulation"
 
     def __post_init__(self):
         n = self.t.shape[0]
@@ -71,8 +69,8 @@ class Trace:
                 f"time {time} not on trace grid (t0={t0}, dt={self.dt})")
         return idx
 
-    def with_p_fan(self, p_fan: np.ndarray, **meta) -> "Trace":
-        return replace(self, p_fan=np.asarray(p_fan, dtype=float), **meta)
+    def with_p_fan(self, p_fan: np.ndarray) -> "Trace":
+        return replace(self, p_fan=np.asarray(p_fan, dtype=float))
 
     def sliced(self, start: int, stop: int) -> "Trace":
         """Sub-trace over sample indices [start, stop] inclusive, on the same step."""

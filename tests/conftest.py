@@ -37,7 +37,7 @@ def gains():
     return ControllerGains()
 
 
-def make_trace(t, p_fan, t_room=None, **meta) -> Trace:
+def make_trace(t, p_fan, t_room=None) -> Trace:
     """Synthetic trace with every other series zero-filled, on the step of its
     first two samples (every caller's grid starts at zero)."""
     t = np.asarray(t, dtype=float)
@@ -46,7 +46,7 @@ def make_trace(t, p_fan, t_room=None, **meta) -> Trace:
     kw["p_fan"] = np.asarray(p_fan, dtype=float)
     if t_room is not None:
         kw["t_room"] = np.asarray(t_room, dtype=float)
-    return Trace(**kw, dt=float(t[1] - t[0]), **meta)
+    return Trace(**kw, dt=float(t[1] - t[0]))
 
 
 def count_marches(monkeypatch) -> list:

@@ -12,7 +12,7 @@ import yaml
 from fanshift import cli, data_io, engine, metrics
 from fanshift.errors import ConfigurationError, NumericalError, TuningError
 
-from conftest import count_marches, make_trace
+from conftest import count_marches, make_trace, quick_scenario
 
 CLOSED_LOOP_3H = """\
 scenario_id: short
@@ -124,11 +124,17 @@ class TestRejectedCommandWritesNothing:
           *MEASURED_COLUMNS], "cannot read measured data"),
         (["simulate", "--config", "{directory}"], "cannot read config"),
         (["simulate", "--config", "{latin1}"], "cannot read config"),
+        # a zero delta used to fail the mixing self-check after the two-state
+        # traces were written; a negative one named a kind never given
+        (["compare-models", "--dt", "10", "--setpoint-delta-f", "0"],
+         "--setpoint-delta-f must be positive"),
+        (["compare-models", "--dt", "10", "--setpoint-delta-f", "-1"],
+         "--setpoint-delta-f must be positive"),
     ], ids=["forced-settling", "compare-models", "simulate", "measured-one-row",
             "measured-window-off-grid", "measured-no-column-map",
             "column-map-alone", "measured-window-alone", "measured-directory",
             "measured-not-utf8", "measured-huge-field", "config-directory",
-            "config-not-utf8"])
+            "config-not-utf8", "setpoint-delta-zero", "setpoint-delta-negative"])
     def test_no_output_directory(self, tmp_path, capsys, argv, message):
         raw = yaml.safe_load(CLOSED_LOOP_3H)
         raw["building"]["mix_c"] = 0.01
@@ -170,6 +176,44 @@ class TestRejectedCommandWritesNothing:
         assert f"error: cannot write output to {out}" in capsys.readouterr().err
         # refused before the first march, and the file is left alone
         assert not calls and taken.read_text() == "kept\n"
+
+
+class TestShortWindowFit:
+    @pytest.mark.parametrize("window, root, event", [
+        ("both", {"settle_duration_s": 3600}, {}),            # ends past t_settle
+        ("2h", {"settle_duration_s": 3600}, {}),
+        ("both", {}, {"half_duration_s": 4500}),              # ends before t_end
+        ("both", {"dt_s": 14, "warmup_s": 1400, "settle_duration_s": 14000},
+         {"half_duration_s": 1400, "forced_settle_s": 1400}),  # 7200 s is 514.3 steps
+    ], ids=["past-settle", "past-settle-2h-only", "before-event-end", "off-grid"])
+    def test_rejected_before_the_march(self, tmp_path, capsys, monkeypatch,
+                                       window, root, event):
+        raw = yaml.safe_load(CLOSED_LOOP_3H)
+        raw.update(root)
+        raw["event"].update(event)
+        config = tmp_path / "short.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--window", window,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: the 2 h window ends at" in err and "settling window" in err
+        assert not calls and not out.exists()
+
+
+class TestEventPair:
+    @pytest.mark.parametrize("actual, baselines", [
+        (None, 1), (engine.OutdoorProfile.step_at(29.4, 1200.0, 1.0), 2),
+    ], ids=["agreeing", "differing"])
+    def test_each_baseline_marched_once(self, monkeypatch, actual, baselines):
+        sc = quick_scenario(mode="closed_loop", oa_actual=actual,
+                            event=engine.EventSchedule(kind="DOWN_UP",
+                                                       power_delta_frac=0.1))
+        calls = count_marches(monkeypatch)
+        _, control_base, counterfactual = cli.run_event_pair(sc)
+        assert len(calls) == 1 + baselines  # the event and each distinct baseline
+        assert (counterfactual is control_base) == (baselines == 1)
 
 
 class TestStepCountLimit:

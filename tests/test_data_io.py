@@ -2,7 +2,7 @@ import math
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -32,6 +32,9 @@ class TestTraceRoundTrip:
             assert np.array_equal(getattr(back, name), getattr(trace, name),
                                   equal_nan=True), name
 
+    def test_trace_is_its_series_and_step(self):
+        # nothing a file leaves out lives on a trace, so a read-back is whole
+        assert [f.name for f in fields(Trace)] == [*SERIES_FIELDS, "dt"]
 
     def test_golden_bytes(self, tmp_path):
         trace = make_trace([0.0, 0.5, 1.0], [0.1, -0.0, 1e-300],

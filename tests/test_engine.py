@@ -104,12 +104,6 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match="unstable"):
             run_baseline(sc)
 
-    def test_digest_is_stable_and_sensitive(self):
-        a, b = quick_scenario(), quick_scenario()
-        assert a.digest() == b.digest()
-        c = quick_scenario(settle_duration=3600.0)
-        assert a.digest() != c.digest()
-
 
 class TestBaseline:
     def test_flat_at_equilibrium_power(self):
@@ -172,11 +166,7 @@ class TestBaselineMemo:
         other = replace(sc, **change)
         a, b = run_baseline(sc), run_baseline(other)
         assert len(calls) == 1
-        for name in SERIES_FIELDS:
-            assert getattr(a, name) is getattr(b, name)
-        assert (b.scenario_id, b.scenario_hash) == (other.scenario_id,
-                                                     other.digest())
-        assert b.mode == "baseline"
+        assert b is a
 
     @settings(max_examples=30, deadline=None)
     @given(mixing=st.sampled_from([None, (0.3, 0.1), (0.9, 0.3)]),
@@ -196,11 +186,10 @@ class TestBaselineMemo:
         memo = run_baseline(sc)
         no_event = replace(sc, event=EventSchedule(half_duration=0.0,
                                                    forced_settle_duration=0.0))
-        marched = engine._run(no_event, sc.oa_predicted, "baseline")
+        marched = engine._run(no_event, sc.oa_predicted)
         for name in SERIES_FIELDS:
             assert getattr(memo, name).tobytes() == getattr(marched, name).tobytes(), name
-        assert (memo.mode, memo.dt) == (marched.mode, marched.dt)
-        assert (memo.scenario_id, memo.scenario_hash) == (sc.scenario_id, sc.digest())
+        assert memo.dt == marched.dt
 
     def test_cached_arrays_reject_writes(self):
         trace = run_baseline(quick_scenario())
@@ -579,14 +568,13 @@ class TestTuner:
         calls = count_marches(monkeypatch)
         kept = run_open_loop(tuned)
         assert not calls
+        assert kept is engine._memo_open_loop(replace(tuned, scenario_id=""))
         engine._memo_open_loop.cache_clear()
         fresh = run_open_loop(tuned)
         assert len(calls) == 1
         for name in SERIES_FIELDS:
             assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
             assert not getattr(kept, name).flags.writeable
-        assert (kept.scenario_id, kept.scenario_hash) == ("renamed", tuned.digest())
-        assert (kept.mode, kept.scenario_hash) == (fresh.mode, fresh.scenario_hash)
 
     def test_requires_open_loop(self):
         sc = Scenario(params=BuildingParams().with_mixing(0.3, 0.1),

@@ -12,7 +12,7 @@ from fanshift.control import MDOT_LIMIT_FACTOR
 from fanshift.engine import _model_id
 from fanshift.errors import ConfigurationError, EquilibriumInfeasibleError
 from fanshift.kernels import MODEL_MIXING, MODEL_ORIGINAL, plant_step
-from fanshift.thermal import celsius_to_fahrenheit, fahrenheit_to_celsius
+from fanshift.thermal import delta_f_to_k, fahrenheit_to_celsius
 
 # steady-state heat load at the calibrated parameters and nominal setpoint:
 # (T_wall - T_room)/R + Q with T_wall = (21.7 + 29.4)/2
@@ -310,10 +310,11 @@ class TestUnitConversions:
     def test_reference_points(self):
         assert fahrenheit_to_celsius(71.0) == pytest.approx(21.6667, abs=1e-4)
         assert fahrenheit_to_celsius(32.0) == 0.0
-        assert celsius_to_fahrenheit(fahrenheit_to_celsius(85.0)) == pytest.approx(85.0)
+        assert fahrenheit_to_celsius(212.0) == 100.0
+        assert fahrenheit_to_celsius(-40.0) == -40.0
 
-    def test_delta_round_trip(self):
-        from fanshift.thermal import delta_f_to_k, delta_k_to_f
+    def test_delta_known_values(self):
         assert delta_f_to_k(1.0) == pytest.approx(5.0 / 9.0)
-        assert delta_k_to_f(delta_f_to_k(3.0)) == pytest.approx(3.0)
+        assert delta_f_to_k(9.0) == 5.0
+        assert delta_f_to_k(-1.8) == pytest.approx(-1.0)
         assert not math.isclose(delta_f_to_k(1.0), fahrenheit_to_celsius(1.0))
