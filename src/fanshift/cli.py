@@ -13,13 +13,26 @@ traces off a shared time grid; 2 numerical failure or a tuner that finds no
 neutral schedule; 3 self-check failure. A sweep writes the rows of every point
 that succeeded, lists the failed points on stderr and exits with the code of
 the first failure.
+
+``sweep-mixing`` checks the arguments every point shares once, then marches
+its grid points on every usable CPU: with n CPUs the process forks n - 1
+children and each of the n workers takes every n-th point. The rows, the
+stderr lines and the exit code come back in grid order, the same bytes as a
+serial run. With one CPU, without ``os.fork`` or while another thread is
+alive the points are marched in-process; a child that fails has its share
+marched by the parent, and every child is reaped (killed first on an
+interrupt) before the command returns. The other commands run in-process.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
+import pickle
+import signal
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -176,35 +189,117 @@ def parse_grid(spec: str) -> list[float]:
     return values
 
 
+def _forked_map(func, items: list) -> list:
+    """``[func(item) for item in items]``, computed on every usable CPU.
+
+    With n = min(len(items), CPUs in ``os.sched_getaffinity``) this process
+    forks n - 1 children. Worker k (this process is worker 0) computes items
+    k, k + n, k + 2n, ...; each child pickles its list of values into a pipe
+    and leaves by ``os._exit``, and the values come back in item order.
+    ``func`` returns its failures as values. The share of a child that dies,
+    sends bytes that cannot be read or cannot be forked is computed here, so
+    an exception ``func`` lets out is raised here. Nothing is forked with one
+    CPU or item, without ``os.fork`` or ``os.sched_getaffinity``, or while
+    another thread is alive (a fork copies the locks it holds). Every child
+    is reaped, and killed first if this process is interrupted.
+    """
+    cpus = getattr(os, "sched_getaffinity", None)
+    n = min(len(items), len(cpus(0))) if cpus and hasattr(os, "fork") else 1
+    if n < 2 or threading.active_count() > 1:
+        return [func(item) for item in items]
+    children = {}  # worker -> (pid, read end of its pipe), until reaped
+    try:
+        for k in range(1, n):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this process computes the rest
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:  # the child never returns into the caller
+                status = 1
+                try:
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps([func(item) for item in items[k::n]]))
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[k] = pid, open(read_fd, "rb")
+            os.close(write_fd)
+        values = [None] * len(items)
+        for k in range(n):
+            share = None
+            if k in children:
+                pid, pipe = children[k]
+                with pipe:
+                    data = pipe.read()
+                if os.waitpid(pid, 0)[1] == 0:
+                    try:
+                        share = pickle.loads(data)
+                    except Exception:  # unreadable: the share is computed below
+                        pass
+                del children[k]
+            if not isinstance(share, list) or len(share) != len(items[k::n]):
+                share = [func(item) for item in items[k::n]]
+            values[k::n] = share
+        return values
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
                      power_frac: float, out: str | Path, dt: float,
                      window: str) -> int:
-    """Closed-loop events across a mixing-parameter grid; one row per window."""
+    """Closed-loop events across a mixing-parameter grid; one row per window.
+
+    Arguments shared by every point (kind, event size, dt, windows) are
+    checked once on a reference scenario, before the grid: a bad one exits
+    with one error and no output directory. Each point's ``Scenario`` is that
+    reference with the point's plant; a bad (r, c) is a listed failure.
+    The points are marched by ``_forked_map``: on n usable CPUs, n workers
+    (this process and n - 1 forked children) take every n-th point, serially
+    with one CPU. Rows, stderr and exit code do not depend on the split.
+    """
     if not r_grid or not c_grid:
         raise ConfigurationError("grids must be non-empty")
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown kind {kind!r}")
     windows = _windows(window)
     out = data_io.check_output_dir(out)
+    reference = Scenario(event=EventSchedule(kind=kind, power_delta_frac=power_frac),
+                         mode=MODE_CLOSED_LOOP, dt=dt)
+    for name in windows:
+        _metrics_window(reference, name)
 
-    failures: list[tuple[float, float, FanshiftError]] = []
-    results: list[data_io.ResultRecord] = []
-    for r in r_grid:
-        for c in c_grid:
-            # inside the try, so a bad (r, c) pair is a listed failure too
-            try:
-                scenario = Scenario(
-                    params=BuildingParams().with_mixing(r, c),
-                    event=EventSchedule(kind=kind, power_delta_frac=power_frac),
-                    mode=MODE_CLOSED_LOOP, dt=dt,
-                    scenario_id=f"mixing_r{r:g}_c{c:g}")
-                event, _, counterfactual = run_event_pair(scenario)
-                results += [_metrics_record(scenario, event, counterfactual, name)
-                            for name in windows]
-            except FanshiftError as exc:
-                failures.append((r, c, exc))
+    grid = [(r, c) for r in r_grid for c in c_grid]
+    points: list[Scenario | FanshiftError] = []
+    for r, c in grid:
+        try:
+            points.append(replace(reference, params=BuildingParams().with_mixing(r, c),
+                                  scenario_id=f"mixing_r{r:g}_c{c:g}"))
+        except FanshiftError as exc:
+            points.append(exc)
 
-    results.sort(key=lambda rec: (rec.r, rec.c, -rec.window_hr))
+    def march(point: Scenario | FanshiftError
+              ) -> list[data_io.ResultRecord] | FanshiftError:
+        """The point's metrics rows, or the error that stopped it."""
+        if isinstance(point, FanshiftError):
+            return point
+        try:
+            event, _, counterfactual = run_event_pair(point)
+            return [_metrics_record(point, event, counterfactual, name)
+                    for name in windows]
+        except FanshiftError as exc:
+            return exc
+
+    outcomes = _forked_map(march, points)
+    failures = [(r, c, exc) for (r, c), exc in zip(grid, outcomes)
+                if isinstance(exc, FanshiftError)]
+    results = sorted((rec for rows in outcomes if isinstance(rows, list)
+                      for rec in rows),
+                     key=lambda rec: (rec.r, rec.c, -rec.window_hr))
     data_io.make_output_dir(out)
     data_io.write_results(results, out / "mixing_sweep.csv")
     if failures:

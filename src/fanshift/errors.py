@@ -21,7 +21,9 @@ class EquilibriumInfeasibleError(ConfigurationError):
 class NumericalError(FanshiftError):
     """Simulation produced a non-finite or out-of-bounds state.
 
-    Carries the offending sample for diagnosis.
+    Carries the offending sample for diagnosis. ``sample`` is kept in the
+    instance dict, which pickling restores, so the error comes back whole
+    from a forked sweep worker.
     """
 
     def __init__(self, message: str, sample: dict | None = None):

@@ -10,6 +10,7 @@ two. A trace copied from an identical one already written stays inside the
 The work of each benchmark workload, built by ``perfbench/workloads.py`` at
 seed 1 and run in-process, is pinned in kernel calls, simulated steps and
 trace encodes, so a run or an encode that stops being reused fails here.
+They run on one CPU, so ``sweep-mixing`` marches every point in-process.
 
 Before it measures anything, ``perfbench/run.py`` runs its environment probe
 in a child process and fails if the probe fails; the probe reads
@@ -17,6 +18,7 @@ in a child process and fails if the probe fails; the probe reads
 """
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -98,6 +100,8 @@ def test_workload_work_pinned(tmp_path, monkeypatch, workload, work):
     """Kernel calls, simulated steps and trace encodes of each benchmark
     workload at seed 1: a lost reuse of a run or an encode fails here."""
     command = load_perfbench(monkeypatch, "workloads").WORKLOADS[workload](1, tmp_path)
+    # on one CPU: the spies do not see a march made in a forked sweep worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     steps, encodes = [], []
     simulate_loop, trace_chunks = kernels.simulate_loop, data_io._trace_chunks
 

@@ -1,7 +1,10 @@
 import inspect
 import os
+import pickle
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import fanshift
@@ -234,51 +237,195 @@ class TestStepCountLimit:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_sweep_point_is_a_listed_failure(self, tmp_path, capsys):
-        code = cli.main(["sweep-mixing", "--r-grid", "0.3", "--c-grid", "0.1",
-                         "--dt", "1e-300", "--out", str(tmp_path)])
-        assert code == 1
-        assert data_io.read_results(tmp_path / "mixing_sweep.csv") == []
+
+class TestSweepArgumentsCheckedOnce:
+    # arguments shared by every grid point are rejected before the grid
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--dt", "0", "dt must be finite and positive"),
+        ("--dt", "nan", "dt must be finite and positive"),
+        ("--dt", "7", "warmup=7200.0 is not a multiple of dt=7.0"),
+        ("--dt", "1e-300", "a run takes at most 2**53 - 1 steps"),
+        ("--power-frac", "nan", "power_delta_frac must be finite"),
+        ("--power-frac", "-0.1", "power_delta_frac must be finite and >= 0"),
+    ], ids=["dt-0", "dt-nan", "dt-7", "dt-1e-300", "power-frac-nan",
+            "power-frac-negative"])
+    def test_one_error_no_output(self, tmp_path, capsys, monkeypatch,
+                                 option, value, message):
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["sweep-mixing", "--r-grid", "0.2,0.4", option, value,
+                         "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "sweep points failed:\n  r=0.3 c=0.1: " in err
-        assert "at most 2**53 - 1" in err and "Traceback" not in err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not calls and not out.exists()
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable as far as the sweep can tell."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweepFailures:
-    def _sweep(self, tmp_path, r_grid):
-        code = cli.main(["sweep-mixing", "--r-grid", r_grid, "--c-grid", "0.1",
-                         "--dt", "10", "--out", str(tmp_path)])
-        return code, data_io.read_results(tmp_path / "mixing_sweep.csv")
+    def _sweep(self, tmp_path, capsys, monkeypatch, r_grid):
+        """Exit code, rows and stderr, the same on one CPU and on two."""
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            code = cli.main(["sweep-mixing", "--r-grid", r_grid, "--c-grid", "0.1",
+                             "--dt", "10", "--out", str(out)])
+            runs.append((code, data_io.read_results(out / "mixing_sweep.csv"),
+                         capsys.readouterr().err))
+        assert_no_child_left()
+        assert runs[0] == runs[1]
+        return runs[0]
 
-    def test_infeasible_point_exits_1(self, tmp_path, capsys):
-        code, rows = self._sweep(tmp_path, "2.0")
+    def test_infeasible_point_exits_1(self, tmp_path, capsys, monkeypatch):
+        code, rows, err = self._sweep(tmp_path, capsys, monkeypatch, "2.0")
         assert code == 1
         assert rows == []
-        assert "r=2.0 c=0.1" in capsys.readouterr().err
+        assert "r=2.0 c=0.1" in err
 
-    def test_underflowing_pocket_is_a_listed_failure(self, tmp_path, capsys):
+    def test_underflowing_pocket_is_a_listed_failure(self, tmp_path, capsys,
+                                                     monkeypatch):
         # 5e-324 * r_wall rounds to an r_mix of zero
-        code, rows = self._sweep(tmp_path, "5e-324")
+        code, rows, err = self._sweep(tmp_path, capsys, monkeypatch, "5e-324")
         assert code == 1
         assert rows == []
-        err = capsys.readouterr().err
         assert "r=5e-324 c=0.1: mixing pocket needs positive r_mix" in err
         assert "Traceback" not in err
 
-    def test_good_points_still_written(self, tmp_path):
-        code, rows = self._sweep(tmp_path, "0.2,2.0")
+    def test_good_points_still_written(self, tmp_path, capsys, monkeypatch):
+        code, rows, _ = self._sweep(tmp_path, capsys, monkeypatch, "0.2,2.0")
         assert code == 1
         assert [(r.r, r.window_hr) for r in rows] == [(0.2, 35000.0 / 3600.0),
                                                        (0.2, 2.0)]
 
-    def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
+    def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # on two CPUs the second point fails in a forked worker
         def diverge(scenario):
-            raise NumericalError("diverged")
+            raise NumericalError("diverged", {"t": 30.0, "t_mix": float("inf")})
 
         monkeypatch.setattr(cli, "run_event_pair", diverge)
-        code, rows = self._sweep(tmp_path, "0.2")
+        code, rows, err = self._sweep(tmp_path, capsys, monkeypatch, "0.2,0.4")
         assert code == 2
         assert rows == []
+        assert "r=0.4 c=0.1: diverged" in err
+        assert err.endswith("numerical failure: diverged\n"
+                            "  state: {'t': 30.0, 't_mix': inf}\n")
+
+
+class TestForkedSweep:
+    # six points, two of them infeasible (r = 2.0), so failures cross workers
+    ARGV = ["sweep-mixing", "--r-grid", "0.2,2.0,0.6", "--c-grid", "0.1,0.3",
+            "--dt", "10"]
+
+    def _run(self, tmp_path, capsys, name):
+        out = tmp_path / name
+        code = cli.main([*self.ARGV, "--out", str(out)])
+        return code, (out / "mixing_sweep.csv").read_bytes(), capsys.readouterr().err
+
+    def _count_forks(self, monkeypatch):
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(1)  # a child appends to its own copy
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    def test_same_bytes_for_any_worker_count(self, tmp_path, capsys, monkeypatch):
+        forks = self._count_forks(monkeypatch)
+        runs = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            runs.append(self._run(tmp_path, capsys, f"cpus{cpus}"))
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
+            forks.clear()
+        code, csv, err = runs[0]
+        assert code == 1 and csv.count(b"\n") == 1 + 4 * 2
+        assert err.count("r=2.0") == 2
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("loss", ["dies", "garbles"])
+    def test_lost_share_marched_by_parent(self, tmp_path, capsys, monkeypatch, loss):
+        use_cpus(monkeypatch, 1)
+        serial = self._run(tmp_path, capsys, "serial")
+        parent = os.getpid()
+        if loss == "dies":
+            run_event_pair = cli.run_event_pair
+
+            def die_in_child(scenario):
+                if os.getpid() != parent:
+                    os._exit(9)  # before the child writes anything
+                return run_event_pair(scenario)
+
+            monkeypatch.setattr(cli, "run_event_pair", die_in_child)
+        else:
+            dumps = pickle.dumps
+            monkeypatch.setattr(pickle, "dumps", lambda obj: (
+                dumps(obj) if os.getpid() == parent else b"not a pickle"))
+        engine._memo_open_loop.cache_clear()  # so every baseline marches again
+        calls = count_marches(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        assert self._run(tmp_path, capsys, "forked") == serial
+        assert_no_child_left()
+        # the parent marched both shares: 4 feasible points, 2 marches each
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("case", ["one-cpu", "one-point", "no-fork",
+                                      "thread-alive"])
+    def test_serial_fallback_forks_nothing(self, tmp_path, monkeypatch, case):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        use_cpus(monkeypatch, 1 if case == "one-cpu" else 2)
+        r_grid = "0.2" if case == "one-point" else "0.2,0.4"
+        if case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if case == "thread-alive":
+            thread.start()
+        try:
+            assert cli.main(["sweep-mixing", "--r-grid", r_grid, "--dt", "10",
+                             "--out", str(tmp_path)]) == 0
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        rows = data_io.read_results(tmp_path / "mixing_sweep.csv")
+        assert len(rows) == 2 * len(r_grid.split(","))
+
+    def test_interrupt_kills_and_reaps_children(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def stall_or_interrupt(scenario):
+            if os.getpid() != parent:
+                time.sleep(60)  # killed long before this ends
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_event_pair", stall_or_interrupt)
+        use_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["sweep-mixing", "--r-grid", "0.2,0.4", "--dt", "10",
+                      "--out", str(tmp_path / "out")])
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+        assert not (tmp_path / "out").exists()
 
 
 OPEN_LOOP_SHORT = """\

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -403,6 +404,14 @@ class TestStep:
 
 
 class TestNumericalFailure:
+    @pytest.mark.parametrize("sample", [{"t": 30.0, "t_mix": float("inf"),
+                                         "bounds": (7.5, 34.4)}, None])
+    def test_pickle_keeps_the_sample(self, sample):
+        # a sweep point that fails in a forked worker comes back pickled
+        exc = pickle.loads(pickle.dumps(NumericalError("diverged", sample)))
+        assert type(exc) is NumericalError and str(exc) == "diverged"
+        assert exc.sample == (sample or {})
+
     def test_sample_reports_the_failing_index(self, monkeypatch):
         # a 5 K setpoint rise warms the mixing pocket past an upper bound
         # pulled 3.5 K below the outdoor temperature, partway through the run
