@@ -18,10 +18,13 @@ the first failure.
 its grid points on every usable CPU: with n CPUs the process forks n - 1
 children and each of the n workers takes every n-th point. The rows, the
 stderr lines and the exit code come back in grid order, the same bytes as a
-serial run. With one CPU, without ``os.fork`` or while another thread is
+serial run. ``forced-settling`` marches its two no-event runs in-process,
+then its ten events the same way; the worker that marches an event writes
+its trace. With one CPU, without ``os.fork`` or while another thread is
 alive the points are marched in-process; a child that fails has its share
 marched by the parent, and every child is reaped (killed first on an
-interrupt) before the command returns. The other commands run in-process.
+interrupt) before the command returns. ``simulate`` and ``compare-models``
+run in-process.
 """
 
 from __future__ import annotations
@@ -198,10 +201,12 @@ def _forked_map(func, items: list) -> list:
     and leaves by ``os._exit``, and the values come back in item order.
     ``func`` returns its failures as values. The share of a child that dies,
     sends bytes that cannot be read or cannot be forked is computed here, so
-    an exception ``func`` lets out is raised here. Nothing is forked with one
-    CPU or item, without ``os.fork`` or ``os.sched_getaffinity``, or while
-    another thread is alive (a fork copies the locks it holds). Every child
-    is reaped, and killed first if this process is interrupted.
+    an exception ``func`` lets out is raised here. ``func`` may write files;
+    since a lost share is computed again, those writes must be idempotent.
+    Nothing is forked with one CPU or item, without ``os.fork`` or
+    ``os.sched_getaffinity``, or while another thread is alive (a fork
+    copies the locks it holds). Every child is reaped, and killed first if
+    this process is interrupted.
     """
     cpus = getattr(os, "sched_getaffinity", None)
     n = min(len(items), len(cpus(0))) if cpus and hasattr(os, "fork") else 1
@@ -350,6 +355,16 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
 
     The outdoor step of the error cases lands ``step_offset`` seconds after
     event start.
+
+    This process first marches, in case order, every case's control baseline
+    and counterfactual. They are two distinct no-event runs (flat and stepped
+    forecast), memoised by the engine, and their 14 files hold two traces,
+    each encoded once. So a failing no-event run is reported before any event
+    marches. Then ``_forked_map`` marches each case's event on every usable
+    CPU: its worker finds the baselines in the memo it inherited, computes
+    the case's rows and writes its event trace. The first failure in case
+    order is raised; traces of later cases that a worker finished may remain
+    on disk. Rows, stderr and exit code do not depend on the split.
     """
     if step_f == 0 or step_offset >= Scenario.settle_duration:
         raise ConfigurationError(
@@ -358,26 +373,39 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     windows = _windows(window)
     out = data_io.check_output_dir(out)
     traces_dir = out / "traces"
+    scenarios = [_study_scenario(case, kind, dt, step_offset, step_f, mix_r, mix_c)
+                 for case in STUDY_CASES for kind in (KIND_UP_DOWN, KIND_DOWN_UP)]
 
-    records = []
     # the no-event runs repeat across cases; each distinct trace is encoded once
     written: dict[bytes, Path] = {}
-    for case in STUDY_CASES:
-        for kind in (KIND_UP_DOWN, KIND_DOWN_UP):
-            scenario = _study_scenario(case, kind, dt, step_offset, step_f,
-                                       mix_r, mix_c)
-            event, control_base, counterfactual = run_event_pair(scenario)
-            for name in windows:
-                records.append(_metrics_record(scenario, event, counterfactual, name))
-            sid = scenario.scenario_id
-            # made only now, so a study rejected before its first trace writes nothing
-            data_io.make_output_dir(traces_dir)
-            data_io.write_trace(event, traces_dir / f"{sid}.csv", written)
-            data_io.write_trace(control_base, traces_dir / f"{sid}_baseline.csv",
-                                written)
-            if scenario.oa_actual != scenario.oa_predicted:
-                data_io.write_trace(counterfactual,
-                                    traces_dir / f"{sid}_counterfactual.csv", written)
+    for scenario in scenarios:
+        control_base = run_baseline(scenario)
+        sid = scenario.scenario_id
+        # made only now, so a study rejected before its first trace writes nothing
+        data_io.make_output_dir(traces_dir)
+        data_io.write_trace(control_base, traces_dir / f"{sid}_baseline.csv", written)
+        if scenario.oa_actual != scenario.oa_predicted:
+            counterfactual = run_baseline(replace(scenario,
+                                                  oa_predicted=scenario.oa_actual))
+            data_io.write_trace(counterfactual,
+                                traces_dir / f"{sid}_counterfactual.csv", written)
+
+    def march(scenario: Scenario) -> list[data_io.ResultRecord] | FanshiftError:
+        """The case's metrics rows, its event trace written, or the error."""
+        try:
+            event, _, counterfactual = run_event_pair(scenario)
+            rows = [_metrics_record(scenario, event, counterfactual, name)
+                    for name in windows]
+            data_io.write_trace(event, traces_dir / f"{scenario.scenario_id}.csv")
+            return rows
+        except FanshiftError as exc:
+            return exc
+
+    outcomes = _forked_map(march, scenarios)
+    for outcome in outcomes:
+        if isinstance(outcome, FanshiftError):
+            raise outcome
+    records = [rec for rows in outcomes for rec in rows]
     data_io.write_results(records, out / "settling_study.csv")
     _check_neutrality(records)
     return 0

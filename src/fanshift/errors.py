@@ -23,7 +23,7 @@ class NumericalError(FanshiftError):
 
     Carries the offending sample for diagnosis. ``sample`` is kept in the
     instance dict, which pickling restores, so the error comes back whole
-    from a forked sweep worker.
+    from a forked worker.
     """
 
     def __init__(self, message: str, sample: dict | None = None):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,14 @@ def make_trace(t, p_fan, t_room=None) -> Trace:
     if t_room is not None:
         kw["t_room"] = np.asarray(t_room, dtype=float)
     return Trace(**kw, dt=float(t[1] - t[0]))
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable as far as ``cli._forked_map`` can tell. A test
+    that counts work with spies runs on one, since they do not see work done
+    in a forked worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
 
 
 def count_marches(monkeypatch) -> list:

@@ -10,7 +10,8 @@ two. A trace copied from an identical one already written stays inside the
 The work of each benchmark workload, built by ``perfbench/workloads.py`` at
 seed 1 and run in-process, is pinned in kernel calls, simulated steps and
 trace encodes, so a run or an encode that stops being reused fails here.
-They run on one CPU, so ``sweep-mixing`` marches every point in-process.
+They run on one CPU, so ``sweep-mixing`` and ``forced-settling`` march
+every run in-process, where the spies and the tracer see it.
 
 Before it measures anything, ``perfbench/run.py`` runs its environment probe
 in a child process and fails if the probe fails; the probe reads
@@ -18,7 +19,6 @@ in a child process and fails if the probe fails; the probe reads
 """
 
 import importlib.util
-import os
 import sys
 from pathlib import Path
 
@@ -28,7 +28,7 @@ import fanshift
 import fanshift.cli  # noqa: F401 - the tracer reaches every module through the package
 from fanshift import cli, data_io, engine, kernels
 
-from conftest import make_trace, quick_scenario
+from conftest import make_trace, quick_scenario, use_cpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -79,6 +79,7 @@ def test_forced_settling_sizes_every_trace_file(tmp_path, monkeypatch):
 
     # installed under the tracer, so the i-th path belongs to the i-th span
     monkeypatch.setattr(data_io, "write_trace", record_path)
+    use_cpus(monkeypatch, 1)  # the tracer sees no span of a forked worker
     tracer = load_perfbench(monkeypatch, "spans").Tracer()
     try:
         assert tracer.install(fanshift) == []
@@ -100,8 +101,7 @@ def test_workload_work_pinned(tmp_path, monkeypatch, workload, work):
     """Kernel calls, simulated steps and trace encodes of each benchmark
     workload at seed 1: a lost reuse of a run or an encode fails here."""
     command = load_perfbench(monkeypatch, "workloads").WORKLOADS[workload](1, tmp_path)
-    # on one CPU: the spies do not see a march made in a forked sweep worker
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    use_cpus(monkeypatch, 1)
     steps, encodes = [], []
     simulate_loop, trace_chunks = kernels.simulate_loop, data_io._trace_chunks
 

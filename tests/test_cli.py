@@ -15,7 +15,7 @@ import yaml
 from fanshift import cli, data_io, engine, metrics
 from fanshift.errors import ConfigurationError, NumericalError, TuningError
 
-from conftest import count_marches, make_trace, quick_scenario
+from conftest import count_marches, make_trace, quick_scenario, use_cpus
 
 CLOSED_LOOP_3H = """\
 scenario_id: short
@@ -75,6 +75,7 @@ class TestDriftSlope:
 
 class TestForcedSettlingMarches:
     def test_each_distinct_run_marched_once(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 1)
         calls = count_marches(monkeypatch)
         # 200 s divides every study duration; the self-check may fail there
         code = cli.main(["forced-settling", "--dt", "200", "--out", str(tmp_path)])
@@ -262,15 +263,21 @@ class TestSweepArgumentsCheckedOnce:
         assert not calls and not out.exists()
 
 
-def use_cpus(monkeypatch, n):
-    """Make ``n`` CPUs usable as far as the sweep can tell."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch) -> list:
+    """Spy on ``os.fork``; the returned list gains one entry per fork."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)  # a child appends to its own copy
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 class TestSweepFailures:
@@ -333,18 +340,8 @@ class TestForkedSweep:
         code = cli.main([*self.ARGV, "--out", str(out)])
         return code, (out / "mixing_sweep.csv").read_bytes(), capsys.readouterr().err
 
-    def _count_forks(self, monkeypatch):
-        forks, fork = [], os.fork
-
-        def counted():
-            forks.append(1)  # a child appends to its own copy
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        return forks
-
     def test_same_bytes_for_any_worker_count(self, tmp_path, capsys, monkeypatch):
-        forks = self._count_forks(monkeypatch)
+        forks = count_forks(monkeypatch)
         runs = []
         for cpus in (1, 2, 3):
             use_cpus(monkeypatch, cpus)
@@ -426,6 +423,101 @@ class TestForkedSweep:
         assert time.monotonic() - start < 30
         assert_no_child_left()
         assert not (tmp_path / "out").exists()
+
+
+class TestForkedSettling:
+    ARGV = ["forced-settling", "--dt", "20"]
+
+    def _run(self, tmp_path, capsys, name):
+        """Exit code, every CSV written (path -> bytes) and stderr."""
+        out = tmp_path / name
+        code = cli.main([*self.ARGV, "--out", str(out)])
+        files = {str(p.relative_to(out)): p.read_bytes()
+                 for p in sorted(out.rglob("*.csv"))}
+        return code, files, capsys.readouterr().err
+
+    def test_same_bytes_for_any_worker_count(self, tmp_path, capsys, monkeypatch):
+        forks = count_forks(monkeypatch)
+        runs = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            runs.append(self._run(tmp_path, capsys, f"cpus{cpus}"))
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
+            forks.clear()
+        code, files, err = runs[0]
+        assert code == 0 and err == ""
+        assert len(files) == 25 and "settling_study.csv" in files
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_first_failure_in_case_order(self, tmp_path, capsys, monkeypatch):
+        # on two CPUs the child takes cases 1, 3, 5, ...: the earlier failure
+        # (case 3) comes back through the pipe, the later one (case 4) is the
+        # parent's own
+        run_event_pair = cli.run_event_pair
+
+        def diverge(scenario):
+            if scenario.scenario_id in ("forced_DOWN_UP", "oa_step_predicted_UP_DOWN"):
+                raise NumericalError(f"{scenario.scenario_id} diverged",
+                                     {"t": 30.0, "t_mix": float("inf")})
+            return run_event_pair(scenario)
+
+        monkeypatch.setattr(cli, "run_event_pair", diverge)
+        runs = []
+        for cpus in (2, 1):
+            use_cpus(monkeypatch, cpus)
+            code, files, err = self._run(tmp_path, capsys, f"cpus{cpus}")
+            assert_no_child_left()
+            assert "settling_study.csv" not in files
+            runs.append((code, err))
+        assert runs[0] == runs[1] == (
+            2, "numerical failure: forced_DOWN_UP diverged\n"
+               "  state: {'t': 30.0, 't_mix': inf}\n")
+
+    def test_no_event_failure_before_any_event(self, tmp_path, capsys, monkeypatch):
+        run_baseline = cli.run_baseline
+
+        def diverge_on_step(scenario):  # the first oa_step case's stepped forecast
+            if scenario.scenario_id.startswith("oa_step"):
+                raise NumericalError("diverged", {"t": 30.0})
+            return run_baseline(scenario)
+
+        monkeypatch.setattr(cli, "run_baseline", diverge_on_step)
+        forks, calls = count_forks(monkeypatch), count_marches(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        code, files, err = self._run(tmp_path, capsys, "out")
+        assert (code, err) == (2, "numerical failure: diverged\n  state: {'t': 30.0}\n")
+        # the flat baseline alone marched, and no event
+        assert len(calls) == 1 and not forks
+        assert sorted(files) == [f"traces/{case}_{kind}_baseline.csv"
+                                 for case in ("forced", "unforced")
+                                 for kind in ("DOWN_UP", "UP_DOWN")]
+
+    @pytest.mark.parametrize("loss", ["dies", "garbles"])
+    def test_lost_share_marched_by_parent(self, tmp_path, capsys, monkeypatch, loss):
+        use_cpus(monkeypatch, 1)
+        serial = self._run(tmp_path, capsys, "serial")
+        parent = os.getpid()
+        if loss == "dies":
+            run_event_pair = cli.run_event_pair
+
+            def die_in_child(scenario):
+                if os.getpid() != parent:
+                    os._exit(9)  # before the child writes anything
+                return run_event_pair(scenario)
+
+            monkeypatch.setattr(cli, "run_event_pair", die_in_child)
+        else:  # the child writes its traces, then sends what is no pickle
+            dumps = pickle.dumps
+            monkeypatch.setattr(pickle, "dumps", lambda obj: (
+                dumps(obj) if os.getpid() == parent else b"not a pickle"))
+        engine._memo_open_loop.cache_clear()  # so both baselines march again
+        calls = count_marches(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        assert self._run(tmp_path, capsys, "forked") == serial
+        assert_no_child_left()
+        # the parent marched both baselines and all 10 events
+        assert len(calls) == 12
 
 
 OPEN_LOOP_SHORT = """\

@@ -15,7 +15,7 @@ from fanshift import (BuildingParams, ControllerGains, EventSchedule, Scenario,
 from fanshift.errors import ConfigurationError, DataFormatError
 from fanshift.trace import SERIES_FIELDS, Trace
 
-from conftest import make_trace
+from conftest import make_trace, use_cpus
 
 
 class TestTraceRoundTrip:
@@ -271,6 +271,7 @@ class TestTraceRegistry:
 
     def test_forced_settling_encodes_each_distinct_trace_once(self, tmp_path,
                                                               monkeypatch):
+        use_cpus(monkeypatch, 1)
         encodes = count_encodes(monkeypatch)
         assert cli.main(["forced-settling", "--dt", "20", "--out", str(tmp_path)]) == 0
         assert len(list((tmp_path / "traces").glob("*.csv"))) == 24

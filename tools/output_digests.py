@@ -25,9 +25,9 @@ check that a change leaves every result byte-identical, run
 which prints nothing when every digest matches. A change that moves a result
 on purpose updates that file in the same commit.
 
-Exits 1 when any command exits non-zero. Takes 2.8-3.2 s whether the sweep
-forks or runs under ``taskset -c 0`` (three runs each on a 2-vCPU shared
-cloud host, Python 3.11, numpy 2.4).
+Exits 1 when any command exits non-zero. Takes 2.8-3.6 s whether the sweep
+and the settling study fork or run under ``taskset -c 0`` (three runs each
+on a 2-vCPU shared cloud host, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
