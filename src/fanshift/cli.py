@@ -42,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io, metrics
-from .engine import (KIND_DOWN_UP, KIND_UP_DOWN, KINDS, MODE_CLOSED_LOOP,
-                     MODE_FORCED_SETTLING, MODE_OPEN_LOOP, EventSchedule,
+from .engine import (FORCED_SETTLE_DEFAULT, KIND_DOWN_UP, KIND_UP_DOWN, KINDS,
+                     MODE_CLOSED_LOOP, MODE_OPEN_LOOP, EventSchedule,
                      OutdoorProfile, Scenario, run_baseline, run_closed_loop,
                      run_open_loop, tune_open_loop_event)
 from .errors import (ConfigurationError, DataFormatError, FanshiftError,
@@ -105,7 +105,7 @@ def _metrics_record(scenario: Scenario, event: Trace, counterfactual: Trace,
     window, window_hr = _metrics_window(scenario, window_name)
     m = metrics.evaluate_event(event, counterfactual, window)
     return data_io.ResultRecord.from_metrics(
-        m, scenario_id=scenario.scenario_id, mode=scenario.mode,
+        m, scenario_id=scenario.scenario_id, mode=scenario.mode_label,
         kind=scenario.event.kind, r=scenario.params.mix_r,
         c=scenario.params.mix_c, window_hr=window_hr)
 
@@ -339,11 +339,12 @@ def _study_scenario(case: str, kind: str, dt: float, step_offset: float,
         "oa_step_unpredicted": (stepped, flat),
         "oa_step_prediction_only": (flat, stepped),
     }[case]
-    mode = MODE_CLOSED_LOOP if case == "unforced" else MODE_FORCED_SETTLING
+    hold = 0.0 if case == "unforced" else FORCED_SETTLE_DEFAULT
     return Scenario(
         params=params,
-        event=EventSchedule(kind=kind, power_delta_frac=0.10),
-        mode=mode, dt=dt, warmup=warmup,
+        event=EventSchedule(kind=kind, power_delta_frac=0.10,
+                            forced_settle_duration=hold),
+        mode=MODE_CLOSED_LOOP, dt=dt, warmup=warmup,
         oa_actual=actual, oa_predicted=predicted,
         scenario_id=f"{case}_{kind}")
 

@@ -75,7 +75,8 @@ from pathlib import Path
 import numpy as np
 
 from .control import ControllerGains
-from .engine import EventSchedule, OutdoorProfile, Scenario
+from .engine import (FORCED_SETTLE_DEFAULT, MODE_FORCED_SETTLING, EventSchedule,
+                     OutdoorProfile, Scenario)
 from .errors import ConfigurationError, DataFormatError
 from .metrics import EventMetrics
 from .thermal import BuildingParams, delta_f_to_k, fahrenheit_to_celsius
@@ -699,7 +700,9 @@ def load_scenario_config(path: str | Path) -> Scenario:
 
     Every field is optional; the scenario id defaults to the file's stem and
     every other omission to the dataclass defaults (an open-loop scenario
-    with the calibrated building and gains).
+    with the calibrated building and gains), except that ``mode:
+    closed_loop_forced_settling`` without ``forced_settle_s`` holds
+    ``FORCED_SETTLE_DEFAULT`` (3600 s).
     """
     import yaml  # only configs need it; importing it costs every other command
 
@@ -720,7 +723,10 @@ def load_scenario_config(path: str | Path) -> Scenario:
 
     params = BuildingParams(**_fields(sections["building"], _BUILDING_KEYS, "building"))
     gains = ControllerGains(**_fields(sections["control"], _CONTROL_KEYS, "control"))
-    event = EventSchedule(**_fields(sections["event"], _EVENT_KEYS, "event"))
+    event_kw = _fields(sections["event"], _EVENT_KEYS, "event")
+    if kw.get("mode") == MODE_FORCED_SETTLING:
+        event_kw.setdefault("forced_settle_duration", FORCED_SETTLE_DEFAULT)
+    event = EventSchedule(**event_kw)
     outdoor = sections["outdoor"]
     _check_keys(outdoor, {"actual", "predicted"}, "outdoor")
     profiles = {f"oa_{name}": _profile_from_config(spec, params.t_outdoor_nominal)

@@ -53,7 +53,10 @@ __all__ = [
 MODE_OPEN_LOOP = "open_loop"
 MODE_CLOSED_LOOP = "closed_loop"
 MODE_FORCED_SETTLING = "closed_loop_forced_settling"
+# both closed-loop spellings name one mode, keyed by the event's hold alone
 MODES = (MODE_OPEN_LOOP, MODE_CLOSED_LOOP, MODE_FORCED_SETTLING)
+# the hold a config spelled closed_loop_forced_settling gets when it gives none, s
+FORCED_SETTLE_DEFAULT = 3600.0
 
 KIND_UP_DOWN = "UP_DOWN"
 KIND_DOWN_UP = "DOWN_UP"
@@ -119,6 +122,13 @@ class EventSchedule:
     explicit ``power_deltas`` (W) or as ``power_delta_frac`` of the baseline
     fan power at event start. DOWN_UP cuts power first (setpoint up), UP_DOWN
     raises it first.
+
+    ``forced_settle_duration`` (s) is the hold: how long a closed-loop
+    event's power PI stays engaged after the event, tracking a zero power
+    deviation. It defaults to 0, the loop handed back at the event's end; an
+    open-loop event must leave it 0. A config file that spells its mode
+    ``closed_loop_forced_settling`` and gives no ``forced_settle_s`` holds
+    ``FORCED_SETTLE_DEFAULT`` (3600 s).
     """
 
     kind: str = KIND_UP_DOWN
@@ -126,7 +136,7 @@ class EventSchedule:
     setpoint_deltas: tuple[float, float] | None = None
     power_deltas: tuple[float, float] | None = None
     power_delta_frac: float | None = None
-    forced_settle_duration: float = 3600.0
+    forced_settle_duration: float = 0.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -173,7 +183,13 @@ class EventSchedule:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete experiment description."""
+    """One complete experiment description.
+
+    ``mode`` is ``MODE_OPEN_LOOP`` or closed loop, which either of
+    ``MODE_CLOSED_LOOP`` and ``MODE_FORCED_SETTLING`` spells: a closed-loop
+    run is keyed by its event's hold alone. The mode text results carry is
+    :attr:`mode_label`, derived from the hold.
+    """
 
     params: BuildingParams = field(default_factory=BuildingParams)
     gains: ControllerGains = field(default_factory=ControllerGains)
@@ -193,14 +209,15 @@ class Scenario:
             raise ConfigurationError("dt must be finite and positive")
         if not (0 <= self.warmup < math.inf and 0 <= self.settle_duration < math.inf):
             raise ConfigurationError("warmup and settle_duration must be finite and >= 0")
-        if self.event.duration > self.settle_duration:
-            raise ConfigurationError("event does not fit inside the settling window")
-        if (self.mode == MODE_FORCED_SETTLING
-                and self.event.duration + self.event.forced_settle_duration
-                > self.settle_duration):
-            raise ConfigurationError("forced-settling period exceeds the settling window")
+        if self.mode == MODE_OPEN_LOOP and self.event.forced_settle_duration > 0:
+            raise ConfigurationError(
+                "an open-loop event has no forced-settle hold, got "
+                f"forced_settle_duration={self.event.forced_settle_duration:g}")
+        if self.event.duration + self.event.forced_settle_duration > self.settle_duration:
+            raise ConfigurationError(
+                "event and forced-settle hold do not fit inside the settling window")
         # from 2**53 steps on every float is an integer: no multiple check can fail
-        if max(self.t_settle, self.event.forced_settle_duration) / self.dt >= 2.0 ** 53:
+        if self.t_settle / self.dt >= 2.0 ** 53:
             raise ConfigurationError(f"a run takes at most 2**53 - 1 steps of dt={self.dt}")
         for name, value in (("warmup", self.warmup),
                             ("half_duration", self.event.half_duration),
@@ -237,6 +254,15 @@ class Scenario:
 
     def window(self) -> metrics.EventWindow:
         return metrics.EventWindow(self.t_start, self.t_end, self.t_settle)
+
+    @property
+    def mode_label(self) -> str:
+        """The mode text of result rows; a closed loop is named by its hold."""
+        if self.mode == MODE_OPEN_LOOP:
+            return MODE_OPEN_LOOP
+        if self.event.forced_settle_duration > 0:
+            return MODE_FORCED_SETTLING
+        return MODE_CLOSED_LOOP
 
 
 def _model_id(params: BuildingParams) -> int:
@@ -327,8 +353,7 @@ def _run(scenario: Scenario, oa: OutdoorProfile,
 
 
 # the zero setpoint schedule of every baseline
-_NO_EVENT = EventSchedule(half_duration=0.0, setpoint_deltas=(0.0, 0.0),
-                          forced_settle_duration=0.0)
+_NO_EVENT = EventSchedule(half_duration=0.0, setpoint_deltas=(0.0, 0.0))
 
 
 def run_baseline(scenario: Scenario) -> Trace:
@@ -376,14 +401,15 @@ def _march_open_loop(scenario: Scenario, until: float | None = None) -> Trace:
 def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
     """Power-tracking event under the *actual* outdoor profile.
 
-    The power PI is engaged over [t_start, t_end) with a square-wave power
-    reference; in forced-settling mode it stays engaged for
-    ``forced_settle_duration`` more with a zero reference, then hands back to
-    the temperature controller, whose integral carries over unchanged. The
-    baseline trace supplies both the feedback subtraction and the nominal
-    power that fractional schedules scale from.
+    The power PI is engaged over [t_start, t_end + hold), where the hold is
+    the event's ``forced_settle_duration``: a square-wave power reference
+    over the event, then a zero one. It then hands back to the temperature
+    controller, whose integral carries over unchanged. Either closed-loop
+    spelling of ``mode`` runs this one path. The baseline trace supplies both
+    the feedback subtraction and the nominal power that fractional schedules
+    scale from.
     """
-    if scenario.mode not in (MODE_CLOSED_LOOP, MODE_FORCED_SETTLING):
+    if scenario.mode == MODE_OPEN_LOOP:
         raise ConfigurationError("run_closed_loop needs a closed-loop scenario")
     n1 = scenario.n_steps + 1
     if baseline.n_samples != n1 or baseline.dt != scenario.dt:
@@ -393,10 +419,8 @@ def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
 
     p_nominal = float(baseline.p_fan[baseline.index_at(scenario.t_start)])
     d1, d2 = scenario.event.resolved_power_deltas(p_nominal)
-    engaged_until = scenario.t_end
-    if scenario.mode == MODE_FORCED_SETTLING:
-        engaged_until += scenario.event.forced_settle_duration
-    engaged = _interval_mask(scenario.times(), scenario.t_start, engaged_until)
+    engaged = _interval_mask(scenario.times(), scenario.t_start,
+                             scenario.t_end + scenario.event.forced_settle_duration)
 
     return _run(scenario, scenario.oa_actual,
                 p_ref=_halves(scenario, d1, d2), engaged=engaged.astype(np.uint8),

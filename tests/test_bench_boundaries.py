@@ -119,6 +119,15 @@ def test_workload_work_pinned(tmp_path, monkeypatch, workload, work):
     assert (len(steps), sum(steps), len(encodes)) == work
 
 
+def test_every_workload_setup_builds(tmp_path, monkeypatch):
+    # child.py builds each command's first scenario before main runs, so a
+    # scenario or mode change it cannot take would fail every benchmark run
+    workloads = load_perfbench(monkeypatch, "workloads").WORKLOADS
+    setup = load_perfbench(monkeypatch, "child")._setup
+    for workload in workloads.values():
+        setup(fanshift, workload(1, tmp_path).setup)
+
+
 def test_environment_probe_prints_its_record(monkeypatch):
     run = load_perfbench(monkeypatch, "run")
     # the benchmark's own call: ENV_PROBE under sys.executable with

@@ -188,7 +188,7 @@ class TestShortWindowFit:
         ("2h", {"settle_duration_s": 3600}, {}),
         ("both", {}, {"half_duration_s": 4500}),              # ends before t_end
         ("both", {"dt_s": 14, "warmup_s": 1400, "settle_duration_s": 14000},
-         {"half_duration_s": 1400, "forced_settle_s": 1400}),  # 7200 s is 514.3 steps
+         {"half_duration_s": 1400}),                           # 7200 s is 514.3 steps
     ], ids=["past-settle", "past-settle-2h-only", "before-event-end", "off-grid"])
     def test_rejected_before_the_march(self, tmp_path, capsys, monkeypatch,
                                        window, root, event):
@@ -203,6 +203,65 @@ class TestShortWindowFit:
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "error: the 2 h window ends at" in err and "settling window" in err
+        assert not calls and not out.exists()
+
+
+def simulate_config(tmp_path, name, base, root=None, event=None):
+    """Exit code of ``simulate`` on ``base`` YAML with ``root`` and ``event``
+    keys set, and the ``name`` output directory."""
+    raw = yaml.safe_load(base)
+    raw.update(root or {})
+    raw["event"].update(event or {})
+    config = tmp_path / f"{name}.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    out = tmp_path / name
+    return cli.main(["simulate", "--config", str(config), "--out", str(out)]), out
+
+
+def written_bytes(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestOneClosedLoopMode:
+    # both closed-loop spellings run one mode, keyed by the forced-settle hold
+
+    def test_closed_loop_runs_without_a_hold(self, tmp_path):
+        # no hold, so none has to be a multiple of dt=14
+        code, out = simulate_config(
+            tmp_path, "off-grid", CLOSED_LOOP_3H,
+            {"dt_s": 14, "warmup_s": 1400, "settle_duration_s": 14000},
+            {"half_duration_s": 1400})
+        assert code == 0
+        [row] = data_io.read_results(out / "short_metrics.csv")
+        assert row.mode == "closed_loop"
+
+    def test_hold_under_either_spelling(self, tmp_path):
+        outs = [simulate_config(tmp_path, mode, CLOSED_LOOP_3H, {"mode": mode},
+                                {"forced_settle_s": 1800})
+                for mode in ("closed_loop", "closed_loop_forced_settling")]
+        assert [code for code, _ in outs] == [0, 0]
+        held, forced = (written_bytes(out) for _, out in outs)
+        assert held == forced
+        [row] = data_io.read_results(outs[0][1] / "short_metrics.csv")
+        assert row.mode == "closed_loop_forced_settling"
+
+    def test_forced_spelling_holds_an_hour_by_default(self, tmp_path):
+        outs = [simulate_config(tmp_path, name, CLOSED_LOOP_3H,
+                                {"mode": "closed_loop_forced_settling"},
+                                event)
+                for name, event in (("default", {}), ("hour", {"forced_settle_s": 3600}))]
+        assert [code for code, _ in outs] == [0, 0]
+        assert written_bytes(outs[0][1]) == written_bytes(outs[1][1])
+
+    @pytest.mark.parametrize("hold", [600, 99990])
+    def test_open_loop_hold_rejected(self, tmp_path, capsys, monkeypatch, hold):
+        config = Path(__file__).resolve().parent.parent / "configs" / "open_loop_gta.yaml"
+        calls = count_marches(monkeypatch)
+        code, out = simulate_config(tmp_path, "held", config.read_text(), None,
+                                    {"forced_settle_s": hold})
+        assert code == 1
+        assert ("error: an open-loop event has no forced-settle hold, "
+                f"got forced_settle_duration={hold}") in capsys.readouterr().err
         assert not calls and not out.exists()
 
 

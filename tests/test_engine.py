@@ -311,7 +311,8 @@ class TestClosedLoop:
             run_closed_loop(sc, other)
 
     def test_forced_settling_pins_power_after_event(self):
-        sc = self._scenario(mode="closed_loop_forced_settling")
+        sc = self._scenario(event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.10,
+                                                forced_settle_duration=3600.0))
         base = run_baseline(sc)
         ev = run_closed_loop(sc, base)
         diff = np.abs(ev.p_fan - base.p_fan)
@@ -320,15 +321,29 @@ class TestClosedLoop:
         window = diff[i_end + 600:i_end + 3600]
         assert np.mean(window) < 3.0
 
-    def test_settles_by_horizon(self):
+    @pytest.mark.parametrize("hold", [0.0, 600.0])
+    def test_spellings_are_one_mode(self, hold):
+        runs, labels = [], []
         for mode in ("closed_loop", "closed_loop_forced_settling"):
+            sc = self._scenario(mode=mode, settle_duration=7200.0,
+                                event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.10,
+                                                    forced_settle_duration=hold))
+            runs.append(run_closed_loop(sc, run_baseline(sc)))
+            labels.append(sc.mode_label)
+        for name in SERIES_FIELDS:
+            assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
+        assert labels == 2 * ["closed_loop_forced_settling" if hold else "closed_loop"]
+
+    def test_settles_by_horizon(self):
+        for hold in (0.0, 3600.0):
             sc = Scenario(params=BuildingParams().with_mixing(0.5, 0.3),
-                          event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.10),
-                          mode=mode)
+                          event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.10,
+                                              forced_settle_duration=hold),
+                          mode="closed_loop")
             base = run_baseline(sc)
             ev = run_closed_loop(sc, base)
             residual = abs(ev.p_fan[-1] - base.p_fan[-1])
-            if mode == "closed_loop_forced_settling":
+            if hold > 0:
                 assert residual < 1.0
             else:
                 # the slow wall mode is still unwinding at the horizon
