@@ -12,6 +12,7 @@ subdirectories of ``OUT_DIR`` (which must be new or empty) and prints one
 * ``sim_<stem>``: ``simulate --window both`` on each ``configs/*.yaml``;
 * ``tune``: ``simulate --tune-neutral`` on ``configs/open_loop_gta.yaml``;
 * ``fs``: ``forced-settling --dt 20``;
+* ``fs_both``: ``forced-settling --dt 20 --window both --step-offset 600``;
 * ``sweep``: ``sweep-mixing --r-grid 0.2:1.0:0.2 --c-grid 0.1,0.3 --dt 10``;
 * ``cmp``: ``compare-models`` at its default dt of 1 s;
 * ``measured``: ``compare-models --dt 10`` with a measured CSV and window,
@@ -79,6 +80,8 @@ def commands(out: Path) -> list[list[str]]:
         ["simulate", "--config", str(configs / "open_loop_gta.yaml"),
          "--tune-neutral", "--out", str(out / "tune")],
         ["forced-settling", "--dt", "20", "--out", str(out / "fs")],
+        ["forced-settling", "--dt", "20", "--window", "both", "--step-offset", "600",
+         "--out", str(out / "fs_both")],
         ["sweep-mixing", "--r-grid", "0.2:1.0:0.2", "--c-grid", "0.1,0.3",
          "--dt", "10", "--out", str(out / "sweep")],
         ["compare-models", "--out", str(out / "cmp")],
