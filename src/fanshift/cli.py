@@ -10,21 +10,23 @@ Four subcommands compose the library into reproducible studies:
 Everything is emitted as CSV (traces and flat metrics rows); plotting is left
 to external tools. Exit codes: 0 success; 1 configuration error, bad data or
 traces off a shared time grid; 2 numerical failure or a tuner that finds no
-neutral schedule; 3 self-check failure. A sweep writes the rows of every point
-that succeeded, lists the failed points on stderr and exits with the code of
-the first failure.
+neutral schedule; 3 self-check failure.
 
-``sweep-mixing`` checks the arguments every point shares once, then marches
-its grid points on every usable CPU: with n CPUs the process forks n - 1
-children and each of the n workers takes every n-th point. The rows, the
-stderr lines and the exit code come back in grid order, the same bytes as a
-serial run. ``forced-settling`` marches its two no-event runs in-process,
-then its ten events the same way; the worker that marches an event writes
-its trace. With one CPU, without ``os.fork`` or while another thread is
-alive the points are marched in-process; a child that fails has its share
-marched by the parent, and every child is reaped (killed first on an
-interrupt) before the command returns. ``simulate`` and ``compare-models``
-run in-process.
+``sweep-mixing`` (over its grid points in (r, c) order) and
+``forced-settling`` (over its ten events) are studies with one failure
+policy, ``_study``: the rows of every case that succeeded are written, every
+failed case is listed on stderr in case order, and the command exits with
+the code of the first failure; with none, every full-window row must be
+energy neutral. Each checks what its cases share, windows included, once
+before the first march. The cases are marched on every usable CPU: with n
+CPUs the process forks n - 1 children and each of the n workers takes every
+n-th case. The rows, the stderr lines and the exit code come back in case
+order, the same bytes as a serial run. ``forced-settling`` first marches its
+two no-event runs in-process; the worker that marches an event writes its
+trace. With one CPU, without ``os.fork`` or while another thread is alive the
+cases are marched in-process; a child that fails has its share marched by
+the parent, and every child is reaped (killed first on an interrupt) before
+the command returns. ``simulate`` and ``compare-models`` run in-process.
 """
 
 from __future__ import annotations
@@ -81,49 +83,39 @@ def run_event_pair(scenario: Scenario) -> tuple[Trace, Trace, Trace]:
     return event, control_base, counterfactual
 
 
-def _metrics_window(scenario: Scenario,
-                    window_name: str) -> tuple[metrics.EventWindow, float]:
-    """The "full" settling window or the "2h" one after event start, and its hours."""
-    window = scenario.window()
-    if window_name == "full":
-        return window, scenario.settle_duration / 3600.0
-    t_short = scenario.t_start + SHORT_WINDOW_HR * 3600.0
-    steps = SHORT_WINDOW_HR * 3600.0 / scenario.dt
-    if (not scenario.t_end <= t_short <= scenario.t_settle
-            or abs(steps - round(steps)) > 1e-9):
-        raise ConfigurationError(
-            f"the {SHORT_WINDOW_HR:g} h window ends at {t_short:g} s, which must lie on "
-            f"the dt={scenario.dt:g} s grid, no earlier than the event end "
-            f"({scenario.t_end:g} s) and no later than the end of the settling "
-            f"window ({scenario.t_settle:g} s)")
-    return window.with_settle(t_short), SHORT_WINDOW_HR
+def _windows(scenario: Scenario,
+             window: str) -> list[tuple[metrics.EventWindow, float]]:
+    """The metrics windows ``--window`` names, in row order, with their hours.
 
-
-def _metrics_record(scenario: Scenario, event: Trace, counterfactual: Trace,
-                    window_name: str) -> data_io.ResultRecord:
-    """Metrics over the window named ``window_name`` (see ``_metrics_window``)."""
-    window, window_hr = _metrics_window(scenario, window_name)
-    m = metrics.evaluate_event(event, counterfactual, window)
-    return data_io.ResultRecord.from_metrics(
-        m, scenario_id=scenario.scenario_id, mode=scenario.mode_label,
-        kind=scenario.event.kind, r=scenario.params.mix_r,
-        c=scenario.params.mix_c, window_hr=window_hr)
-
-
-def _windows(window: str) -> tuple[str, ...]:
+    "full" is the settling window; "2h" ends ``SHORT_WINDOW_HR`` after event
+    start, a whole number of steps, between the event end and ``t_settle``.
+    A command calls this before its first march.
+    """
     if window not in WINDOWS:
         raise ConfigurationError(f"unknown window {window!r} (use {', '.join(WINDOWS)})")
-    return WINDOWS[window]
+    spans = {"full": (scenario.window(), scenario.settle_duration / 3600.0)}
+    if "2h" in WINDOWS[window]:
+        t_short = scenario.t_start + SHORT_WINDOW_HR * 3600.0
+        if (not scenario.t_end <= t_short <= scenario.t_settle
+                or scenario.whole_steps(SHORT_WINDOW_HR * 3600.0) is None):
+            raise ConfigurationError(
+                f"the {SHORT_WINDOW_HR:g} h window ends at {t_short:g} s, which must lie on "
+                f"the dt={scenario.dt:g} s grid, no earlier than the event end "
+                f"({scenario.t_end:g} s) and no later than the end of the settling "
+                f"window ({scenario.t_settle:g} s)")
+        spans["2h"] = spans["full"][0].with_settle(t_short), SHORT_WINDOW_HR
+    return [spans[name] for name in WINDOWS[window]]
 
 
-def _check_neutrality(records: list[data_io.ResultRecord]) -> None:
-    # a full-window row carries the short label only when its settling window
-    # is two hours long, and then both rows measure the same window
-    bad = [r for r in records
-           if r.window_hr != SHORT_WINDOW_HR and not r.neutral]
-    if bad:
-        ids = ", ".join(f"{r.scenario_id}/{r.kind}" for r in bad)
-        raise SelfCheckError(f"events violate the energy-neutrality criterion: {ids}")
+def _records(scenario: Scenario, event: Trace, counterfactual: Trace,
+             windows: list[tuple[metrics.EventWindow, float]]
+             ) -> list[data_io.ResultRecord]:
+    """The metrics rows of one event, one per window of ``_windows``."""
+    return [data_io.ResultRecord.from_metrics(
+        metrics.evaluate_event(event, counterfactual, window),
+        scenario_id=scenario.scenario_id, mode=scenario.mode_label,
+        kind=scenario.event.kind, r=scenario.params.mix_r,
+        c=scenario.params.mix_c, window_hr=hours) for window, hours in windows]
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +125,11 @@ def _check_neutrality(records: list[data_io.ResultRecord]) -> None:
 def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
                  window: str, tune_neutral: bool) -> int:
     """Run the scenario described by a config file; write traces + metrics."""
-    windows = _windows(window)
     out = data_io.check_output_dir(out)
     scenario = data_io.load_scenario_config(config)
     if dt is not None:
         scenario = replace(scenario, dt=dt)
-    for name in windows:  # a window that does not fit is rejected before any march
-        _metrics_window(scenario, name)
+    windows = _windows(scenario, window)
     if tune_neutral:
         if scenario.mode != MODE_OPEN_LOOP:
             raise ConfigurationError("--tune-neutral applies to open-loop scenarios")
@@ -147,8 +137,7 @@ def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
 
     event, control_base, counterfactual = run_event_pair(scenario)
 
-    records = [_metrics_record(scenario, event, counterfactual, name)
-               for name in windows]
+    records = _records(scenario, event, counterfactual, windows)
     sid = scenario.scenario_id
     data_io.make_output_dir(out)
     data_io.write_trace(event, out / f"{sid}_event.csv")
@@ -160,7 +149,7 @@ def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
 
 
 # ---------------------------------------------------------------------------
-# sweep-mixing
+# studies: the spine, and sweep-mixing
 # ---------------------------------------------------------------------------
 
 def _numbers(spec: str, sep: str) -> list[float]:
@@ -256,64 +245,69 @@ def _forked_map(func, items: list) -> list:
             os.waitpid(pid, 0)
 
 
+def _study(march, cases: list, names: list[str], what: str, results: Path) -> int:
+    """March a study's cases, write their rows and report every failure.
+
+    ``march(case)`` returns the case's metrics rows or raises a
+    ``FanshiftError``; ``_forked_map`` marches the cases. The rows of every
+    case that succeeded are written to ``results`` in case order. Each
+    failure is listed on stderr under "``what`` failed:" by its name in
+    ``names``, in case order, and the first is raised. With none, a
+    full-window row that is not energy neutral is a ``SelfCheckError`` (a
+    full-window row is labelled 2 h only when it is the 2 h window too).
+    """
+    def attempt(case) -> list[data_io.ResultRecord] | FanshiftError:
+        try:
+            return march(case)
+        except FanshiftError as exc:
+            return exc
+
+    outcomes = _forked_map(attempt, cases)
+    failures = [(name, exc) for name, exc in zip(names, outcomes)
+                if isinstance(exc, FanshiftError)]
+    records = [rec for rows in outcomes if isinstance(rows, list) for rec in rows]
+    data_io.make_output_dir(results.parent)
+    data_io.write_results(records, results)
+    if failures:
+        print(f"{what} failed:", *(f"{name}: {exc}" for name, exc in failures),
+              sep="\n  ", file=sys.stderr)
+        raise failures[0][1]
+    bad = [r for r in records if r.window_hr != SHORT_WINDOW_HR and not r.neutral]
+    if bad:
+        ids = ", ".join(f"{r.scenario_id}/{r.kind}" for r in bad)
+        raise SelfCheckError(f"events violate the energy-neutrality criterion: {ids}")
+    return 0
+
+
 def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
                      power_frac: float, out: str | Path, dt: float,
                      window: str) -> int:
     """Closed-loop events across a mixing-parameter grid; one row per window.
 
-    Arguments shared by every point (kind, event size, dt, windows) are
-    checked once on a reference scenario, before the grid: a bad one exits
-    with one error and no output directory. Each point's ``Scenario`` is that
-    reference with the point's plant; a bad (r, c) is a listed failure.
-    The points are marched by ``_forked_map``: on n usable CPUs, n workers
-    (this process and n - 1 forked children) take every n-th point, serially
-    with one CPU. Rows, stderr and exit code do not depend on the split.
+    A ``_study`` of the grid points in (r, c) order, whatever the order of
+    the grids: rows and listed failures come in that order. Arguments shared
+    by every point (kind, event size, dt, windows) are checked once on a
+    reference scenario, before the grid: a bad one exits with one error and
+    no output directory. A point's march builds its ``Scenario``, the
+    reference with the point's plant, so a bad (r, c) is a listed failure.
     """
     if not r_grid or not c_grid:
         raise ConfigurationError("grids must be non-empty")
-    windows = _windows(window)
     out = data_io.check_output_dir(out)
     reference = Scenario(event=EventSchedule(kind=kind, power_delta_frac=power_frac),
                          mode=MODE_CLOSED_LOOP, dt=dt)
-    for name in windows:
-        _metrics_window(reference, name)
+    windows = _windows(reference, window)
+    grid = sorted((r, c) for r in r_grid for c in c_grid)
 
-    grid = [(r, c) for r in r_grid for c in c_grid]
-    points: list[Scenario | FanshiftError] = []
-    for r, c in grid:
-        try:
-            points.append(replace(reference, params=BuildingParams().with_mixing(r, c),
-                                  scenario_id=f"mixing_r{r:g}_c{c:g}"))
-        except FanshiftError as exc:
-            points.append(exc)
+    def march(point: tuple[float, float]) -> list[data_io.ResultRecord]:
+        r, c = point
+        scenario = replace(reference, params=BuildingParams().with_mixing(r, c),
+                           scenario_id=f"mixing_r{r:g}_c{c:g}")
+        event, _, counterfactual = run_event_pair(scenario)
+        return _records(scenario, event, counterfactual, windows)
 
-    def march(point: Scenario | FanshiftError
-              ) -> list[data_io.ResultRecord] | FanshiftError:
-        """The point's metrics rows, or the error that stopped it."""
-        if isinstance(point, FanshiftError):
-            return point
-        try:
-            event, _, counterfactual = run_event_pair(point)
-            return [_metrics_record(point, event, counterfactual, name)
-                    for name in windows]
-        except FanshiftError as exc:
-            return exc
-
-    outcomes = _forked_map(march, points)
-    failures = [(r, c, exc) for (r, c), exc in zip(grid, outcomes)
-                if isinstance(exc, FanshiftError)]
-    results = sorted((rec for rows in outcomes if isinstance(rows, list)
-                      for rec in rows),
-                     key=lambda rec: (rec.r, rec.c, -rec.window_hr))
-    data_io.make_output_dir(out)
-    data_io.write_results(results, out / "mixing_sweep.csv")
-    if failures:
-        print("sweep points failed:",
-              *(f"r={r} c={c}: {exc}" for r, c, exc in failures),
-              sep="\n  ", file=sys.stderr)
-        raise failures[0][2]
-    _check_neutrality(results)
-    return 0
+    return _study(march, grid, [f"r={r} c={c}" for r, c in grid], "sweep points",
+                  out / "mixing_sweep.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +355,20 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     and counterfactual. They are two distinct no-event runs (flat and stepped
     forecast), memoised by the engine, and their 14 files hold two traces,
     each encoded once. So a failing no-event run is reported before any event
-    marches. Then ``_forked_map`` marches each case's event on every usable
-    CPU: its worker finds the baselines in the memo it inherited, computes
-    the case's rows and writes its event trace. The first failure in case
-    order is raised; traces of later cases that a worker finished may remain
-    on disk. Rows, stderr and exit code do not depend on the split.
+    marches. Then the ten events are a ``_study``: each worker finds the
+    baselines in the memo it inherited, computes its cases' rows and writes
+    their event traces. A failed case is listed by its scenario id; the rows
+    and traces of every case that succeeded are kept.
     """
     if step_f == 0 or step_offset >= Scenario.settle_duration:
         raise ConfigurationError(
             "the oa_step cases need a non-zero --step-f and a --step-offset below "
             f"{Scenario.settle_duration:g} s, else their rows copy the forced ones")
-    windows = _windows(window)
     out = data_io.check_output_dir(out)
     traces_dir = out / "traces"
     scenarios = [_study_scenario(case, kind, dt, step_offset, step_f, mix_r, mix_c)
                  for case in STUDY_CASES for kind in (KIND_UP_DOWN, KIND_DOWN_UP)]
+    windows = _windows(scenarios[0], window)
 
     # the no-event runs repeat across cases; each distinct trace is encoded once
     written: dict[bytes, Path] = {}
@@ -391,25 +384,15 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
             data_io.write_trace(counterfactual,
                                 traces_dir / f"{sid}_counterfactual.csv", written)
 
-    def march(scenario: Scenario) -> list[data_io.ResultRecord] | FanshiftError:
-        """The case's metrics rows, its event trace written, or the error."""
-        try:
-            event, _, counterfactual = run_event_pair(scenario)
-            rows = [_metrics_record(scenario, event, counterfactual, name)
-                    for name in windows]
-            data_io.write_trace(event, traces_dir / f"{scenario.scenario_id}.csv")
-            return rows
-        except FanshiftError as exc:
-            return exc
+    def march(scenario: Scenario) -> list[data_io.ResultRecord]:
+        """The case's metrics rows, its event trace written."""
+        event, _, counterfactual = run_event_pair(scenario)
+        rows = _records(scenario, event, counterfactual, windows)
+        data_io.write_trace(event, traces_dir / f"{scenario.scenario_id}.csv")
+        return rows
 
-    outcomes = _forked_map(march, scenarios)
-    for outcome in outcomes:
-        if isinstance(outcome, FanshiftError):
-            raise outcome
-    records = [rec for rows in outcomes for rec in rows]
-    data_io.write_results(records, out / "settling_study.csv")
-    _check_neutrality(records)
-    return 0
+    return _study(march, scenarios, [s.scenario_id for s in scenarios],
+                  "study cases", out / "settling_study.csv")
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,11 @@ class Scenario:
             raise ConfigurationError(
                 "an open-loop event has no forced-settle hold, got "
                 f"forced_settle_duration={self.event.forced_settle_duration:g}")
+        # a loop reads only its own command; the other loop's would be dropped
+        stray = (("power_deltas", "power_delta_frac") if self.mode == MODE_OPEN_LOOP
+                 else ("setpoint_deltas",))
+        if any(getattr(self.event, name) is not None for name in stray):
+            raise ConfigurationError(f"{self.mode} events take no {' or '.join(stray)}")
         if self.event.duration + self.event.forced_settle_duration > self.settle_duration:
             raise ConfigurationError(
                 "event and forced-settle hold do not fit inside the settling window")
@@ -223,8 +228,7 @@ class Scenario:
                             ("half_duration", self.event.half_duration),
                             ("settle_duration", self.settle_duration),
                             ("forced_settle_duration", self.event.forced_settle_duration)):
-            steps = value / self.dt
-            if abs(steps - round(steps)) > 1e-9:
+            if self.whole_steps(value) is None:
                 raise ConfigurationError(f"{name}={value} is not a multiple of dt={self.dt}")
         if self.oa_actual is None:
             object.__setattr__(self, "oa_actual",
@@ -244,6 +248,11 @@ class Scenario:
     @property
     def t_settle(self) -> float:
         return self.warmup + self.settle_duration
+
+    def whole_steps(self, seconds: float) -> int | None:
+        """``seconds`` in whole steps (within 1e-9 steps), or None off the dt grid."""
+        steps = seconds / self.dt
+        return round(steps) if abs(steps - round(steps)) <= 1e-9 else None
 
     @property
     def n_steps(self) -> int:
@@ -280,17 +289,14 @@ def _check_step_size(scenario: Scenario, mdot_max: float) -> None:
             f"constant ~{tau_fast:.3g} s); use dt <= {_RK4_DT_SAFETY * tau_fast:.3g} s")
 
 
-def _interval_mask(times: np.ndarray, t0: float, t1: float) -> np.ndarray:
-    return (times >= t0 - 1e-9) & (times < t1 - 1e-9)
-
-
 def _halves(scenario: Scenario, d1: float, d2: float) -> np.ndarray:
     """Square wave: d1 over the event's first half, d2 over its second, else 0."""
-    times = scenario.times()
-    wave = np.zeros(times.shape[0])
-    half = scenario.t_start + scenario.event.half_duration
-    wave[_interval_mask(times, scenario.t_start, half)] = d1
-    wave[_interval_mask(times, half, scenario.t_end)] = d2
+    wave = np.zeros(scenario.n_steps + 1)
+    # Scenario keeps the warmup and the half duration whole steps
+    start = scenario.whole_steps(scenario.t_start)
+    half = scenario.whole_steps(scenario.event.half_duration)
+    wave[start:start + half] = d1
+    wave[start + half:start + 2 * half] = d2
     return wave
 
 
@@ -419,11 +425,13 @@ def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
 
     p_nominal = float(baseline.p_fan[baseline.index_at(scenario.t_start)])
     d1, d2 = scenario.event.resolved_power_deltas(p_nominal)
-    engaged = _interval_mask(scenario.times(), scenario.t_start,
-                             scenario.t_end + scenario.event.forced_settle_duration)
+    engaged = np.zeros(n1, dtype=np.uint8)
+    start = scenario.whole_steps(scenario.t_start)
+    engaged[start:start + 2 * scenario.whole_steps(scenario.event.half_duration)
+            + scenario.whole_steps(scenario.event.forced_settle_duration)] = 1
 
     return _run(scenario, scenario.oa_actual,
-                p_ref=_halves(scenario, d1, d2), engaged=engaged.astype(np.uint8),
+                p_ref=_halves(scenario, d1, d2), engaged=engaged,
                 p_base=baseline.p_fan)
 
 
@@ -488,19 +496,22 @@ def _neutral_magnitude(net, m0: float) -> float:
     and the step outward is at least one and at most ``_MAX_EXPANSION``
     spacings of the two latest probes. On a near-linear net the secant
     converges superlinearly, so the stop rule is met a few probes after m0.
+    Giving up, it names the latest probe of each sign and the smallest
+    magnitude that gave the final net to the bit: where the net went flat.
     """
     f_m0 = net(m0)
     if f_m0 is None:
         return m0
-    prev = (m0, f_m0)
+    probes = [(m0, f_m0)]
     mag = 0.0 if m0 > 0.0 else _FIRST_MAGNITUDE_K
-    ends = {f_m0 > 0.0: prev}  # the latest probe with each sign of the net
+    ends = {f_m0 > 0.0: probes[0]}  # the latest probe with each sign of the net
     for _ in range(_MAX_PROBES):
         f = net(mag)
         if f is None:
             return mag
-        (x0, f0), (x1, f1) = prev, (mag, f)
-        prev = ends[f > 0.0] = (x1, f1)
+        (x0, f0), (x1, f1) = probes[-1], (mag, f)
+        probes.append((x1, f1))
+        ends[f > 0.0] = (x1, f1)
         step = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
         if len(ends) == 2:
             lo, hi = sorted(x for x, _ in ends.values())
@@ -512,6 +523,11 @@ def _neutral_magnitude(net, m0: float) -> float:
             mag = min(step, top + _MAX_EXPANSION * spacing)
     failure = ("no neutral schedule" if len(ends) == 2
                else "could not bracket a neutral schedule")
+    x_last, f_last = probes[-1]
+    x_flat = min(x for x, f in probes if f == f_last)
+    flat = (f"; the net is flat at {f_last:.6g} J from |delta2|={x_flat:.6g} on"
+            if x_flat < x_last else "")
     raise TuningError(
         f"{failure} within {_MAX_PROBES + 1} probes: net "
-        + ", ".join(f"{fx:.3g} J at |delta2|={x:.6g}" for x, fx in ends.values()))
+        + ", ".join(f"{fx:.3g} J at |delta2|={x:.6g}" for x, fx in ends.values())
+        + flat)

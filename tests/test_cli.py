@@ -265,6 +265,28 @@ class TestOneClosedLoopMode:
         assert not calls and not out.exists()
 
 
+class TestOtherLoopCommandRejected:
+    # a loop reads only its own command, so the other loop's was dropped
+    GTA = (Path(__file__).resolve().parent.parent / "configs"
+           / "open_loop_gta.yaml").read_text()
+
+    @pytest.mark.parametrize("base, event, message", [
+        (CLOSED_LOOP_3H, {"setpoint_deltas_f": [-1.0, 1.0]},
+         "closed_loop events take no setpoint_deltas"),
+        (GTA, {"power_delta_frac": 0.10},
+         "open_loop events take no power_deltas or power_delta_frac"),
+        (GTA, {"power_deltas_w": [-100.0, 100.0]},
+         "open_loop events take no power_deltas or power_delta_frac"),
+    ], ids=["closed-setpoint", "open-frac", "open-deltas"])
+    def test_exits_1_writing_nothing(self, tmp_path, capsys, monkeypatch,
+                                     base, event, message):
+        calls = count_marches(monkeypatch)
+        code, out = simulate_config(tmp_path, "mixed", base, None, event)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not calls and not out.exists()
+
+
 class TestEventPair:
     @pytest.mark.parametrize("actual, baselines", [
         (None, 1), (engine.OutdoorProfile.step_at(29.4, 1200.0, 1.0), 2),
@@ -413,6 +435,27 @@ class TestForkedSweep:
         assert err.count("r=2.0") == 2
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
+    def test_rows_and_failures_in_grid_order(self, tmp_path, capsys, monkeypatch):
+        # neither grid is sorted; the infeasible r = 2.0 fails at both c
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            code = cli.main(["sweep-mixing", "--r-grid", "0.6,0.2,2.0", "--c-grid",
+                             "0.3,0.1", "--dt", "10", "--out", str(out)])
+            runs.append((code, (out / "mixing_sweep.csv").read_bytes(),
+                         capsys.readouterr().err))
+            assert_no_child_left()
+        assert runs[0] == runs[1]
+        code, _, err = runs[0]
+        rows = data_io.read_results(tmp_path / "cpus1" / "mixing_sweep.csv")
+        assert code == 1
+        assert [(row.r, row.c, row.window_hr) for row in rows] == [
+            (r, c, hours) for r in (0.2, 0.6) for c in (0.1, 0.3)
+            for hours in (35000.0 / 3600.0, 2.0)]
+        assert [line.split(":")[0] for line in err.splitlines()[:3]] == [
+            "sweep points failed", "  r=2.0 c=0.1", "  r=2.0 c=0.3"]
+
     @pytest.mark.parametrize("loss", ["dies", "garbles"])
     def test_lost_share_marched_by_parent(self, tmp_path, capsys, monkeypatch, loss):
         use_cpus(monkeypatch, 1)
@@ -514,9 +557,10 @@ class TestForkedSettling:
         # (case 3) comes back through the pipe, the later one (case 4) is the
         # parent's own
         run_event_pair = cli.run_event_pair
+        failing = ("forced_DOWN_UP", "oa_step_predicted_UP_DOWN")
 
         def diverge(scenario):
-            if scenario.scenario_id in ("forced_DOWN_UP", "oa_step_predicted_UP_DOWN"):
+            if scenario.scenario_id in failing:
                 raise NumericalError(f"{scenario.scenario_id} diverged",
                                      {"t": 30.0, "t_mix": float("inf")})
             return run_event_pair(scenario)
@@ -525,13 +569,25 @@ class TestForkedSettling:
         runs = []
         for cpus in (2, 1):
             use_cpus(monkeypatch, cpus)
-            code, files, err = self._run(tmp_path, capsys, f"cpus{cpus}")
+            runs.append(self._run(tmp_path, capsys, f"cpus{cpus}"))
             assert_no_child_left()
-            assert "settling_study.csv" not in files
-            runs.append((code, err))
-        assert runs[0] == runs[1] == (
-            2, "numerical failure: forced_DOWN_UP diverged\n"
+        assert runs[0] == runs[1]
+        code, files, err = runs[0]
+        assert (code, err) == (
+            2, "study cases failed:\n"
+               "  forced_DOWN_UP: forced_DOWN_UP diverged\n"
+               "  oa_step_predicted_UP_DOWN: oa_step_predicted_UP_DOWN diverged\n"
+               "numerical failure: forced_DOWN_UP diverged\n"
                "  state: {'t': 30.0, 't_mix': inf}\n")
+        # the 8 cases that succeeded keep their rows and event traces
+        rows = data_io.read_results(tmp_path / "cpus1" / "settling_study.csv")
+        succeeded = [f"{case}_{kind}" for case in cli.STUDY_CASES
+                     for kind in ("UP_DOWN", "DOWN_UP")
+                     if f"{case}_{kind}" not in failing]
+        assert [row.scenario_id for row in rows] == succeeded
+        assert sorted(name for name in files if not name.endswith(
+            ("_baseline.csv", "_counterfactual.csv", "settling_study.csv"))) == sorted(
+            f"traces/{sid}.csv" for sid in succeeded)
 
     def test_no_event_failure_before_any_event(self, tmp_path, capsys, monkeypatch):
         run_baseline = cli.run_baseline
@@ -602,6 +658,22 @@ class TestTuningFailure:
                          "--out", str(tmp_path)])
         assert code == 2
         assert "could not bracket" in capsys.readouterr().err
+
+    def test_saturated_airflow_named(self, tmp_path, capsys):
+        # at r 0.3 a +-2 F UP_DOWN event saturates the airflow at its 0 floor:
+        # from |delta2| = 2.9384 K on, every probe gives the same net
+        config = tmp_path / "saturated.yaml"
+        config.write_text("mode: open_loop\ndt_s: 10.0\nwarmup_s: 7200\n"
+                          "settle_duration_s: 140000\n"
+                          "building:\n  mix_r: 0.3\n  mix_c: 0.1\n"
+                          "event:\n  kind: UP_DOWN\n  setpoint_deltas_f: [-2.0, 2.0]\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--tune-neutral",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tuning failed: could not bracket")
+        assert "flat at 109863 J from |delta2|=2.9384 on" in err
+        assert not out.exists()
 
 
 class TestTunedEvent:
