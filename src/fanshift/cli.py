@@ -8,9 +8,9 @@ Four subcommands compose the library into reproducible studies:
 * ``compare-models``  -- two-state vs mixing-air model under setpoint events
 
 Everything is emitted as CSV (traces and flat metrics rows); plotting is left
-to external tools. Exit codes: 0 success; 1 configuration error, bad data or
-traces off a shared time grid; 2 numerical failure or a tuner that finds no
-neutral schedule; 3 self-check failure.
+to external tools. Exit codes: 0 success; 1 configuration error (a usage
+error included), bad data or traces off a shared time grid; 2 numerical
+failure or a tuner that finds no neutral schedule; 3 self-check failure.
 
 ``sweep-mixing`` (over its grid points in (r, c) order) and
 ``forced-settling`` (over its ten events) are studies with one failure
@@ -59,28 +59,22 @@ __all__ = ["main", "cmd_simulate", "cmd_sweep_mixing", "cmd_forced_settling",
 SHORT_WINDOW_HR = 2.0
 # --window value -> the metrics windows written, in row order
 WINDOWS = {"full": ("full",), "2h": ("2h",), "both": ("full", "2h")}
+STUDY_WINDOWS = ("full", "both")  # a study checks its full-window rows
 
 
 class SelfCheckError(FanshiftError):
     """A command's built-in result verification failed."""
 
 
-def run_event_pair(scenario: Scenario) -> tuple[Trace, Trace, Trace]:
-    """Run one event with its two baselines.
+def run_event_pair(scenario: Scenario) -> tuple[Trace, Trace]:
+    """Run one event; returns (event, counterfactual).
 
-    Returns (event, control_baseline, counterfactual). The control baseline
-    is the no-event run under the *predicted* outdoor profile that the power
-    controller subtracts; the counterfactual is the no-event run under the
-    *actual* profile that metrics compare against. Whenever the profiles
-    agree they are one memoised trace, marched once.
+    The counterfactual, which metrics compare against, is the no-event run
+    under the *actual* outdoor profile. When the forecast agrees, it is the
+    memoised baseline a closed loop subtracts, marched once.
     """
-    control_base = run_baseline(scenario)
-    if scenario.mode == MODE_OPEN_LOOP:
-        event = run_open_loop(scenario)
-    else:
-        event = run_closed_loop(scenario, control_base)
-    counterfactual = run_baseline(replace(scenario, oa_predicted=scenario.oa_actual))
-    return event, control_base, counterfactual
+    run = run_open_loop if scenario.mode == MODE_OPEN_LOOP else run_closed_loop
+    return run(scenario), run_baseline(replace(scenario, oa_predicted=scenario.oa_actual))
 
 
 def _windows(scenario: Scenario,
@@ -135,7 +129,8 @@ def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
             raise ConfigurationError("--tune-neutral applies to open-loop scenarios")
         scenario = replace(scenario, event=tune_open_loop_event(scenario))
 
-    event, control_base, counterfactual = run_event_pair(scenario)
+    event, counterfactual = run_event_pair(scenario)
+    control_base = run_baseline(scenario)
 
     records = _records(scenario, event, counterfactual, windows)
     sid = scenario.scenario_id
@@ -284,12 +279,13 @@ def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
                      window: str) -> int:
     """Closed-loop events across a mixing-parameter grid; one row per window.
 
-    A ``_study`` of the grid points in (r, c) order, whatever the order of
-    the grids: rows and listed failures come in that order. Arguments shared
-    by every point (kind, event size, dt, windows) are checked once on a
-    reference scenario, before the grid: a bad one exits with one error and
-    no output directory. A point's march builds its ``Scenario``, the
-    reference with the point's plant, so a bad (r, c) is a listed failure.
+    A ``_study`` of the distinct grid points in (r, c) order, whatever the
+    order of the grids: rows and listed failures come in that order.
+    Arguments shared by every point (kind, event size, dt, windows) are
+    checked once on a reference scenario, before the grid: a bad one exits
+    with one error and no output directory. A point's march builds its
+    ``Scenario``, the reference with the point's plant, so a bad (r, c) is a
+    listed failure.
     """
     if not r_grid or not c_grid:
         raise ConfigurationError("grids must be non-empty")
@@ -297,13 +293,13 @@ def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
     reference = Scenario(event=EventSchedule(kind=kind, power_delta_frac=power_frac),
                          mode=MODE_CLOSED_LOOP, dt=dt)
     windows = _windows(reference, window)
-    grid = sorted((r, c) for r in r_grid for c in c_grid)
+    grid = sorted({(r, c) for r in r_grid for c in c_grid})
 
     def march(point: tuple[float, float]) -> list[data_io.ResultRecord]:
         r, c = point
         scenario = replace(reference, params=BuildingParams().with_mixing(r, c),
                            scenario_id=f"mixing_r{r:g}_c{c:g}")
-        event, _, counterfactual = run_event_pair(scenario)
+        event, counterfactual = run_event_pair(scenario)
         return _records(scenario, event, counterfactual, windows)
 
     return _study(march, grid, [f"r={r} c={c}" for r, c in grid], "sweep points",
@@ -386,7 +382,7 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
 
     def march(scenario: Scenario) -> list[data_io.ResultRecord]:
         """The case's metrics rows, its event trace written."""
-        event, _, counterfactual = run_event_pair(scenario)
+        event, counterfactual = run_event_pair(scenario)
         rows = _records(scenario, event, counterfactual, windows)
         data_io.write_trace(event, traces_dir / f"{scenario.scenario_id}.csv")
         return rows
@@ -485,7 +481,7 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
                 params=params, mode=MODE_OPEN_LOOP, dt=dt,
                 event=EventSchedule(kind=kind, setpoint_deltas=(d1, d2)),
                 scenario_id=f"{model_name}_{kind}")
-            event, _, baseline = run_event_pair(scenario)
+            event, baseline = run_event_pair(scenario)
 
             step0, slope = _drift_slope(event, baseline, scenario.t_start)
             same_direction = slope * step0 > 0
@@ -516,8 +512,13 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as a configuration error
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fanshift",
         description="HVAC fan load-shifting simulation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -542,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="event size as fraction of baseline fan power")
     p.add_argument("--out", required=True)
     p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--window", choices=list(WINDOWS), default="both")
+    p.add_argument("--window", choices=STUDY_WINDOWS, default="both")
 
     p = sub.add_parser("forced-settling",
                        help="forced vs unforced settling and baseline-error cases")
@@ -555,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="outdoor step size, degF")
     p.add_argument("--mix-r", type=float, default=0.5)
     p.add_argument("--mix-c", type=float, default=0.3)
-    p.add_argument("--window", choices=["full", "both"], default="full")
+    p.add_argument("--window", choices=STUDY_WINDOWS, default="full")
 
     p = sub.add_parser("compare-models",
                        help="two-state vs mixing-air model under setpoint events")
@@ -575,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # a converter's ConfigurationError leaves parse_args, and exits 1 here
+        # a usage error or a converter's ConfigurationError exits 1 here
         args = vars(_build_parser().parse_args(argv))
         del args["command"]
         return args.pop("run")(**args)

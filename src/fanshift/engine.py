@@ -7,18 +7,20 @@ run marches the plant and controllers over [0, t_settle] with a classical
 the lags, all inputs zero-order-held over each step. Runs start from the
 analytic equilibrium, the temperature integral carrying the equilibrium flow:
 a bit-exact fixed point, where runs sit flat and unmarched until an input changes.
+Every run takes its scenario alone, and ``_run`` alone builds its inputs.
 
 Identical scenarios produce bit-identical traces: the engine is seed-free.
 The last three open-loop runs are memoised on the scenario without its id, and
 every caller of one gets the memoised trace itself, read-only and shared. A
 baseline is the open-loop run of a zero setpoint schedule under the forecast,
-so shared baselines and the tuned event march once. A trace carries no label
-of the scenario it came from; the command that writes it holds that. The
-open-loop tuner solves the signed net over the event window for zero, to
-within ``NET_STOP_FRAC`` of the probe's own integral of |p_fan - p_base|
-there. Its probes march only to the t_end sample, the prefix of the full
-march to the bit, since the net reads nothing later. It then runs the root to
-t_settle, and judges it by ``metrics.NEUTRAL_FRAC`` like every result row.
+so shared baselines, the one a closed loop subtracts included, and the tuned
+event march once. A trace carries no label of the scenario it came from; the
+command that writes it holds that. The open-loop tuner solves the signed net
+over the event window for zero, to within ``NET_STOP_FRAC`` of the probe's
+own integral of |p_fan - p_base| there. Its probes march only to the t_end
+sample, the prefix of the full march to the bit, since the net reads nothing
+later. It then runs the root to t_settle, and judges it by
+``metrics.NEUTRAL_FRAC`` like every result row.
 """
 
 from __future__ import annotations
@@ -300,28 +302,32 @@ def _halves(scenario: Scenario, d1: float, d2: float) -> np.ndarray:
     return wave
 
 
-def _run(scenario: Scenario, oa: OutdoorProfile,
-         t_set_delta: np.ndarray | None = None, p_ref: np.ndarray | None = None,
-         engaged: np.ndarray | None = None, p_base: np.ndarray | None = None,
-         until: float | None = None) -> Trace:
-    """March one run under outdoor profile ``oa`` from the equilibrium start.
+def _run(scenario: Scenario, until: float | None = None) -> Trace:
+    """March ``scenario`` from the equilibrium start, its inputs built here.
 
-    Omitted inputs keep their no-event values: the nominal setpoint, a zero
-    power reference and the power PI disengaged. With ``until`` (a time on
-    the grid) the march stops at that sample: the inputs and sanity bounds
-    are the full horizon's, cut there, so every state and ``p_fan`` sample is
-    the full march's to the bit (the last sample's commands are evaluated
-    with a zero step, as at any march's end).
+    Outdoor air follows the actual profile. An open loop gets its setpoint
+    square wave; a closed loop subtracts :func:`run_baseline`'s fan power,
+    tracks a power reference sized from it at t_start and engages the power
+    PI over [t_start, t_end + hold). ``until`` (a time on the grid) stops the
+    march at that sample, the full horizon's inputs and sanity bounds cut
+    there: every state and ``p_fan`` sample is the full march's to the bit
+    (the last commands get a zero step, as at any march's end).
     """
     p, g = scenario.params, scenario.gains
     n = scenario.n_steps
     times = scenario.times()
-    t_out = oa.series(times)
-    zeros = np.zeros(n + 1)
-    t_set = g.t_set_nominal + (zeros if t_set_delta is None else t_set_delta)
-    p_ref = zeros if p_ref is None else p_ref
-    engaged = np.zeros(n + 1, dtype=np.uint8) if engaged is None else engaged
-    p_base = zeros if p_base is None else p_base
+    t_out = scenario.oa_actual.series(times)
+    t_set = np.full(n + 1, g.t_set_nominal)
+    p_ref = p_base = np.zeros(n + 1)
+    engaged = np.zeros(n + 1, dtype=np.uint8)
+    if scenario.mode == MODE_OPEN_LOOP:
+        t_set += _halves(scenario, *scenario.event.setpoint_deltas)
+    else:
+        p_base = run_baseline(scenario).p_fan
+        start = scenario.whole_steps(scenario.t_start)
+        p_ref = _halves(scenario, *scenario.event.resolved_power_deltas(p_base[start]))
+        engaged[start:start + 2 * scenario.whole_steps(scenario.event.half_duration)
+                + scenario.whole_steps(scenario.event.forced_settle_duration)] = 1
 
     t_mix0, t_wall0, mdot_eq = equilibrium(p, g.t_set_nominal, float(t_out[0]))
     i_temp0 = mdot_eq / g.ki_temp if g.ki_temp > 0 else 0.0
@@ -392,47 +398,26 @@ def run_open_loop(scenario: Scenario) -> Trace:
 @functools.lru_cache(maxsize=3)
 def _memo_open_loop(scenario: Scenario) -> Trace:
     """The full open-loop march of ``scenario``, with read-only arrays."""
-    trace = _march_open_loop(scenario)
+    trace = _run(scenario)
     for name in SERIES_FIELDS:
         getattr(trace, name).setflags(write=False)
     return trace
 
 
-def _march_open_loop(scenario: Scenario, until: float | None = None) -> Trace:
-    return _run(scenario, scenario.oa_actual,
-                t_set_delta=_halves(scenario, *scenario.event.setpoint_deltas),
-                until=until)
-
-
-def run_closed_loop(scenario: Scenario, baseline: Trace) -> Trace:
+def run_closed_loop(scenario: Scenario) -> Trace:
     """Power-tracking event under the *actual* outdoor profile.
 
     The power PI is engaged over [t_start, t_end + hold), where the hold is
     the event's ``forced_settle_duration``: a square-wave power reference
     over the event, then a zero one. It then hands back to the temperature
     controller, whose integral carries over unchanged. Either closed-loop
-    spelling of ``mode`` runs this one path. The baseline trace supplies both
-    the feedback subtraction and the nominal power that fractional schedules
-    scale from.
+    spelling of ``mode`` runs this one path. Its baseline, :func:`run_baseline`,
+    supplies both the feedback subtraction and the nominal power that
+    fractional schedules scale from.
     """
     if scenario.mode == MODE_OPEN_LOOP:
         raise ConfigurationError("run_closed_loop needs a closed-loop scenario")
-    n1 = scenario.n_steps + 1
-    if baseline.n_samples != n1 or baseline.dt != scenario.dt:
-        raise ConfigurationError(
-            f"baseline grid ({baseline.n_samples} samples at dt={baseline.dt}) "
-            f"does not cover this scenario ({n1} samples at dt={scenario.dt})")
-
-    p_nominal = float(baseline.p_fan[baseline.index_at(scenario.t_start)])
-    d1, d2 = scenario.event.resolved_power_deltas(p_nominal)
-    engaged = np.zeros(n1, dtype=np.uint8)
-    start = scenario.whole_steps(scenario.t_start)
-    engaged[start:start + 2 * scenario.whole_steps(scenario.event.half_duration)
-            + scenario.whole_steps(scenario.event.forced_settle_duration)] = 1
-
-    return _run(scenario, scenario.oa_actual,
-                p_ref=_halves(scenario, d1, d2), engaged=engaged,
-                p_base=baseline.p_fan)
+    return _run(scenario)
 
 
 def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
@@ -444,10 +429,9 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
     the *actual* outdoor profile) is zero, to within ``NET_STOP_FRAC`` of the
     probe's own integral of |p_fan - p_base| over [t_start, t_end]. The net
     moves monotonically with the magnitude, so a safeguarded secant search
-    finds its sign change (:func:`_neutral_magnitude`). Each probe marches
-    only to the t_end sample, which is all the net reads, with the full
-    horizon's inputs and sanity bounds cut there, so its net is the full
-    march's to the bit; no magnitude is probed twice.
+    finds its sign change (:func:`_neutral_magnitude`). Each probe is cut at
+    the t_end sample (:func:`_run`'s ``until``), all the net reads, so its net
+    is the full march's to the bit; no magnitude is probed twice.
 
     The root is then run to t_settle through :func:`run_open_loop`, whose
     memo keeps it for the event run of the tuned schedule, and judged by the
@@ -470,7 +454,7 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
 
     def net(mag: float) -> float | None:
         """The probe's signed net (J), or None when it meets the stop rule."""
-        cut = _march_open_loop(schedule(mag), until=scenario.t_end)
+        cut = _run(schedule(mag), until=scenario.t_end)
         signed, scale = metrics.event_net(cut, base_cut, window)
         return None if abs(signed) <= NET_STOP_FRAC * scale else signed
 

@@ -296,9 +296,9 @@ class TestEventPair:
                             event=engine.EventSchedule(kind="DOWN_UP",
                                                        power_delta_frac=0.1))
         calls = count_marches(monkeypatch)
-        _, control_base, counterfactual = cli.run_event_pair(sc)
+        _, counterfactual = cli.run_event_pair(sc)
         assert len(calls) == 1 + baselines  # the event and each distinct baseline
-        assert (counterfactual is control_base) == (baselines == 1)
+        assert (counterfactual is engine.run_baseline(sc)) == (baselines == 1)
 
 
 class TestStepCountLimit:
@@ -844,6 +844,55 @@ class TestParseGrid:
     ])
     def test_grid(self, spec, grid):
         assert cli.parse_grid(spec) == grid
+
+
+class TestUsageErrors:
+    # exit 2 is numerical failure or tuning; a usage error is a configuration error
+
+    @pytest.mark.parametrize("argv", [
+        ["forced-settling", "--window", "2h", "--out", "{out}"],
+        ["sweep-mixing", "--dt", "abc", "--out", "{out}"],
+        ["simulate", "--out", "{out}"],
+        ["sweep-mixing", "--kind", "SIDEWAYS", "--out", "{out}"],
+        ["frobnicate", "--out", "{out}"],
+        [],
+    ], ids=["invalid-window", "bad-float", "missing-required", "invalid-choice",
+            "unknown-command", "missing-command"])
+    def test_exits_1_writing_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main([arg.format(out=out) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fanshift") and err.count("\n") == 1
+        assert not calls and not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["sweep-mixing", "--help"])
+        assert info.value.code == 0
+        assert "--r-grid" in capsys.readouterr().out
+
+
+class TestStudyWindows:
+    @pytest.mark.parametrize("command", ["sweep-mixing", "forced-settling"])
+    def test_short_window_alone_rejected(self, tmp_path, capsys, monkeypatch, command):
+        # a study judges neutrality on its full-window rows, so it must write them
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main([command, "--dt", "200", "--window", "2h", "--out", str(out)]) == 1
+        assert "invalid choice: '2h'" in capsys.readouterr().err
+        assert not calls and not out.exists()
+
+    def test_repeated_grid_value_marched_once(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["sweep-mixing", "--r-grid", "0.2,0.2", "--c-grid", "0.1",
+                         "--dt", "10", "--out", str(out)]) == 0
+        rows = data_io.read_results(out / "mixing_sweep.csv")
+        assert [(r.r, r.c, r.window_hr) for r in rows] == [
+            (0.2, 0.1, 35000.0 / 3600.0), (0.2, 0.1, 2.0)]
+        assert len(calls) == 2  # the event and its baseline
 
 
 class TestParser:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import pickle
 
@@ -179,15 +180,16 @@ class TestBaselineMemo:
                                   replace(ControllerGains(), kp_temp=0.5, ki_temp=4e-3)]))
     def test_zero_schedule_is_the_no_event_run(self, mixing, dt, forecast, gains):
         # a baseline is the open-loop run of a zero setpoint schedule under the
-        # forecast: the same bits as the run with no setpoint input at all
+        # forecast: the same bits as the closed-loop run of an empty event under
+        # the forecast, which moves no setpoint and never engages the power PI
         params = BuildingParams() if mixing is None else BuildingParams().with_mixing(*mixing)
         sc = quick_scenario(params=params, gains=gains, dt=dt, warmup=800.0,
                             settle_duration=3600.0, oa_predicted=forecast)
         engine._memo_open_loop.cache_clear()
         memo = run_baseline(sc)
-        no_event = replace(sc, event=EventSchedule(half_duration=0.0,
-                                                   forced_settle_duration=0.0))
-        marched = engine._run(no_event, sc.oa_predicted)
+        no_event = replace(sc, mode="closed_loop", oa_actual=forecast,
+                           event=EventSchedule(half_duration=0.0, power_delta_frac=0.0))
+        marched = run_closed_loop(no_event)
         for name in SERIES_FIELDS:
             assert getattr(memo, name).tobytes() == getattr(marched, name).tobytes(), name
         assert memo.dt == marched.dt
@@ -266,13 +268,13 @@ class TestClosedLoop:
         sc = self._scenario(event=EventSchedule(kind="UP_DOWN",
                                                 power_deltas=(0.0, 0.0)))
         base = run_baseline(sc)
-        ev = run_closed_loop(sc, base)
+        ev = run_closed_loop(sc)
         assert np.max(np.abs(ev.p_fan - base.p_fan)) < 0.5
 
     def test_tracks_square_reference(self):
         sc = self._scenario()
         base = run_baseline(sc)
-        ev = run_closed_loop(sc, base)
+        ev = run_closed_loop(sc)
         diff = ev.p_fan - base.p_fan
         i0 = ev.index_at(sc.t_start)
         i1 = ev.index_at(sc.t_end)
@@ -286,7 +288,7 @@ class TestClosedLoop:
     def test_reference_recorded_in_trace(self):
         sc = self._scenario()
         base = run_baseline(sc)
-        ev = run_closed_loop(sc, base)
+        ev = run_closed_loop(sc)
         i0 = ev.index_at(sc.t_start)
         assert ev.p_event_ref[i0] == pytest.approx(0.10 * base.p_fan[i0])
         assert ev.p_event_ref[ev.index_at(sc.t_end)] == 0.0
@@ -296,7 +298,7 @@ class TestClosedLoop:
         sc = self._scenario()
         base = run_baseline(sc)
         before = {name: getattr(base, name).copy() for name in SERIES_FIELDS}
-        ev = run_closed_loop(sc, base)
+        ev = run_closed_loop(sc)
         assert not np.array_equal(ev.p_fan, base.p_fan)
         for name in SERIES_FIELDS:
             series = getattr(base, name)
@@ -304,17 +306,25 @@ class TestClosedLoop:
             assert np.array_equal(series, before[name]), name
         assert run_baseline(sc).p_fan is base.p_fan
 
-    def test_grid_mismatch_rejected(self):
-        sc = self._scenario()
-        other = run_baseline(self._scenario(settle_duration=7200.0))
-        with pytest.raises(ConfigurationError):
-            run_closed_loop(sc, other)
+    def test_takes_its_scenario_alone(self, monkeypatch):
+        # the reference is sized from the forecast's no-event run, found in the
+        # memo; a forecast stepped before t_start moves it off the counterfactual
+        sc = self._scenario(oa_predicted=OutdoorProfile.step_at(29.4, 300.0, 1.0))
+        assert list(inspect.signature(run_closed_loop).parameters) == ["scenario"]
+        forecast = run_baseline(sc)
+        calls = count_marches(monkeypatch)
+        ev = run_closed_loop(sc)
+        assert len(calls) == 1
+        i0 = ev.index_at(sc.t_start)
+        assert ev.p_event_ref[i0] == 0.10 * forecast.p_fan[i0]
+        counterfactual = run_baseline(replace(sc, oa_predicted=sc.oa_actual))
+        assert counterfactual.p_fan[i0] != forecast.p_fan[i0]
 
     def test_forced_settling_pins_power_after_event(self):
         sc = self._scenario(event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.10,
                                                 forced_settle_duration=3600.0))
         base = run_baseline(sc)
-        ev = run_closed_loop(sc, base)
+        ev = run_closed_loop(sc)
         diff = np.abs(ev.p_fan - base.p_fan)
         i_end = ev.index_at(sc.t_end)
         # after a short transient the forced hour holds the baseline closely
@@ -328,7 +338,7 @@ class TestClosedLoop:
             sc = self._scenario(mode=mode, settle_duration=7200.0,
                                 event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.10,
                                                     forced_settle_duration=hold))
-            runs.append(run_closed_loop(sc, run_baseline(sc)))
+            runs.append(run_closed_loop(sc))
             labels.append(sc.mode_label)
         for name in SERIES_FIELDS:
             assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
@@ -341,7 +351,7 @@ class TestClosedLoop:
                                               forced_settle_duration=hold),
                           mode="closed_loop")
             base = run_baseline(sc)
-            ev = run_closed_loop(sc, base)
+            ev = run_closed_loop(sc)
             residual = abs(ev.p_fan[-1] - base.p_fan[-1])
             if hold > 0:
                 assert residual < 1.0
@@ -376,7 +386,7 @@ class TestStep:
                       settle_duration=7200.0)
         baseline = run_baseline(sc)
         steps = count_plant_steps(monkeypatch)
-        run_closed_loop(sc, baseline)
+        run_closed_loop(sc)
         assert len(steps) <= sc.n_steps - sc.warmup / sc.dt + 2
 
     @pytest.mark.parametrize("mix", [None, (0.5, 0.3)], ids=["two_state", "mixing"])
@@ -390,7 +400,7 @@ class TestStep:
                       settle_duration=7200.0)
         baseline = run_baseline(sc)
         steps = count_plant_steps(monkeypatch)
-        run_closed_loop(sc, baseline)
+        run_closed_loop(sc)
         assert 2 * sc.event.half_duration / sc.dt < len(steps) < sc.n_steps
 
     def test_convergence_from_perturbed_start(self):
@@ -486,7 +496,7 @@ class TestEnergyBookkeeping:
                       event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.10),
                       mode="closed_loop", warmup=600.0, settle_duration=10800.0)
         base = run_baseline(sc)
-        ev = run_closed_loop(sc, base)
+        ev = run_closed_loop(sc)
         p = sc.params
         stored = (p.c_mix * (ev.t_mix[-1] - ev.t_mix[0])
                   + p.c_room_rest * (ev.t_room[-1] - ev.t_room[0])
@@ -619,8 +629,8 @@ class TestCutProbe:
         params = BuildingParams().with_mixing(0.3, 0.1) if mixing else BuildingParams()
         sc = quick_scenario(params=params, dt=dt,
                             event=EventSchedule(kind=kind, setpoint_deltas=deltas))
-        full = engine._march_open_loop(sc)
-        cut = engine._march_open_loop(sc, until=sc.t_end)
+        full = engine._run(sc)
+        cut = engine._run(sc, until=sc.t_end)
         k = round(sc.t_end / dt)
         assert cut.n_samples == k + 1
         assert cut.p_fan.tobytes() == full.p_fan[:k + 1].tobytes()
@@ -642,8 +652,8 @@ class TestCutProbe:
             return simulate_loop(*args)
 
         monkeypatch.setattr(kernels, "simulate_loop", spy)
-        engine._march_open_loop(sc)
-        engine._march_open_loop(sc, until=sc.t_end)
+        engine._run(sc)
+        engine._run(sc, until=sc.t_end)
         (full, cut), k = calls, round(sc.t_end / sc.dt)
         assert cut[:2] == (full[0], k) and cut[2:8] == full[2:8]
         assert full[7] == 29.4 + 30.0 + 5.0

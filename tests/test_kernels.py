@@ -26,7 +26,7 @@ from conftest import TRACE_OUTPUTS, count_plant_steps, equilibrium_start, march
 def _closed_loop(params, event, mode):
     sc = Scenario(params=params, event=event, mode=mode, warmup=400.0,
                   settle_duration=1600.0)
-    return run_closed_loop(sc, run_baseline(sc))
+    return run_closed_loop(sc)
 
 
 def mixing_power_pi():
@@ -106,7 +106,7 @@ def unpredicted_step_in_warmup():
                   mode="closed_loop_forced_settling", warmup=600.0,
                   settle_duration=1400.0,
                   oa_actual=OutdoorProfile.step_at(29.4, 300.0, 3.0 / 1.8))
-    return run_closed_loop(sc, run_baseline(sc))
+    return run_closed_loop(sc)
 
 
 def _engaged_march(*spans):
