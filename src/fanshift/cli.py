@@ -8,15 +8,17 @@ Four subcommands compose the library into reproducible studies:
 * ``compare-models``  -- two-state vs mixing-air model under setpoint events
 
 Everything is emitted as CSV (traces and flat metrics rows); plotting is left
-to external tools. Exit codes: 0 success; 1 configuration error (a usage
-error included), bad data or traces off a shared time grid; 2 numerical
-failure or a tuner that finds no neutral schedule; 3 self-check failure.
+to external tools. ``simulate`` and the two studies take ``--window full`` (the
+settling window's row) or ``both`` (it, then the 2 h window's). Exit codes: 0
+success; 1 configuration error (a usage error included), bad data or traces
+off a shared time grid; 2 numerical failure or a tuner that finds no neutral
+schedule; 3 self-check failure.
 
 ``sweep-mixing`` (over its grid points in (r, c) order) and
 ``forced-settling`` (over its ten events) are studies with one failure
 policy, ``_study``: the rows of every case that succeeded are written, every
 failed case is listed on stderr in case order, and the command exits with
-the code of the first failure; with none, every full-window row must be
+the code of the first failure; with none, each case's full-window row must be
 energy neutral. Each checks what its cases share, windows included, once
 before the first march. The cases are marched on every usable CPU: with n
 CPUs the process forks n - 1 children and each of the n workers takes every
@@ -57,9 +59,9 @@ __all__ = ["main", "cmd_simulate", "cmd_sweep_mixing", "cmd_forced_settling",
            "cmd_compare_models", "SelfCheckError"]
 
 SHORT_WINDOW_HR = 2.0
-# --window value -> the metrics windows written, in row order
-WINDOWS = {"full": ("full",), "2h": ("2h",), "both": ("full", "2h")}
-STUDY_WINDOWS = ("full", "both")  # a study checks its full-window rows
+# --window values: the settling window alone, or it and the 2 h window
+WINDOWS = ("full", "both")
+COMMANDS = ("simulate", "sweep-mixing", "forced-settling", "compare-models")
 
 
 class SelfCheckError(FanshiftError):
@@ -81,14 +83,16 @@ def _windows(scenario: Scenario,
              window: str) -> list[tuple[metrics.EventWindow, float]]:
     """The metrics windows ``--window`` names, in row order, with their hours.
 
-    "full" is the settling window; "2h" ends ``SHORT_WINDOW_HR`` after event
-    start, a whole number of steps, between the event end and ``t_settle``.
-    A command calls this before its first march.
+    "full" is the settling window alone; "both" adds the 2 h window, which
+    ends ``SHORT_WINDOW_HR`` after event start, a whole number of steps,
+    between the event end and ``t_settle``. The first row is always the
+    settling window's. Any other name is a ``ConfigurationError``. A command
+    calls this before its first march.
     """
     if window not in WINDOWS:
-        raise ConfigurationError(f"unknown window {window!r} (use {', '.join(WINDOWS)})")
-    spans = {"full": (scenario.window(), scenario.settle_duration / 3600.0)}
-    if "2h" in WINDOWS[window]:
+        raise ConfigurationError(f"unknown window {window!r} (use {' or '.join(WINDOWS)})")
+    spans = [(scenario.window(), scenario.settle_duration / 3600.0)]
+    if window == "both":
         t_short = scenario.t_start + SHORT_WINDOW_HR * 3600.0
         if (not scenario.t_end <= t_short <= scenario.t_settle
                 or scenario.whole_steps(SHORT_WINDOW_HR * 3600.0) is None):
@@ -97,8 +101,8 @@ def _windows(scenario: Scenario,
                 f"the dt={scenario.dt:g} s grid, no earlier than the event end "
                 f"({scenario.t_end:g} s) and no later than the end of the settling "
                 f"window ({scenario.t_settle:g} s)")
-        spans["2h"] = spans["full"][0].with_settle(t_short), SHORT_WINDOW_HR
-    return [spans[name] for name in WINDOWS[window]]
+        spans.append((spans[0][0].with_settle(t_short), SHORT_WINDOW_HR))
+    return spans
 
 
 def _records(scenario: Scenario, event: Trace, counterfactual: Trace,
@@ -125,8 +129,6 @@ def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
         scenario = replace(scenario, dt=dt)
     windows = _windows(scenario, window)
     if tune_neutral:
-        if scenario.mode != MODE_OPEN_LOOP:
-            raise ConfigurationError("--tune-neutral applies to open-loop scenarios")
         scenario = replace(scenario, event=tune_open_loop_event(scenario))
 
     event, counterfactual = run_event_pair(scenario)
@@ -193,9 +195,8 @@ def _forked_map(func, items: list) -> list:
     this process is interrupted.
     """
     cpus = getattr(os, "sched_getaffinity", None)
-    n = min(len(items), len(cpus(0))) if cpus and hasattr(os, "fork") else 1
-    if n < 2 or threading.active_count() > 1:
-        return [func(item) for item in items]
+    forkable = cpus and hasattr(os, "fork") and threading.active_count() == 1
+    n = min(len(items), len(cpus(0))) if forkable else 1
     children = {}  # worker -> (pid, read end of its pipe), until reaped
     try:
         for k in range(1, n):
@@ -247,9 +248,9 @@ def _study(march, cases: list, names: list[str], what: str, results: Path) -> in
     ``FanshiftError``; ``_forked_map`` marches the cases. The rows of every
     case that succeeded are written to ``results`` in case order. Each
     failure is listed on stderr under "``what`` failed:" by its name in
-    ``names``, in case order, and the first is raised. With none, a
-    full-window row that is not energy neutral is a ``SelfCheckError`` (a
-    full-window row is labelled 2 h only when it is the 2 h window too).
+    ``names``, in case order, and the first is raised. With none, a case
+    whose first row, the full window's, is not energy neutral is a
+    ``SelfCheckError``.
     """
     def attempt(case) -> list[data_io.ResultRecord] | FanshiftError:
         try:
@@ -267,7 +268,7 @@ def _study(march, cases: list, names: list[str], what: str, results: Path) -> in
         print(f"{what} failed:", *(f"{name}: {exc}" for name, exc in failures),
               sep="\n  ", file=sys.stderr)
         raise failures[0][1]
-    bad = [r for r in records if r.window_hr != SHORT_WINDOW_HR and not r.neutral]
+    bad = [rows[0] for rows in outcomes if not rows[0].neutral]
     if bad:
         ids = ", ".join(f"{r.scenario_id}/{r.kind}" for r in bad)
         raise SelfCheckError(f"events violate the energy-neutrality criterion: {ids}")
@@ -464,6 +465,10 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
     if not 0 < setpoint_delta_f < math.inf:
         raise ConfigurationError(
             f"--setpoint-delta-f must be positive and finite, got {setpoint_delta_f:g}")
+    plants = {"original": BuildingParams(),
+              "mixing": BuildingParams().with_mixing(mix_r, mix_c)}
+    if not plants["mixing"].uses_mixing_model:  # it would be the two-state model
+        raise ConfigurationError("compare-models needs a mixing pocket: --mix-r > 0")
     out = data_io.check_output_dir(out)
     if measured is not None:
         measured_trace, measured_record = _measured_outputs(
@@ -471,8 +476,6 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
     elif column_map is not None or measured_window is not None:
         raise ConfigurationError("--column-map and --measured-window need --measured")
     delta = delta_f_to_k(setpoint_delta_f)
-    plants = {"original": BuildingParams(),
-              "mixing": BuildingParams().with_mixing(mix_r, mix_c)}
     deltas = {KIND_DOWN_UP: (delta, -delta), KIND_UP_DOWN: (-delta, delta)}
 
     for model_name, params in plants.items():
@@ -528,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="scenario YAML path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dt", type=float, default=None, help="override timestep, s")
-    p.add_argument("--window", choices=list(WINDOWS), default="full")
+    p.add_argument("--window", choices=WINDOWS, default="full")
     p.add_argument("--tune-neutral", action="store_true",
                    help="adjust the second setpoint delta until energy neutral")
 
@@ -543,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="event size as fraction of baseline fan power")
     p.add_argument("--out", required=True)
     p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--window", choices=STUDY_WINDOWS, default="both")
+    p.add_argument("--window", choices=WINDOWS, default="both")
 
     p = sub.add_parser("forced-settling",
                        help="forced vs unforced settling and baseline-error cases")
@@ -556,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="outdoor step size, degF")
     p.add_argument("--mix-r", type=float, default=0.5)
     p.add_argument("--mix-c", type=float, default=0.3)
-    p.add_argument("--window", choices=STUDY_WINDOWS, default="full")
+    p.add_argument("--window", choices=WINDOWS, default="full")
 
     p = sub.add_parser("compare-models",
                        help="two-state vs mixing-air model under setpoint events")
@@ -575,9 +578,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        parser = _build_parser()
+        # argparse would read an option's value here as the subcommand
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            parser.error(f"the subcommand comes first, one of {', '.join(COMMANDS)}")
         # a usage error or a converter's ConfigurationError exits 1 here
-        args = vars(_build_parser().parse_args(argv))
+        args = vars(parser.parse_args(argv))
         del args["command"]
         return args.pop("run")(**args)
     except (ConfigurationError, DataFormatError, TraceAlignmentError) as exc:

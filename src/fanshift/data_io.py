@@ -638,7 +638,6 @@ _EVENT_KEYS = {
     "kind": ("kind", str), "half_duration_s": ("half_duration", float),
     "setpoint_deltas_k": ("setpoint_deltas", _floats),
     "setpoint_deltas_f": ("setpoint_deltas", _deltas_f_to_k),
-    "power_deltas_w": ("power_deltas", _floats),
     "power_delta_frac": ("power_delta_frac", float),
     "forced_settle_s": ("forced_settle_duration", float),
 }
@@ -698,9 +697,11 @@ def _profile_from_config(spec, nominal: float) -> OutdoorProfile:
 def load_scenario_config(path: str | Path) -> Scenario:
     """Build a Scenario from a YAML config file.
 
-    Every field is optional; the scenario id defaults to the file's stem and
-    every other omission to the dataclass defaults (an open-loop scenario
-    with the calibrated building and gains), except that ``mode:
+    Every key is optional except the event's command for its loop
+    (``setpoint_deltas_k`` or ``_f`` for the default open loop,
+    ``power_delta_frac`` for a closed one). The scenario id defaults to the
+    file's stem and every other omission to the dataclass defaults (the
+    calibrated building and gains), except that ``mode:
     closed_loop_forced_settling`` without ``forced_settle_s`` holds
     ``FORCED_SETTLE_DEFAULT`` (3600 s).
     """

@@ -120,10 +120,10 @@ class EventSchedule:
     """What the event commands and when.
 
     Open-loop events move the setpoint by ``setpoint_deltas`` (K) over the
-    two halves; closed-loop events command fan-power deviations, either as
-    explicit ``power_deltas`` (W) or as ``power_delta_frac`` of the baseline
-    fan power at event start. DOWN_UP cuts power first (setpoint up), UP_DOWN
-    raises it first.
+    two halves; closed-loop events shift fan power by ``power_delta_frac`` of
+    the baseline fan power at event start. A scenario takes exactly its own
+    loop's command. DOWN_UP cuts power first (setpoint up), UP_DOWN raises it
+    first.
 
     ``forced_settle_duration`` (s) is the hold: how long a closed-loop
     event's power PI stays engaged after the event, tracking a zero power
@@ -136,7 +136,6 @@ class EventSchedule:
     kind: str = KIND_UP_DOWN
     half_duration: float = 1800.0
     setpoint_deltas: tuple[float, float] | None = None
-    power_deltas: tuple[float, float] | None = None
     power_delta_frac: float | None = None
     forced_settle_duration: float = 0.0
 
@@ -149,38 +148,23 @@ class EventSchedule:
             raise ConfigurationError("forced_settle_duration must be finite and >= 0")
         if self.power_delta_frac is not None and not 0 <= self.power_delta_frac < math.inf:
             raise ConfigurationError("power_delta_frac must be finite and >= 0")
-        for deltas in (self.setpoint_deltas, self.power_deltas):
-            if deltas is not None and not all(map(math.isfinite, deltas)):
-                raise ConfigurationError(f"event deltas must be finite, got {deltas}")
         if self.setpoint_deltas is not None:
             d1, d2 = self.setpoint_deltas
+            if not all(map(math.isfinite, (d1, d2))):
+                raise ConfigurationError(f"event deltas must be finite, got {(d1, d2)}")
             # setpoint up cuts power: DOWN_UP raises the setpoint first
             if self.kind == KIND_DOWN_UP and not (d1 >= 0.0 >= d2):
                 raise ConfigurationError("DOWN_UP needs setpoint deltas (+, -)")
             if self.kind == KIND_UP_DOWN and not (d1 <= 0.0 <= d2):
                 raise ConfigurationError("UP_DOWN needs setpoint deltas (-, +)")
-        if self.power_deltas is not None:
-            p1, p2 = self.power_deltas
-            if self.kind == KIND_UP_DOWN and not (p1 >= 0.0 >= p2):
-                raise ConfigurationError("UP_DOWN needs power deltas (+, -)")
-            if self.kind == KIND_DOWN_UP and not (p1 <= 0.0 <= p2):
-                raise ConfigurationError("DOWN_UP needs power deltas (-, +)")
 
     @property
     def duration(self) -> float:
         return 2.0 * self.half_duration
 
-    def resolved_power_deltas(self, p_nominal: float) -> tuple[float, float]:
-        """Power deltas in W, deriving fractional schedules from p_nominal."""
-        if self.power_deltas is not None:
-            return self.power_deltas
-        if self.power_delta_frac is None:
-            raise ConfigurationError(
-                "closed-loop event needs power_deltas or power_delta_frac")
-        mag = self.power_delta_frac * p_nominal
-        if self.kind == KIND_UP_DOWN:
-            return (mag, -mag)
-        return (-mag, mag)
+
+# the zero setpoint schedule of every baseline, and a Scenario's default event
+_NO_EVENT = EventSchedule(half_duration=0.0, setpoint_deltas=(0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -190,12 +174,14 @@ class Scenario:
     ``mode`` is ``MODE_OPEN_LOOP`` or closed loop, which either of
     ``MODE_CLOSED_LOOP`` and ``MODE_FORCED_SETTLING`` spells: a closed-loop
     run is keyed by its event's hold alone. The mode text results carry is
-    :attr:`mode_label`, derived from the hold.
+    :attr:`mode_label`, derived from the hold. The event must carry its own
+    loop's command; the default, the zero setpoint schedule of a baseline,
+    builds an open-loop scenario that is only run for its baseline.
     """
 
     params: BuildingParams = field(default_factory=BuildingParams)
     gains: ControllerGains = field(default_factory=ControllerGains)
-    event: EventSchedule = field(default_factory=EventSchedule)
+    event: EventSchedule = _NO_EVENT
     mode: str = MODE_OPEN_LOOP
     dt: float = 1.0
     warmup: float = 7200.0
@@ -216,10 +202,10 @@ class Scenario:
                 "an open-loop event has no forced-settle hold, got "
                 f"forced_settle_duration={self.event.forced_settle_duration:g}")
         # a loop reads only its own command; the other loop's would be dropped
-        stray = (("power_deltas", "power_delta_frac") if self.mode == MODE_OPEN_LOOP
-                 else ("setpoint_deltas",))
-        if any(getattr(self.event, name) is not None for name in stray):
-            raise ConfigurationError(f"{self.mode} events take no {' or '.join(stray)}")
+        own, other = (("setpoint_deltas", "power_delta_frac") if self.mode == MODE_OPEN_LOOP
+                      else ("power_delta_frac", "setpoint_deltas"))
+        if getattr(self.event, own) is None or getattr(self.event, other) is not None:
+            raise ConfigurationError(f"{self.mode} events take {own} and no {other}")
         if self.event.duration + self.event.forced_settle_duration > self.settle_duration:
             raise ConfigurationError(
                 "event and forced-settle hold do not fit inside the settling window")
@@ -325,7 +311,9 @@ def _run(scenario: Scenario, until: float | None = None) -> Trace:
     else:
         p_base = run_baseline(scenario).p_fan
         start = scenario.whole_steps(scenario.t_start)
-        p_ref = _halves(scenario, *scenario.event.resolved_power_deltas(p_base[start]))
+        shift = scenario.event.power_delta_frac * p_base[start]
+        shift = -shift if scenario.event.kind == KIND_DOWN_UP else shift
+        p_ref = _halves(scenario, shift, -shift)
         engaged[start:start + 2 * scenario.whole_steps(scenario.event.half_duration)
                 + scenario.whole_steps(scenario.event.forced_settle_duration)] = 1
 
@@ -364,10 +352,6 @@ def _run(scenario: Scenario, until: float | None = None) -> Trace:
         t=times, **outs, t_outdoor=t_out, p_event_ref=p_ref, dt=scenario.dt)
 
 
-# the zero setpoint schedule of every baseline
-_NO_EVENT = EventSchedule(half_duration=0.0, setpoint_deltas=(0.0, 0.0))
-
-
 def run_baseline(scenario: Scenario) -> Trace:
     """No-event run under the *predicted* outdoor profile.
 
@@ -389,8 +373,6 @@ def run_open_loop(scenario: Scenario) -> Trace:
     """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("run_open_loop needs an open-loop scenario")
-    if scenario.event.setpoint_deltas is None:
-        raise ConfigurationError("open-loop event needs setpoint_deltas")
     return _memo_open_loop(replace(scenario, scenario_id=""))
 
 
@@ -412,8 +394,8 @@ def run_closed_loop(scenario: Scenario) -> Trace:
     over the event, then a zero one. It then hands back to the temperature
     controller, whose integral carries over unchanged. Either closed-loop
     spelling of ``mode`` runs this one path. Its baseline, :func:`run_baseline`,
-    supplies both the feedback subtraction and the nominal power that
-    fractional schedules scale from.
+    supplies both the feedback subtraction and the fan power at t_start that
+    ``power_delta_frac`` scales.
     """
     if scenario.mode == MODE_OPEN_LOOP:
         raise ConfigurationError("run_closed_loop needs a closed-loop scenario")
@@ -440,8 +422,6 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
     """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("tuning applies to open-loop scenarios")
-    if scenario.event.setpoint_deltas is None:
-        raise ConfigurationError("tuning needs initial setpoint_deltas")
     d1, d2_init = scenario.event.setpoint_deltas
     sign2 = -1.0 if scenario.event.kind == KIND_DOWN_UP else 1.0
     window = scenario.window()

@@ -134,11 +134,15 @@ class TestRejectedCommandWritesNothing:
          "--setpoint-delta-f must be positive"),
         (["compare-models", "--dt", "10", "--setpoint-delta-f", "-1"],
          "--setpoint-delta-f must be positive"),
+        # without a pocket the "mixing" model is the two-state one
+        (["compare-models", "--dt", "10", "--mix-r", "0", "--mix-c", "0"],
+         "needs a mixing pocket"),
     ], ids=["forced-settling", "compare-models", "simulate", "measured-one-row",
             "measured-window-off-grid", "measured-no-column-map",
             "column-map-alone", "measured-window-alone", "measured-directory",
             "measured-not-utf8", "measured-huge-field", "config-directory",
-            "config-not-utf8", "setpoint-delta-zero", "setpoint-delta-negative"])
+            "config-not-utf8", "setpoint-delta-zero", "setpoint-delta-negative",
+            "compare-models-no-pocket"])
     def test_no_output_directory(self, tmp_path, capsys, argv, message):
         raw = yaml.safe_load(CLOSED_LOOP_3H)
         raw["building"]["mix_c"] = 0.01
@@ -185,11 +189,10 @@ class TestRejectedCommandWritesNothing:
 class TestShortWindowFit:
     @pytest.mark.parametrize("window, root, event", [
         ("both", {"settle_duration_s": 3600}, {}),            # ends past t_settle
-        ("2h", {"settle_duration_s": 3600}, {}),
         ("both", {}, {"half_duration_s": 4500}),              # ends before t_end
         ("both", {"dt_s": 14, "warmup_s": 1400, "settle_duration_s": 14000},
          {"half_duration_s": 1400}),                           # 7200 s is 514.3 steps
-    ], ids=["past-settle", "past-settle-2h-only", "before-event-end", "off-grid"])
+    ], ids=["past-settle", "before-event-end", "off-grid"])
     def test_rejected_before_the_march(self, tmp_path, capsys, monkeypatch,
                                        window, root, event):
         raw = yaml.safe_load(CLOSED_LOOP_3H)
@@ -272,18 +275,47 @@ class TestOtherLoopCommandRejected:
 
     @pytest.mark.parametrize("base, event, message", [
         (CLOSED_LOOP_3H, {"setpoint_deltas_f": [-1.0, 1.0]},
-         "closed_loop events take no setpoint_deltas"),
+         "closed_loop events take power_delta_frac and no setpoint_deltas"),
         (GTA, {"power_delta_frac": 0.10},
-         "open_loop events take no power_deltas or power_delta_frac"),
+         "open_loop events take setpoint_deltas and no power_delta_frac"),
         (GTA, {"power_deltas_w": [-100.0, 100.0]},
-         "open_loop events take no power_deltas or power_delta_frac"),
-    ], ids=["closed-setpoint", "open-frac", "open-deltas"])
+         "unknown keys in event: ['power_deltas_w']"),
+        # the watts spelling is gone: it no longer wins over the fraction
+        (CLOSED_LOOP_3H, {"power_deltas_w": [100.0, -100.0]},
+         "unknown keys in event: ['power_deltas_w']"),
+    ], ids=["closed-setpoint", "open-frac", "open-deltas", "closed-frac-and-deltas"])
     def test_exits_1_writing_nothing(self, tmp_path, capsys, monkeypatch,
                                      base, event, message):
         calls = count_marches(monkeypatch)
         code, out = simulate_config(tmp_path, "mixed", base, None, event)
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not calls and not out.exists()
+
+    @pytest.mark.parametrize("base, message", [
+        (CLOSED_LOOP_3H, "closed_loop events take power_delta_frac and no setpoint_deltas"),
+        (GTA, "open_loop events take setpoint_deltas and no power_delta_frac"),
+    ], ids=["closed", "open"])
+    def test_event_without_command_exits_1(self, tmp_path, capsys, monkeypatch,
+                                           base, message):
+        raw = yaml.safe_load(base)
+        raw["event"] = {"kind": raw["event"]["kind"]}
+        config = tmp_path / "bare.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not calls and not out.exists()
+
+    def test_tune_neutral_needs_open_loop(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "closed.yaml"
+        config.write_text(CLOSED_LOOP_3H)
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--tune-neutral",
+                         "--out", str(out)]) == 1
+        assert "tuning applies to open-loop scenarios" in capsys.readouterr().err
         assert not calls and not out.exists()
 
 
@@ -856,8 +888,12 @@ class TestUsageErrors:
         ["sweep-mixing", "--kind", "SIDEWAYS", "--out", "{out}"],
         ["frobnicate", "--out", "{out}"],
         [],
+        ["simulate", "--config", "c.yaml", "--window", "2h", "--out", "{out}"],
+        ["--out", "{out}"],
+        ["--dt", "10", "sweep-mixing", "--out", "{out}"],
     ], ids=["invalid-window", "bad-float", "missing-required", "invalid-choice",
-            "unknown-command", "missing-command"])
+            "unknown-command", "missing-command", "simulate-2h", "option-alone",
+            "option-before-command"])
     def test_exits_1_writing_nothing(self, tmp_path, capsys, monkeypatch, argv):
         calls = count_marches(monkeypatch)
         out = tmp_path / "out"
@@ -865,6 +901,14 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: fanshift") and err.count("\n") == 1
         assert not calls and not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--out", "x"], ["--dt", "10", "sweep-mixing"]])
+    def test_option_before_subcommand_named(self, capsys, argv):
+        # argparse took the option's value for the subcommand's name
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: fanshift: the subcommand comes first, one of simulate, "
+            "sweep-mixing, forced-settling, compare-models\n")
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -881,6 +925,20 @@ class TestStudyWindows:
         out = tmp_path / "out"
         assert cli.main([command, "--dt", "200", "--window", "2h", "--out", str(out)]) == 1
         assert "invalid choice: '2h'" in capsys.readouterr().err
+        assert not calls and not out.exists()
+
+    @pytest.mark.parametrize("command, kw", [
+        (cli.cmd_sweep_mixing, dict(r_grid=[0.5], c_grid=[0.3], kind="UP_DOWN",
+                                    power_frac=0.1)),
+        (cli.cmd_forced_settling, dict(step_offset=0.0, step_f=3.0, mix_r=0.5,
+                                       mix_c=0.3)),
+    ], ids=["sweep-mixing", "forced-settling"])
+    def test_short_window_alone_rejected_in_library(self, tmp_path, monkeypatch,
+                                                    command, kw):
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match="unknown window '2h'"):
+            command(out=out, dt=200.0, window="2h", **kw)
         assert not calls and not out.exists()
 
     def test_repeated_grid_value_marched_once(self, tmp_path, monkeypatch):

@@ -380,12 +380,16 @@ def write_config(tmp_path, text, name="cfg.yaml"):
 
 class TestScenarioConfig:
     def test_empty_sections_give_dataclass_defaults(self, tmp_path):
-        path = write_config(tmp_path, CONFIG)
+        # the event's command is the one key a config must give
+        with pytest.raises(ConfigurationError, match="take setpoint_deltas"):
+            data_io.load_scenario_config(write_config(tmp_path, CONFIG))
+        path = write_config(tmp_path, CONFIG.replace(
+            "event: {}", "event: {setpoint_deltas_k: [0, 0]}"))
         scenario = data_io.load_scenario_config(path)
-        assert scenario == Scenario(scenario_id="cfg")
+        event = EventSchedule(setpoint_deltas=(0.0, 0.0))
+        assert scenario == Scenario(event=event, scenario_id="cfg")
         assert scenario.params == BuildingParams()
         assert scenario.gains == ControllerGains()
-        assert scenario.event == EventSchedule()
 
     def test_fahrenheit_keys_convert(self, tmp_path):
         path = write_config(tmp_path, CONFIG.replace(

@@ -50,21 +50,24 @@ class TestOutdoorProfile:
 class TestEventSchedule:
     def test_sign_conventions(self):
         EventSchedule(kind="DOWN_UP", setpoint_deltas=(0.5, -0.5))
-        EventSchedule(kind="UP_DOWN", power_deltas=(100.0, -100.0))
         with pytest.raises(ConfigurationError):
             EventSchedule(kind="DOWN_UP", setpoint_deltas=(-0.5, 0.5))
-        with pytest.raises(ConfigurationError):
-            EventSchedule(kind="UP_DOWN", power_deltas=(-100.0, 100.0))
 
     def test_null_deltas_are_legal(self):
         EventSchedule(kind="DOWN_UP", setpoint_deltas=(0.0, 0.0))
-        EventSchedule(kind="UP_DOWN", power_deltas=(0.0, 0.0))
 
     def test_fractional_resolution(self):
-        ev = EventSchedule(kind="DOWN_UP", power_delta_frac=0.10)
-        assert ev.resolved_power_deltas(1000.0) == (-100.0, 100.0)
-        ev = EventSchedule(kind="UP_DOWN", power_delta_frac=0.10)
-        assert ev.resolved_power_deltas(1000.0) == (100.0, -100.0)
+        # the reference is the fraction of the baseline's fan power at t_start
+        for kind, (s1, s2) in (("UP_DOWN", (1.0, -1.0)), ("DOWN_UP", (-1.0, 1.0))):
+            sc = quick_scenario(mode="closed_loop", dt=10.0, event=EventSchedule(
+                kind=kind, half_duration=600.0, power_delta_frac=0.10))
+            ref = run_closed_loop(sc).p_event_ref
+            i0, half = sc.whole_steps(sc.t_start), sc.whole_steps(600.0)
+            shift = 0.10 * run_baseline(sc).p_fan[i0]
+            expected = np.zeros_like(ref)
+            expected[i0:i0 + half] = s1 * shift
+            expected[i0 + half:i0 + 2 * half] = s2 * shift
+            assert np.array_equal(ref, expected)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -74,7 +77,7 @@ class TestEventSchedule:
         ("half_duration", math.nan), ("half_duration", math.inf),
         ("forced_settle_duration", math.nan), ("forced_settle_duration", math.inf),
         ("power_delta_frac", math.nan), ("power_delta_frac", math.inf),
-        ("setpoint_deltas", (-math.inf, 0.5)), ("power_deltas", (100.0, -math.inf)),
+        ("setpoint_deltas", (-math.inf, 0.5)),
     ])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match="finite"):
@@ -82,6 +85,28 @@ class TestEventSchedule:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("mode", engine.MODES)
+    @pytest.mark.parametrize("command", [
+        dict(setpoint_deltas=(0.5, -0.5)), dict(power_delta_frac=0.10),
+        dict(setpoint_deltas=(0.5, -0.5), power_delta_frac=0.10), {},
+    ], ids=["setpoint", "fraction", "both", "neither"])
+    def test_each_loop_takes_its_own_command(self, mode, command):
+        own = "setpoint_deltas" if mode == engine.MODE_OPEN_LOOP else "power_delta_frac"
+        event = EventSchedule(kind="DOWN_UP", half_duration=600.0, **command)
+        kw = dict(event=event, mode=mode, dt=10.0, warmup=600.0, settle_duration=3000.0)
+        if set(command) != {own}:
+            with pytest.raises(ConfigurationError, match=f"take {own} and no"):
+                Scenario(**kw)
+            return
+        sc = Scenario(**kw)
+        run = run_open_loop if mode == engine.MODE_OPEN_LOOP else run_closed_loop
+        assert run(sc).t[-1] == 3600.0
+
+    def test_default_event_is_the_zero_schedule(self):
+        assert Scenario().event.setpoint_deltas == (0.0, 0.0)
+        with pytest.raises(ConfigurationError, match="take power_delta_frac"):
+            Scenario(mode=engine.MODE_CLOSED_LOOP)
+
     def test_times_must_align_with_dt(self):
         with pytest.raises(ConfigurationError):
             quick_scenario(dt=7.0)  # 600 s warmup not a multiple
@@ -266,7 +291,7 @@ class TestClosedLoop:
 
     def test_null_reference_tracks_baseline(self):
         sc = self._scenario(event=EventSchedule(kind="UP_DOWN",
-                                                power_deltas=(0.0, 0.0)))
+                                                power_delta_frac=0.0))
         base = run_baseline(sc)
         ev = run_closed_loop(sc)
         assert np.max(np.abs(ev.p_fan - base.p_fan)) < 0.5

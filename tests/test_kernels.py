@@ -83,8 +83,7 @@ def test_march_is_bit_identical(run, expected):
 # march as written before it skipped any step.
 
 def _no_event(params):
-    sc = Scenario(params=params, event=EventSchedule(half_duration=300.0),
-                  warmup=400.0, settle_duration=1600.0)
+    sc = Scenario(params=params, warmup=400.0, settle_duration=1600.0)
     return run_baseline(sc)
 
 
