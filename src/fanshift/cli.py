@@ -79,9 +79,8 @@ def run_event_pair(scenario: Scenario) -> tuple[Trace, Trace]:
     return run(scenario), run_baseline(replace(scenario, oa_predicted=scenario.oa_actual))
 
 
-def _windows(scenario: Scenario,
-             window: str) -> list[tuple[metrics.EventWindow, float]]:
-    """The metrics windows ``--window`` names, in row order, with their hours.
+def _windows(scenario: Scenario, window: str) -> list[metrics.EventWindow]:
+    """The metrics windows ``--window`` names, in row order.
 
     "full" is the settling window alone; "both" adds the 2 h window, which
     ends ``SHORT_WINDOW_HR`` after event start, a whole number of steps,
@@ -91,7 +90,7 @@ def _windows(scenario: Scenario,
     """
     if window not in WINDOWS:
         raise ConfigurationError(f"unknown window {window!r} (use {' or '.join(WINDOWS)})")
-    spans = [(scenario.window(), scenario.settle_duration / 3600.0)]
+    spans = [scenario.window()]
     if window == "both":
         t_short = scenario.t_start + SHORT_WINDOW_HR * 3600.0
         if (not scenario.t_end <= t_short <= scenario.t_settle
@@ -101,19 +100,18 @@ def _windows(scenario: Scenario,
                 f"the dt={scenario.dt:g} s grid, no earlier than the event end "
                 f"({scenario.t_end:g} s) and no later than the end of the settling "
                 f"window ({scenario.t_settle:g} s)")
-        spans.append((spans[0][0].with_settle(t_short), SHORT_WINDOW_HR))
+        spans.append(spans[0].with_settle(t_short))
     return spans
 
 
 def _records(scenario: Scenario, event: Trace, counterfactual: Trace,
-             windows: list[tuple[metrics.EventWindow, float]]
-             ) -> list[data_io.ResultRecord]:
+             windows: list[metrics.EventWindow]) -> list[data_io.ResultRecord]:
     """The metrics rows of one event, one per window of ``_windows``."""
     return [data_io.ResultRecord.from_metrics(
-        metrics.evaluate_event(event, counterfactual, window),
+        metrics.evaluate_event(event, counterfactual, window), window,
         scenario_id=scenario.scenario_id, mode=scenario.mode_label,
         kind=scenario.event.kind, r=scenario.params.mix_r,
-        c=scenario.params.mix_c, window_hr=hours) for window, hours in windows]
+        c=scenario.params.mix_c) for window in windows]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +134,6 @@ def cmd_simulate(*, config: str | Path, out: str | Path, dt: float | None,
 
     records = _records(scenario, event, counterfactual, windows)
     sid = scenario.scenario_id
-    data_io.make_output_dir(out)
     data_io.write_trace(event, out / f"{sid}_event.csv")
     data_io.write_trace(control_base, out / f"{sid}_baseline.csv")
     if scenario.oa_actual != scenario.oa_predicted:
@@ -262,7 +259,6 @@ def _study(march, cases: list, names: list[str], what: str, results: Path) -> in
     failures = [(name, exc) for name, exc in zip(names, outcomes)
                 if isinstance(exc, FanshiftError)]
     records = [rec for rows in outcomes if isinstance(rows, list) for rec in rows]
-    data_io.make_output_dir(results.parent)
     data_io.write_results(records, results)
     if failures:
         print(f"{what} failed:", *(f"{name}: {exc}" for name, exc in failures),
@@ -372,8 +368,6 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     for scenario in scenarios:
         control_base = run_baseline(scenario)
         sid = scenario.scenario_id
-        # made only now, so a study rejected before its first trace writes nothing
-        data_io.make_output_dir(traces_dir)
         data_io.write_trace(control_base, traces_dir / f"{sid}_baseline.csv", written)
         if scenario.oa_actual != scenario.oa_predicted:
             counterfactual = run_baseline(replace(scenario,
@@ -433,21 +427,17 @@ def _measured_outputs(measured: str | Path, column_map: str | None, dt: float,
     if trace.n_samples < 2:
         raise DataFormatError(f"{measured}: need at least 2 samples at dt={dt}, "
                               f"got {trace.n_samples} from {len(series.t)} rows")
+    t_first, t_last = float(trace.t[0]), float(trace.t[-1])
     if measured_window is None:
-        full = metrics.EventWindow(float(trace.t[0]), float(trace.t[1]),
-                                   float(trace.t[-1]))
-        return metrics.normalize(trace, full), None
+        return metrics.normalize(trace, t_first, t_last), None
     w = metrics.EventWindow(*measured_window)
     baseline = metrics.linear_baseline(trace, w)
     record = data_io.ResultRecord.from_metrics(
-        metrics.evaluate_event(trace, baseline, w),
+        metrics.evaluate_event(trace, baseline, w), w,
         scenario_id=series.label or "measured", mode="measured",
-        kind="MEASURED", r=float("nan"), c=float("nan"),
-        window_hr=(w.t_settle - w.t_start) / 3600.0)
-    norm_span = metrics.EventWindow(
-        max(float(trace.t[0]), w.t_start - 1800.0), w.t_end,
-        min(float(trace.t[-1]), w.t_start + 10800.0))
-    return metrics.normalize(trace, norm_span), record
+        kind="MEASURED", r=float("nan"), c=float("nan"))
+    return metrics.normalize(trace, max(t_first, w.t_start - 1800.0),
+                             min(t_last, w.t_start + 10800.0)), record
 
 
 def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
@@ -498,10 +488,8 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
             lo = event.index_at(scenario.t_start - 1800.0)
             hi = event.index_at(scenario.t_start + 10800.0)
             clipped = event.sliced(lo, hi)
-            span = metrics.EventWindow(float(clipped.t[0]), float(clipped.t[1]),
-                                       float(clipped.t[-1]))
-            normalized = metrics.normalize(clipped, span)
-            data_io.make_output_dir(out)
+            normalized = metrics.normalize(clipped, float(clipped.t[0]),
+                                           float(clipped.t[-1]))
             data_io.write_trace(normalized, out / f"{model_name}_{kind}.csv")
 
     if measured is not None:

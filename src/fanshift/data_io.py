@@ -10,6 +10,7 @@ Both output files are CSV: a header line, CRLF line ends, and every float as
 sample in the columns of ``trace.SERIES_COLUMNS``. A results file has one row
 per ``ResultRecord``, whose fields are its columns; an undefined RTE is an
 empty field, never 0. Readers reject a malformed row with ``DataFormatError``.
+A writer makes the missing directories of its file when it writes the file.
 
 A trace file holds the bytes ``np.savetxt`` writes, but each run of
 identical samples is formatted once: a sample whose ``uint64`` bits equal
@@ -78,7 +79,7 @@ from .control import ControllerGains
 from .engine import (FORCED_SETTLE_DEFAULT, MODE_FORCED_SETTLING, EventSchedule,
                      OutdoorProfile, Scenario)
 from .errors import ConfigurationError, DataFormatError
-from .metrics import EventMetrics
+from .metrics import EventMetrics, EventWindow
 from .thermal import BuildingParams, delta_f_to_k, fahrenheit_to_celsius
 from .trace import SERIES_COLUMNS, SERIES_FIELDS, Trace, grid_slack
 
@@ -90,7 +91,6 @@ __all__ = [
     "load_measured_csv",
     "resample",
     "check_output_dir",
-    "make_output_dir",
     "write_results",
     "read_results",
     "write_trace",
@@ -138,11 +138,12 @@ class ResultRecord:
     rmse_k: float = _column("rmse_K")
 
     @classmethod
-    def from_metrics(cls, m: EventMetrics, *, scenario_id: str, mode: str,
-                     kind: str, r: float, c: float, window_hr: float
-                     ) -> "ResultRecord":
+    def from_metrics(cls, m: EventMetrics, window: EventWindow, *, scenario_id: str,
+                     mode: str, kind: str, r: float, c: float) -> "ResultRecord":
+        """``m``'s row; ``window_hr`` is ``window``'s t_start to t_settle, in hours."""
         return cls(scenario_id=scenario_id, mode=mode, kind=kind, r=r, c=c,
-                   window_hr=window_hr, e_in_j=m.energy_in, e_out_j=m.energy_out,
+                   window_hr=(window.t_settle - window.t_start) / 3600.0,
+                   e_in_j=m.energy_in, e_out_j=m.energy_out,
                    rte=m.rte, neutral=m.neutral,
                    residual_j=m.neutrality_residual, rmse_k=m.rmse_temp)
 
@@ -169,18 +170,11 @@ def check_output_dir(path: str | Path) -> Path:
     return path
 
 
-def make_output_dir(path: str | Path) -> None:
-    """Create an output directory and its parents, unless it exists."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataFormatError(f"cannot create output directory {path}: {exc}") from exc
-
-
 def write_results(records: list[ResultRecord], path: str | Path) -> None:
-    """Write metrics rows in the results format; deterministic order."""
+    """Write metrics rows in order, making the file's directory if it is missing."""
     path = Path(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(RESULTS_HEADER)
@@ -367,10 +361,11 @@ def write_trace(trace: Trace, path: str | Path,
                 written: dict[bytes, Path] | None = None) -> None:
     """Write a trace file: the bytes of ``np.savetxt`` with ``FLOAT_FMT``.
 
-    ``written``, when given, is the caller's registry of the traces already
-    written, from digest to file. A trace found in it is copied from that
-    file instead of encoded again; one not found is encoded and registered.
-    The registry holds no text, so it costs a digest and a path per trace.
+    The file's directory is made if it is missing. ``written``, when given,
+    is the caller's registry of the traces already written, from digest to
+    file. A trace found in it is copied from that file instead of encoded
+    again; one not found is encoded and registered. The registry holds no
+    text, so it costs a digest and a path per trace.
     """
     path = Path(path)
     columns = [getattr(trace, name) for name in SERIES_FIELDS]
@@ -381,6 +376,7 @@ def write_trace(trace: Trace, path: str | Path,
             del written[stale]
         if key in written:
             try:
+                path.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(written[key], path)
             except shutil.SameFileError:
                 pass
@@ -388,6 +384,7 @@ def write_trace(trace: Trace, path: str | Path,
                 raise DataFormatError(f"cannot write trace to {path}: {exc}") from exc
             return
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("wb") as fh:
             fh.write(",".join(TRACE_HEADER).encode() + b"\r\n")
             fh.writelines(_trace_chunks(columns))

@@ -148,9 +148,9 @@ def temp_rmse(event: Trace, baseline: Trace, window: EventWindow) -> float:
     return math.sqrt(float(np.trapezoid(dev * dev, dx=event.dt)) / duration)
 
 
-def normalize(trace: Trace, window: EventWindow) -> Trace:
-    """Scale fan power so its mean over [t_start, t_settle] is unity."""
-    i0, i1 = _window_indices(trace, window.t_start, window.t_settle)
+def normalize(trace: Trace, t0: float, t1: float) -> Trace:
+    """Scale the whole trace's fan power so its mean over [t0, t1] is unity."""
+    i0, i1 = _window_indices(trace, t0, t1)
     duration = float(trace.t[i1] - trace.t[i0])
     mean = float(np.trapezoid(trace.p_fan[i0:i1 + 1], dx=trace.dt)) / duration
     if mean <= 0.0:

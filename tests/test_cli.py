@@ -794,6 +794,17 @@ class TestMeasuredErrors:
         assert code == 0
         [record] = data_io.read_results(tmp_path / "measured_metrics.csv")
         assert record.e_in_j > 0.0
+        assert record.window_hr == 3000 / 3600  # t_start to t_settle
+
+    def test_event_past_the_normalized_span_writes_metrics(self, tmp_path):
+        # the power is scaled by its mean from 30 min before to 3 h after
+        # event start, whether or not the event has ended by then
+        rows = [(100.0 * i, 500.0 + (50.0 if 5000 <= 100 * i < 17000 else 0.0))
+                for i in range(301)]
+        code = self._compare(tmp_path, rows, "--measured-window", "5000,17000,20000")
+        assert code == 0
+        [record] = data_io.read_results(tmp_path / "measured_metrics.csv")
+        assert record.window_hr == 15000 / 3600
 
 
 class TestMeasuredEpochClock:

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fanshift import (BuildingParams, ControllerGains, EventSchedule, Scenario,
-                      cli, data_io)
+from fanshift import (BuildingParams, ControllerGains, EventSchedule,
+                      OutdoorProfile, Scenario, cli, data_io)
 from fanshift.errors import ConfigurationError, DataFormatError
 from fanshift.trace import SERIES_FIELDS, Trace
 
@@ -266,8 +267,9 @@ class TestTraceRegistry:
         trace = make_trace([0.0, 1.0], [800.0, 805.0])
         written = {}
         data_io.write_trace(trace, tmp_path / "a.csv", written)
+        (tmp_path / "a.csv").unlink()  # the registered file to copy from is gone
         with pytest.raises(DataFormatError, match="cannot write trace"):
-            data_io.write_trace(trace, tmp_path / "missing" / "b.csv", written)
+            data_io.write_trace(trace, tmp_path / "b.csv", written)
 
     def test_forced_settling_encodes_each_distinct_trace_once(self, tmp_path,
                                                               monkeypatch):
@@ -279,20 +281,49 @@ class TestTraceRegistry:
         assert len(encodes) == 12
 
 
+def _write_encoded(tmp_path, path):
+    data_io.write_trace(make_trace([0.0, 1.0], [800.0, 805.0]), path)
+
+
+def _write_copied(tmp_path, path):
+    trace = make_trace([0.0, 1.0], [800.0, 805.0])
+    written = {}
+    data_io.write_trace(trace, tmp_path / "source.csv", written)
+    data_io.write_trace(trace, path, written)
+    assert list(written.values()) == [tmp_path / "source.csv"]  # copied, not encoded
+
+
+def _write_results(tmp_path, path):
+    data_io.write_results([], path)
+
+
+# each writer, and both ways a trace file is written, makes its own directory
+WRITERS = {"trace-encoded": _write_encoded, "trace-copied": _write_copied,
+           "results": _write_results}
+
+
 class TestOutputDir:
     def test_file_in_the_way_is_a_data_format_error(self, tmp_path):
         (tmp_path / "taken").write_text("")
-        with pytest.raises(DataFormatError, match="cannot create output directory"):
-            data_io.make_output_dir(tmp_path / "taken" / "out")
         with pytest.raises(DataFormatError, match="taken is not a directory"):
             data_io.check_output_dir(tmp_path / "taken" / "out")
+        for name, write in WRITERS.items():
+            # the file in the way is the parent, or further up
+            for path in (tmp_path / "taken" / f"{name}.csv",
+                         tmp_path / "taken" / "out" / f"{name}.csv"):
+                with pytest.raises(DataFormatError,
+                                   match=f"cannot write .* to {re.escape(str(path))}"):
+                    write(tmp_path, path)
 
     def test_new_and_existing_directories_pass(self, tmp_path):
-        out = tmp_path / "a" / "b"
-        assert data_io.check_output_dir(str(out)) == out
-        data_io.make_output_dir(out)
-        data_io.make_output_dir(out)
-        assert data_io.check_output_dir(out).is_dir()
+        for name, write in WRITERS.items():
+            out = tmp_path / name / "a" / "b"
+            assert data_io.check_output_dir(str(out)) == out
+            # the first write makes the nested directories, the second finds them
+            for file in ("first.csv", "second.csv"):
+                write(tmp_path, out / file)
+                assert (out / file).is_file()
+            assert data_io.check_output_dir(out).is_dir()
 
 
 HEADER = ",".join(data_io.TRACE_HEADER) + "\r\n"
@@ -371,6 +402,9 @@ event: {}
 outdoor: {}
 """
 
+# CONFIG with the one key it must give, the open loop's command
+OPEN_CONFIG = CONFIG.replace("event: {}", "event: {setpoint_deltas_k: [0, 0]}")
+
 
 def write_config(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
@@ -434,6 +468,24 @@ class TestScenarioConfig:
     def test_bad_value_is_a_configuration_error(self, tmp_path, text):
         with pytest.raises(ConfigurationError):
             data_io.load_scenario_config(write_config(tmp_path, text))
+
+    def test_outdoor_profile_lists(self, tmp_path):
+        path = write_config(tmp_path, OPEN_CONFIG.replace(
+            "outdoor: {}", "outdoor: {actual: [[0, 29.4], [9000, 31.0]], "
+                           "predicted: [[0, 29.4]]}"))
+        scenario = data_io.load_scenario_config(path)
+        assert scenario.oa_actual == OutdoorProfile(times=(0.0, 9000.0),
+                                                    values=(29.4, 31.0))
+        assert scenario.oa_predicted == OutdoorProfile(times=(0.0,), values=(29.4,))
+
+    @pytest.mark.parametrize("times", [(0, 9000, 9000), (0, 9000, 4000)],
+                             ids=["repeated", "decreasing"])
+    def test_outdoor_times_must_increase(self, tmp_path, times):
+        pairs = ", ".join(f"[{t}, 29.4]" for t in times)
+        path = write_config(tmp_path, OPEN_CONFIG.replace(
+            "outdoor: {}", f"outdoor: {{actual: [{pairs}]}}"))
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            data_io.load_scenario_config(path)
 
 
 def write_measured(tmp_path, rows, name="measured.csv"):
@@ -531,6 +583,28 @@ class TestMeasuredNonFinite:
         with pytest.raises(DataFormatError, match="3/100 rows rejected"):
             data_io.load_measured_csv(write_measured(tmp_path, rows),
                                       "time=ts,power=fan")
+
+
+class TestMeasuredSetpoint:
+    COLUMN_MAP = "time=ts,power=fan:kW,temp=zone:F,setpoint=sp:F"
+
+    def _measured(self, tmp_path):
+        path = tmp_path / "measured.csv"
+        path.write_text("ts,fan,zone,sp\n0,0.8,71.06,71.06\n100,0.9,71.06,72.86\n")
+        return path
+
+    def test_setpoint_column_in_celsius(self, tmp_path):
+        series = data_io.load_measured_csv(self._measured(tmp_path), self.COLUMN_MAP)
+        trace = data_io.resample(series, 50.0)
+        # 71.06 F and 72.86 F are 21.7 C and 22.7 C, interpolated between
+        assert trace.t_set_eff == pytest.approx([21.7, 22.2, 22.7], abs=1e-12)
+        assert trace.t_room == pytest.approx([21.7] * 3, abs=1e-12)
+        assert trace.p_fan == pytest.approx([800.0, 850.0, 900.0])
+
+    def test_unknown_setpoint_unit(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="unknown unit 'K' for setpoint"):
+            data_io.load_measured_csv(self._measured(tmp_path),
+                                      "time=ts,power=fan,setpoint=sp:K")
 
 
 T0 = 1719835200  # 2024-07-01T12:00:00Z

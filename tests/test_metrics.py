@@ -189,13 +189,13 @@ class TestNormalize:
     def test_constant_becomes_unity(self):
         t = np.arange(0.0, 3601.0)
         tr = make_trace(t, np.full_like(t, 500.0))
-        out = normalize(tr, WINDOW)
+        out = normalize(tr, 0.0, 3600.0)
         assert np.allclose(out.p_fan, 1.0, atol=1e-12)
 
     def test_idempotent(self):
         ev, _ = square_pair(pulses=[(0, 600, 100.0)])
-        once = normalize(ev, WINDOW)
-        twice = normalize(once, WINDOW)
+        once = normalize(ev, 0.0, 3600.0)
+        twice = normalize(once, 0.0, 3600.0)
         assert np.allclose(once.p_fan, twice.p_fan, atol=1e-12)
 
     def test_alternating_levels(self):
@@ -203,14 +203,21 @@ class TestNormalize:
         t = np.arange(0.0, 3600.0 + dt / 2, dt)
         p = np.where((t // 600) % 2 == 0, 400.0, 600.0)
         # symmetric alternation averages 500 over [0, 3600]
-        out = normalize(make_trace(t, p), WINDOW)
+        out = normalize(make_trace(t, p), 0.0, 3600.0)
         assert out.p_fan.min() == pytest.approx(0.8, rel=1e-3)
         assert out.p_fan.max() == pytest.approx(1.2, rel=1e-3)
 
     def test_zero_mean_rejected(self):
         t = np.arange(0.0, 3601.0)
         with pytest.raises(ConfigurationError):
-            normalize(make_trace(t, np.zeros_like(t)), WINDOW)
+            normalize(make_trace(t, np.zeros_like(t)), 0.0, 3600.0)
+
+    def test_sub_span_mean_scales_the_whole_trace(self):
+        # as a measured trace is scaled by its mean around the event
+        t = np.arange(0.0, 7201.0)
+        p = np.where(t < 3600.0, 400.0, 800.0)
+        out = normalize(make_trace(t, p), 0.0, 1800.0)
+        assert np.array_equal(out.p_fan, p / 400.0)
 
 
 class TestLinearBaseline:
