@@ -37,7 +37,6 @@ import argparse
 import math
 import os
 import pickle
-import signal
 import sys
 import threading
 from dataclasses import replace
@@ -233,6 +232,7 @@ def _forked_map(func, items: list) -> list:
         return values
     finally:
         for pid, pipe in children.values():
+            import signal  # only a map cut short kills; importing it costs every command
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -364,7 +364,7 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     windows = _windows(scenarios[0], window)
 
     # the no-event runs repeat across cases; each distinct trace is encoded once
-    written: dict[bytes, Path] = {}
+    written: dict[Path, Trace] = {}
     for scenario in scenarios:
         control_base = run_baseline(scenario)
         sid = scenario.scenario_id
@@ -420,10 +420,12 @@ def _measured_outputs(measured: str | Path, column_map: str | None, dt: float,
                       measured_window: tuple[float, float, float] | None
                       ) -> tuple[Trace, data_io.ResultRecord | None]:
     """The normalized measured trace and, given a window, its metrics row."""
+    from .measured import load_measured_csv, resample  # only --measured needs them
+
     if column_map is None:
         raise ConfigurationError("--measured needs --column-map")
-    series = data_io.load_measured_csv(measured, column_map)
-    trace = data_io.resample(series, dt)
+    series = load_measured_csv(measured, column_map)
+    trace = resample(series, dt)
     if trace.n_samples < 2:
         raise DataFormatError(f"{measured}: need at least 2 samples at dt={dt}, "
                               f"got {trace.n_samples} from {len(series.t)} rows")

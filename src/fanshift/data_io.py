@@ -1,9 +1,9 @@
-"""Measured-data ingestion, scenario config files, and trace/results files.
+"""Scenario config files, and trace/results files.
 
 On-disk units are SI with explicit header suffixes. Fahrenheit exists only at
-the boundaries: measured columns declared as ``F`` are converted on load, and
-config files may give any temperature field with an ``_f`` suffix instead of
-``_c`` (and setpoint deltas as ``setpoint_deltas_f``).
+the boundaries: config files may give any temperature field with an ``_f``
+suffix instead of ``_c`` (and setpoint deltas as ``setpoint_deltas_f``).
+Measured data comes in through ``measured``.
 
 Both output files are CSV: a header line, CRLF line ends, and every float as
 ``%.17g`` (``FLOAT_FMT``, an exact round trip). A trace file has one row per
@@ -43,13 +43,14 @@ infinities and NaN) is formatted by ``FLOAT_FMT % x``, which is also what
 the tests check the integer path against.
 
 A command that writes the same run to several files passes ``write_trace``
-a registry, a dict it owns for the whole command, and each distinct trace is
-encoded once: a trace whose key is already registered is copied from the
-file written for it. The key is a SHA-256 digest of the sample count and of
-the ``float64`` bytes of every column, the view the encoder formats, so two
-traces share a key exactly when their files would share every byte (bar a
-digest collision); ``-0`` and ``0``, or two NaN payloads, stay apart as they
-do in the text. The registry holds only digests and paths, never text.
+a registry, a dict it owns for the whole command, from each file written to
+the trace that file holds. A trace whose every column has the shape and the
+``float64`` bits, compared as ``uint64``, of a registered trace's is copied
+from that trace's file instead of encoded again. The encoder formats those
+bits, so two traces share a file exactly when they share every bit; ``-0``
+and ``0``, or two NaN payloads, stay apart as they do in the text. The
+registry holds references to traces the caller keeps anyway, never copies
+or text.
 
 A trace file holds ``t_s`` but not the step, so ``read_trace``, the one place
 a ``t`` column comes in from outside, derives it and checks the sampling. The
@@ -64,13 +65,10 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import io
-import logging
 import math
 import shutil
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -81,15 +79,11 @@ from .engine import (FORCED_SETTLE_DEFAULT, MODE_FORCED_SETTLING, EventSchedule,
 from .errors import ConfigurationError, DataFormatError
 from .metrics import EventMetrics, EventWindow
 from .thermal import BuildingParams, delta_f_to_k, fahrenheit_to_celsius
-from .trace import SERIES_COLUMNS, SERIES_FIELDS, Trace, grid_slack
+from .trace import SERIES_COLUMNS, SERIES_FIELDS, Trace
 
 __all__ = [
-    "MeasuredSeries",
     "ResultRecord",
     "RESULTS_HEADER",
-    "parse_column_map",
-    "load_measured_csv",
-    "resample",
     "check_output_dir",
     "write_results",
     "read_results",
@@ -98,11 +92,7 @@ __all__ = [
     "load_scenario_config",
 ]
 
-log = logging.getLogger(__name__)
-
 FLOAT_FMT = "%.17g"
-# a measured file with a larger fraction of rejected rows is refused outright
-REJECT_THRESHOLD = 0.01
 TRACE_HEADER = [column for _, column in SERIES_COLUMNS]
 # rows of a trace file built and written at a time
 TRACE_CHUNK_ROWS = 512
@@ -349,49 +339,44 @@ def _trace_chunks(columns: list[np.ndarray]):
         yield cells.tobytes().translate(None, b"\0")
 
 
-def _trace_key(columns: list[np.ndarray]) -> bytes:
-    """SHA-256 of the sample count and each column's ``float64`` bytes."""
-    digest = hashlib.sha256(len(columns[0]).to_bytes(8, "little"))
-    for column in columns:
-        digest.update(np.ascontiguousarray(column, dtype=np.float64))
-    return digest.digest()
+def _bits(trace: Trace) -> list[np.ndarray]:
+    """Each column's ``float64`` bits as ``uint64``: what the encoder formats."""
+    return [np.asarray(getattr(trace, name), dtype=np.float64).view(np.uint64)
+            for name in SERIES_FIELDS]
 
 
 def write_trace(trace: Trace, path: str | Path,
-                written: dict[bytes, Path] | None = None) -> None:
+                written: dict[Path, Trace] | None = None) -> None:
     """Write a trace file: the bytes of ``np.savetxt`` with ``FLOAT_FMT``.
 
     The file's directory is made if it is missing. ``written``, when given,
-    is the caller's registry of the traces already written, from digest to
-    file. A trace found in it is copied from that file instead of encoded
-    again; one not found is encoded and registered. The registry holds no
-    text, so it costs a digest and a path per trace.
+    is the caller's registry of the files already written, each with the
+    trace it holds. A trace whose columns have the shapes and bits of a
+    registered one's is copied from that file instead of encoded again.
+    Either way the file is registered with ``trace``. The registry keeps a
+    reference to each trace, so a trace must not change after it is written.
     """
     path = Path(path)
-    columns = [getattr(trace, name) for name in SERIES_FIELDS]
+    source = None
     if written is not None:
-        key = _trace_key(columns)
-        # a file written over no longer holds the trace it was registered for
-        for stale in [k for k, p in written.items() if p == path and k != key]:
-            del written[stale]
-        if key in written:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                shutil.copyfile(written[key], path)
-            except shutil.SameFileError:
-                pass
-            except OSError as exc:
-                raise DataFormatError(f"cannot write trace to {path}: {exc}") from exc
-            return
+        bits = _bits(trace)
+        source = next((file for file, other in written.items()
+                       if all(map(np.array_equal, bits, _bits(other)))), None)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as fh:
-            fh.write(",".join(TRACE_HEADER).encode() + b"\r\n")
-            fh.writelines(_trace_chunks(columns))
+        if source is not None:
+            shutil.copyfile(source, path)
+        else:
+            with path.open("wb") as fh:
+                fh.write(",".join(TRACE_HEADER).encode() + b"\r\n")
+                fh.writelines(_trace_chunks([getattr(trace, name)
+                                             for name in SERIES_FIELDS]))
+    except shutil.SameFileError:  # the file already holds the trace
+        pass
     except OSError as exc:
         raise DataFormatError(f"cannot write trace to {path}: {exc}") from exc
     if written is not None:
-        written[key] = path
+        written[path] = trace
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -429,171 +414,6 @@ def read_trace(path: str | Path) -> Trace:
     if not 0 < step < math.inf:
         raise DataFormatError(f"{path}: t_s does not increase")
     return Trace(**dict(zip(SERIES_FIELDS, arr.T)), dt=step)
-
-
-# ---------------------------------------------------------------------------
-# measured building time series
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MeasuredSeries:
-    """Validated measured time series on the original (irregular) clock."""
-
-    t: np.ndarray                    # seconds, strictly increasing
-    power: np.ndarray                # W
-    temp: np.ndarray | None = None   # degC
-    setpoint: np.ndarray | None = None
-    label: str = ""
-    rejects: list[tuple[int, str]] = field(default_factory=list)
-
-
-_TEMP_UNITS = {"C": lambda v: v, "F": fahrenheit_to_celsius}
-_POWER_UNITS = {"W": lambda v: v, "KW": lambda v: v * 1000.0}
-
-
-def parse_column_map(spec: str) -> dict[str, tuple[str, str | None]]:
-    """Parse ``"time=ts,power=fan:kW,temp=zone:F"`` into a column map.
-
-    Keys: time (required), power (required), temp, setpoint. Units follow a
-    colon: power W|kW, temperatures C|F; time is auto-detected (numeric
-    seconds or ISO-8601).
-    """
-    out: dict[str, tuple[str, str | None]] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigurationError(f"bad column-map entry {part!r} (need key=column)")
-        key, rest = part.split("=", 1)
-        key = key.strip()
-        if key not in ("time", "power", "temp", "setpoint"):
-            raise ConfigurationError(f"unknown column-map key {key!r}")
-        column, _, unit = rest.partition(":")
-        out[key] = (column.strip(), unit.strip() or None)
-    for required in ("time", "power"):
-        if required not in out:
-            raise ConfigurationError(f"column map must declare {required!r}")
-    return out
-
-
-def _parse_time(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    stamp = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.timestamp()
-
-
-def load_measured_csv(path: str | Path, spec: str) -> MeasuredSeries:
-    """Load and validate a measured fan-power CSV, columns mapped by ``spec``.
-
-    ``spec`` is a :func:`parse_column_map` string. Rows with unparsable or
-    non-finite values or non-increasing timestamps are rejected individually
-    (logged); the file is rejected outright when the reject fraction exceeds
-    ``REJECT_THRESHOLD`` or declared columns are missing.
-    """
-    column_map = parse_column_map(spec)
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"no such file: {path}")
-
-    def conv(kind: str, unit: str | None):
-        if kind == "power":
-            table, default = _POWER_UNITS, "W"
-        else:
-            table, default = _TEMP_UNITS, "C"
-        key = (unit or default).upper()
-        if key not in table:
-            raise ConfigurationError(f"unknown unit {unit!r} for {kind}")
-        return table[key]
-
-    power_conv = conv("power", column_map["power"][1])
-    temp_conv = conv("temp", column_map.get("temp", ("", None))[1])
-    set_conv = conv("setpoint", column_map.get("setpoint", ("", None))[1])
-
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            header, rows = reader.fieldnames, list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataFormatError(f"cannot read measured data from {path}: {exc}") from exc
-    if header is None:
-        raise DataFormatError(f"{path}: empty file")
-    for key in column_map:
-        col = column_map[key][0]
-        if col not in header:
-            raise DataFormatError(f"{path}: missing column {col!r}")
-
-    t, power, temp, setp = [], [], [], []
-    rejects: list[tuple[int, str]] = []
-    n_rows = len(rows)
-    last_t = -math.inf
-    for i, row in enumerate(rows):
-        try:
-            stamp = _parse_time(row[column_map["time"][0]])
-            p = power_conv(float(row[column_map["power"][0]]))
-            tz = (temp_conv(float(row[column_map["temp"][0]]))
-                  if "temp" in column_map else None)
-            sz = (set_conv(float(row[column_map["setpoint"][0]]))
-                  if "setpoint" in column_map else None)
-        except (ValueError, KeyError, TypeError) as exc:  # TypeError: a short row
-            rejects.append((i, f"unparseable: {exc}"))
-            continue
-        if not all(math.isfinite(v) for v in (stamp, p, tz, sz) if v is not None):
-            rejects.append((i, "non-finite value"))
-            continue
-        if stamp <= last_t:
-            rejects.append((i, f"non-increasing timestamp {stamp}"))
-            continue
-        if p < 0:
-            rejects.append((i, f"negative power {p}"))
-            continue
-        last_t = stamp
-        t.append(stamp)
-        power.append(p)
-        if "temp" in column_map:
-            temp.append(tz)
-        if "setpoint" in column_map:
-            setp.append(sz)
-
-    if n_rows == 0:
-        raise DataFormatError(f"{path}: no data rows")
-    if len(rejects) > REJECT_THRESHOLD * n_rows:
-        raise DataFormatError(
-            f"{path}: {len(rejects)}/{n_rows} rows rejected "
-            f"(threshold {REJECT_THRESHOLD:.0%}); first: {rejects[0]}")
-    for idx, reason in rejects:
-        log.warning("%s: rejected row %d (%s)", path, idx, reason)
-
-    return MeasuredSeries(
-        t=np.asarray(t), power=np.asarray(power),
-        temp=np.asarray(temp) if temp else None,
-        setpoint=np.asarray(setp) if setp else None,
-        label=path.stem, rejects=rejects)
-
-
-def resample(series: MeasuredSeries, dt: float) -> Trace:
-    """Linearly interpolate a measured series onto a uniform grid over its span.
-
-    A grid sample within the clock's rounding of the last time (``grid_slack``)
-    is kept. Series the measurement lacks are NaN-filled.
-    """
-    if not 0 < dt < math.inf:
-        raise ConfigurationError("dt must be finite and positive")
-    t0, t1 = float(series.t[0]), float(series.t[-1])
-    n = int(math.floor((t1 - t0) / dt + grid_slack(t0, t1, dt)))
-    grid = t0 + np.arange(n + 1, dtype=float) * dt
-    kw = {name: np.full(n + 1, math.nan) for name in SERIES_FIELDS}
-    kw.update(t=grid, p_fan=np.interp(grid, series.t, series.power),
-              p_event_ref=np.zeros(n + 1))
-    for name, measured in (("t_room", series.temp), ("t_set_eff", series.setpoint)):
-        if measured is not None:
-            kw[name] = np.interp(grid, series.t, measured)
-    return Trace(**kw, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +520,8 @@ def load_scenario_config(path: str | Path) -> Scenario:
     file's stem and every other omission to the dataclass defaults (the
     calibrated building and gains), except that ``mode:
     closed_loop_forced_settling`` without ``forced_settle_s`` holds
-    ``FORCED_SETTLE_DEFAULT`` (3600 s).
+    ``FORCED_SETTLE_DEFAULT`` (3600 s). A section left out or null is empty;
+    any other section that is not a mapping is refused.
     """
     import yaml  # only configs need it; importing it costs every other command
 
@@ -715,7 +536,7 @@ def load_scenario_config(path: str | Path) -> Scenario:
         raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: config must be a mapping")
-    sections = {name: raw.pop(name, None) or {}
+    sections = {name: {} if (section := raw.pop(name, None)) is None else section
                 for name in ("building", "control", "event", "outdoor")}
     kw = {"scenario_id": path.stem, **_fields(raw, _ROOT_KEYS, "config root")}
 

@@ -319,6 +319,24 @@ class TestOtherLoopCommandRejected:
         assert not calls and not out.exists()
 
 
+class TestConfigSectionNotAMapping:
+    # only a section left out or null is empty; a falsy value is no mapping either
+    @pytest.mark.parametrize("section, value", [
+        ("building", []), ("control", 0), ("event", ""), ("outdoor", False),
+        ("building", [1, 2]),
+    ], ids=["empty-list", "zero", "empty-string", "false", "list"])
+    def test_exits_1_writing_nothing(self, tmp_path, capsys, monkeypatch, section, value):
+        raw = yaml.safe_load(CLOSED_LOOP_3H)
+        raw[section] = value
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {section} must be a mapping\n"
+        assert not calls and not out.exists()
+
+
 class TestEventPair:
     @pytest.mark.parametrize("actual, baselines", [
         (None, 1), (engine.OutdoorProfile.step_at(29.4, 1200.0, 1.0), 2),
@@ -981,10 +999,26 @@ class TestParser:
                    for p in params.values())
 
 
-def test_import_leaves_yaml_out():
-    # only config files need PyYAML, so the commands that read none skip its import
+def loaded_on_import(names: list[str]) -> list[str]:
+    """Those of ``names`` in ``sys.modules`` of a fresh interpreter once it
+    has imported the package and its CLI."""
     src = str(Path(fanshift.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, fanshift.cli; sys.exit('yaml' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, fanshift, fanshift.cli; "
+            f"print(*[name for name in {names!r} if name in sys.modules])")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_import_leaves_yaml_out():
+    # only config files need PyYAML, so the commands that read none skip its import
+    assert loaded_on_import(["yaml"]) == []
+
+
+def test_import_leaves_unused_modules_out():
+    # the trace registry compares bits, not digests; measured data (and its
+    # logging) is read only by compare-models --measured; only a forked map
+    # cut short sends a kill
+    assert loaded_on_import(["hashlib", "_hashlib", "logging", "signal",
+                             "fanshift.measured"]) == []

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule,
-                      OutdoorProfile, Scenario, cli, data_io)
+                      OutdoorProfile, Scenario, cli, data_io, measured)
 from fanshift.errors import ConfigurationError, DataFormatError
 from fanshift.trace import SERIES_FIELDS, Trace
 
@@ -242,8 +242,20 @@ class TestTraceRegistry:
         data_io.write_trace(trace, tmp_path / "a.csv", written)
         data_io.write_trace(replace(trace), tmp_path / "b.csv", written)
         assert len(encodes) == 1
-        assert list(written.values()) == [tmp_path / "a.csv"]
         assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+    def test_one_bit_of_the_last_sample_encoded_apart(self, tmp_path, monkeypatch):
+        # every column is compared to its last sample, bit for bit
+        a = replace(make_trace([0.0, 1.0, 2.0], [800.0, 805.0, 810.0]),
+                    t_wall=np.full(3, 21.0))
+        flip = np.array([0, 0, 1], dtype=np.uint64)
+        b = replace(a, t_wall=(a.t_wall.view(np.uint64) ^ flip).view(np.float64))
+        encodes = count_encodes(monkeypatch)
+        written = {}
+        data_io.write_trace(a, tmp_path / "a.csv", written)
+        data_io.write_trace(b, tmp_path / "b.csv", written)
+        assert len(encodes) == 2
+        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
     def test_same_path_twice(self, tmp_path):
         trace = make_trace([0.0, 1.0, 2.0], [800.0, 805.0, 810.0])
@@ -289,8 +301,10 @@ def _write_copied(tmp_path, path):
     trace = make_trace([0.0, 1.0], [800.0, 805.0])
     written = {}
     data_io.write_trace(trace, tmp_path / "source.csv", written)
-    data_io.write_trace(trace, path, written)
-    assert list(written.values()) == [tmp_path / "source.csv"]  # copied, not encoded
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        encodes = count_encodes(monkeypatch)
+        data_io.write_trace(trace, path, written)
+    assert encodes == []  # copied, not encoded
 
 
 def _write_results(tmp_path, path):
@@ -425,6 +439,14 @@ class TestScenarioConfig:
         assert scenario.params == BuildingParams()
         assert scenario.gains == ControllerGains()
 
+    def test_null_sections_are_empty(self, tmp_path):
+        text = OPEN_CONFIG
+        for section in ("building", "control", "outdoor"):
+            text = text.replace(f"{section}: {{}}", f"{section}: null")
+        scenario = data_io.load_scenario_config(write_config(tmp_path, text))
+        assert scenario == Scenario(event=EventSchedule(setpoint_deltas=(0.0, 0.0)),
+                                    scenario_id="cfg")
+
     def test_fahrenheit_keys_convert(self, tmp_path):
         path = write_config(tmp_path, CONFIG.replace(
             "control: {}", "control: {t_set_nominal_f: 71.06}").replace(
@@ -499,10 +521,10 @@ class TestEpochClock:
     # where one float spacing is 2.4e-7 s
 
     def test_grid_at_decimal_step_accepted(self, tmp_path):
-        series = data_io.load_measured_csv(
+        series = measured.load_measured_csv(
             write_measured(tmp_path, [(1.7e9, 500.0), (1.7e9 + 100.0, 600.0)]),
             "time=ts,power=fan")
-        trace = data_io.resample(series, 0.1)
+        trace = measured.resample(series, 0.1)
         assert trace.n_samples == 1001
         assert trace.t[0] == 1.7e9 and trace.t[-1] == 1.7e9 + 100.0
 
@@ -525,8 +547,8 @@ class TestEpochClock:
                                           ((32768.0, 32768.003), 0.003, 2)])
     def test_last_sample_kept(self, t, dt, n):
         # t1 - t0 is 0.29999995 s here: the clock's rounding, far more than 1e-9 steps
-        series = data_io.MeasuredSeries(t=np.array(t), power=np.array([500.0, 600.0]))
-        trace = data_io.resample(series, dt)
+        series = measured.MeasuredSeries(t=np.array(t), power=np.array([500.0, 600.0]))
+        trace = measured.resample(series, dt)
         assert trace.n_samples == n
         assert trace.index_at(t[1]) == n - 1
         assert trace.p_fan[-1] == 600.0
@@ -538,9 +560,9 @@ class TestEpochClock:
            n=st.integers(2, 3000))
     def test_every_sample_found(self, tmp_path, t0, dt, n):
         # the series ends on the grid's last sample, to the clock's rounding
-        series = data_io.MeasuredSeries(t=np.array([t0, t0 + (n - 1) * dt]),
-                                        power=np.array([500.0, 600.0]))
-        trace = data_io.resample(series, dt)
+        series = measured.MeasuredSeries(t=np.array([t0, t0 + (n - 1) * dt]),
+                                         power=np.array([500.0, 600.0]))
+        trace = measured.resample(series, dt)
         assert trace.dt == dt and trace.n_samples == n
         data_io.write_trace(trace, tmp_path / "trace.csv")
         back = data_io.read_trace(tmp_path / "trace.csv")
@@ -556,8 +578,8 @@ class TestMeasuredNonFinite:
         rows = [(float(i), 500.0) for i in range(200)]
         rows.insert(100, ("nan", 500.0))
         rows.insert(101, (50.0, 500.0))  # before the last good time
-        series = data_io.load_measured_csv(write_measured(tmp_path, rows),
-                                           "time=ts,power=fan")
+        series = measured.load_measured_csv(write_measured(tmp_path, rows),
+                                            "time=ts,power=fan")
         assert [i for i, _ in series.rejects] == [100, 101]
         assert np.all(np.diff(series.t) > 0)
 
@@ -565,8 +587,8 @@ class TestMeasuredNonFinite:
     def test_non_finite_power_rejected(self, tmp_path, bad):
         rows = [(float(i), 500.0) for i in range(200)]
         rows[7] = (7.0, bad)
-        series = data_io.load_measured_csv(write_measured(tmp_path, rows),
-                                           "time=ts,power=fan")
+        series = measured.load_measured_csv(write_measured(tmp_path, rows),
+                                            "time=ts,power=fan")
         assert series.rejects == [(7, "non-finite value")]
         assert np.all(np.isfinite(series.power))
 
@@ -575,14 +597,14 @@ class TestMeasuredNonFinite:
         lines = path.read_text().splitlines(keepends=True)
         lines[8] = "7\n"  # row 7 lacks its power field
         path.write_text("".join(lines))
-        series = data_io.load_measured_csv(path, "time=ts,power=fan")
+        series = measured.load_measured_csv(path, "time=ts,power=fan")
         assert [i for i, _ in series.rejects] == [7]
 
     def test_non_finite_rows_count_toward_threshold(self, tmp_path):
         rows = [(float(i), "nan" if i < 3 else 500.0) for i in range(100)]
         with pytest.raises(DataFormatError, match="3/100 rows rejected"):
-            data_io.load_measured_csv(write_measured(tmp_path, rows),
-                                      "time=ts,power=fan")
+            measured.load_measured_csv(write_measured(tmp_path, rows),
+                                       "time=ts,power=fan")
 
 
 class TestMeasuredSetpoint:
@@ -594,8 +616,8 @@ class TestMeasuredSetpoint:
         return path
 
     def test_setpoint_column_in_celsius(self, tmp_path):
-        series = data_io.load_measured_csv(self._measured(tmp_path), self.COLUMN_MAP)
-        trace = data_io.resample(series, 50.0)
+        series = measured.load_measured_csv(self._measured(tmp_path), self.COLUMN_MAP)
+        trace = measured.resample(series, 50.0)
         # 71.06 F and 72.86 F are 21.7 C and 22.7 C, interpolated between
         assert trace.t_set_eff == pytest.approx([21.7, 22.2, 22.7], abs=1e-12)
         assert trace.t_room == pytest.approx([21.7] * 3, abs=1e-12)
@@ -603,8 +625,8 @@ class TestMeasuredSetpoint:
 
     def test_unknown_setpoint_unit(self, tmp_path):
         with pytest.raises(ConfigurationError, match="unknown unit 'K' for setpoint"):
-            data_io.load_measured_csv(self._measured(tmp_path),
-                                      "time=ts,power=fan,setpoint=sp:K")
+            measured.load_measured_csv(self._measured(tmp_path),
+                                       "time=ts,power=fan,setpoint=sp:K")
 
 
 T0 = 1719835200  # 2024-07-01T12:00:00Z
@@ -665,7 +687,7 @@ class TestMeasuredFuzz:
         path = write_rows(tmp_path / "m.csv", [
             (stamp(int(t), zone), repr(kw), repr(f))
             for t, (_, zone, kw, f) in zip(epochs, rows)])
-        series = data_io.load_measured_csv(path, KW_F)
+        series = measured.load_measured_csv(path, KW_F)
         assert series.rejects == []
         assert series.t.tolist() == epochs.astype(float).tolist()
         assert series.power.tolist() == [kw * 1000.0 for _, _, kw, _ in rows]
@@ -683,8 +705,8 @@ class TestMeasuredFuzz:
         path = write_rows(tmp_path / "m.csv", rows)
         if 100 * k > n:  # more than 1% of the rows
             with pytest.raises(DataFormatError, match=f"{k}/{n} rows rejected"):
-                data_io.load_measured_csv(path, KW_F)
+                measured.load_measured_csv(path, KW_F)
             return
-        series = data_io.load_measured_csv(path, KW_F)
+        series = measured.load_measured_csv(path, KW_F)
         assert [i for i, _ in series.rejects] == sorted(bad)
         assert series.t.tolist() == [T0 + 60.0 * i for i in range(n) if i not in bad]
