@@ -1,103 +1,44 @@
-"""Scenario config files, and trace/results files.
+"""Results files, and the names of the trace and scenario-config codecs.
 
-On-disk units are SI with explicit header suffixes. Fahrenheit exists only at
-the boundaries: config files may give any temperature field with an ``_f``
-suffix instead of ``_c`` (and setpoint deltas as ``setpoint_deltas_f``).
-Measured data comes in through ``measured``.
+Output files are CSV: a header line, CRLF line ends, every float as ``%.17g``
+(``FLOAT_FMT``, an exact round trip) and SI units named in the header. A
+results file has one row per ``ResultRecord``, whose fields are its columns;
+an undefined RTE is an empty field, never 0. Readers reject a malformed row
+with ``DataFormatError``. A writer makes its file's missing directories.
 
-Both output files are CSV: a header line, CRLF line ends, and every float as
-``%.17g`` (``FLOAT_FMT``, an exact round trip). A trace file has one row per
-sample in the columns of ``trace.SERIES_COLUMNS``. A results file has one row
-per ``ResultRecord``, whose fields are its columns; an undefined RTE is an
-empty field, never 0. Readers reject a malformed row with ``DataFormatError``.
-A writer makes the missing directories of its file when it writes the file.
-
-A trace file holds the bytes ``np.savetxt`` writes, but each run of
-identical samples is formatted once: a sample whose ``uint64`` bits equal
-those of the sample before it in its column reuses that sample's text. The
-text of a float is a function of its bits, so the bytes do not change;
-comparing bits, not values, keeps ``-0`` apart from ``0``. The kernel
-repeats settled samples bit for bit, so more than half the cells of a
-forced-settling trace reuse a text. Rows are built ``TRACE_CHUNK_ROWS`` at
-a time, as one ``bytes`` per chunk, so the memory a write takes does not
-grow with the trace.
-
-The texts of a chunk's run starts are computed together, in numpy integer
-arithmetic that gives ``%.17g``'s bytes exactly. A float x with
-2**-6 <= |x| < 2**53 is m / 2**s for a 53-bit integer m and 0 <= s <= 58,
-and its text is the 17-digit integer N = |x| * 10**p rounded half to even,
-p = 16 - k, with a point placed by the decimal exponent k, trailing zeros
-trimmed and a sign. The float product |x| * 10**p is rounded once and is
-below 2**57 for each k tried, so it lies within 9 of the exact one. The
-wrapped ``uint64`` product m * 10**p holds the exact product's low 64 bits:
-its bits s..s+5 are the low six bits of the floor, which single the floor
-out among the 64 integers around the estimate, and its bits below s are the
-exact remainder, which decides the rounding, ties included. k starts at
-``floor(log10 |x|)`` and moves by one until 10**16 <= N < 10**17, so a
-``log10`` one ulp off, or a rounding up to the next power of ten, still
-gives the text ``%`` gives.
-Digits come four at a time from a table, and each text is gathered from its
-digits by a layout that depends only on its sign, k and trailing zeros.
-Every other value (both zeros, subnormals, |x| < 2**-6, |x| >= 2**53, the
-infinities and NaN) is formatted by ``FLOAT_FMT % x``, which is also what
-the tests check the integer path against.
-
-A command that writes the same run to several files passes ``write_trace``
-a registry, a dict it owns for the whole command, from each file written to
-the trace that file holds. A trace whose every column has the shape and the
-``float64`` bits, compared as ``uint64``, of a registered trace's is copied
-from that trace's file instead of encoded again. The encoder formats those
-bits, so two traces share a file exactly when they share every bit; ``-0``
-and ``0``, or two NaN payloads, stay apart as they do in the text. The
-registry holds references to traces the caller keeps anyway, never copies
-or text.
-
-A trace file holds ``t_s`` but not the step, so ``read_trace``, the one place
-a ``t`` column comes in from outside, derives it and checks the sampling. The
-step is ``t[1] - t[0]`` when ``t[0] + k * step`` rebuilds the column bit for
-bit, as on a grid from zero. On an epoch clock (t ~ 1.7e9 s) that difference
-carries the clock's rounding, so the step is then the span over the sample
-count, with each sample within 4 float spacings of the largest |t| of
-``t[0] + k * step``. A one-row file has no step.
+``write_trace`` and ``read_trace`` (defined in ``tracefile``) and
+``load_scenario_config`` (in ``scenario_config``) are imported when first
+read from here, so a command compiles only the code it runs: ``simulate``
+loads both modules, ``forced-settling`` and ``compare-models`` the codec,
+``sweep-mixing`` neither. Measured data comes in through ``measured``.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
-import io
-import math
-import shutil
+import importlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
-from .control import ControllerGains
-from .engine import (FORCED_SETTLE_DEFAULT, MODE_FORCED_SETTLING, EventSchedule,
-                     OutdoorProfile, Scenario)
-from .errors import ConfigurationError, DataFormatError
+from .errors import DataFormatError
 from .metrics import EventMetrics, EventWindow
-from .thermal import BuildingParams, delta_f_to_k, fahrenheit_to_celsius
-from .trace import SERIES_COLUMNS, SERIES_FIELDS, Trace
 
-__all__ = [
-    "ResultRecord",
-    "RESULTS_HEADER",
-    "check_output_dir",
-    "write_results",
-    "read_results",
-    "write_trace",
-    "read_trace",
-    "load_scenario_config",
-]
+__all__ = ["ResultRecord", "RESULTS_HEADER", "check_output_dir", "write_results",
+           "read_results", "write_trace", "read_trace", "load_scenario_config"]
 
 FLOAT_FMT = "%.17g"
-TRACE_HEADER = [column for _, column in SERIES_COLUMNS]
-# rows of a trace file built and written at a time
-TRACE_CHUNK_ROWS = 512
-# run starts whose texts one numpy pass computes, which bounds its memory
-_TEXT_BLOCK = 1024
+# name -> the module that defines it, imported when the name is first read
+_LOADED_ON_USE = {"write_trace": "tracefile", "read_trace": "tracefile",
+                  "load_scenario_config": "scenario_config"}
+
+
+def __getattr__(name: str):
+    """A name of ``_LOADED_ON_USE``, from its module; called when it is first read."""
+    if name not in _LOADED_ON_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LOADED_ON_USE[name]}", __package__)
+    globals()[name] = value = getattr(module, name)  # later reads skip this call
+    return value
 
 
 def _fmt(x: float | None) -> str:
@@ -195,359 +136,3 @@ def read_results(path: str | Path) -> list[ResultRecord]:
             return out
     except OSError as exc:
         raise DataFormatError(f"cannot read results from {path}: {exc}") from exc
-
-
-# Byte offsets in an encoder work row of 24 bytes: "-0.", a NUL, the leading
-# digit, ",", CRLF, then the other 16 digits as four groups of four.
-_MINUS, _ZERO, _POINT, _NUL, _COMMA, _CR, _LF = 0, 1, 2, 3, 5, 6, 7
-_WORK_HEAD = int.from_bytes(b"-0.\0", "little")
-_WORK_LEAD = int.from_bytes(b"0,\r\n", "little")
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
-_POW10_FLOAT = _POW10.astype(np.float64)  # exact: 5**19 < 2**53
-
-
-@functools.cache
-def _encoder_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The digits, trailing zeros and layout tables of the cell encoder.
-
-    Built on the first encode, not on import, which commands that write no
-    trace would pay for. ``digits4[g]`` packs the four ASCII digits of
-    0 <= g < 10**4 into a little-endian uint32 and ``zeros4[g]`` counts their
-    trailing zeros (4 for 0000). ``layout`` holds a row of 23 work-row
-    offsets per (row end, sign, k + 2, trailing zeros of N), flattened in
-    that order: each byte of the cell, the text and then "," or, at a row
-    end, CRLF, or a NUL past its end.
-    """
-    groups = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()
-    digits4 = (groups + ord("0")).view("<u4").ravel()
-    zeros4 = np.argmax(groups[:, ::-1] != 0, axis=1).astype(np.uint8)
-    zeros4[0] = 4
-
-    end, neg, k, zeros, j = np.ix_(range(2), range(2), range(-2, 16),
-                                   range(17), range(23))
-    figures = 17 - zeros
-    q = j - neg  # the offset after the sign
-
-    def digit(i):
-        return np.where(i == 0, 4, 7 + i)
-
-    body = np.where(k >= 0,
-                    np.where(q <= k, digit(q),
-                             np.where(q == k + 1, _POINT, digit(q - 1))),
-                    np.where(q == 1, _POINT,
-                             np.where(q < 1 - k, _ZERO, digit(q - 1 + k))))
-    length = neg + np.where(k >= 0, np.where(figures <= k + 1, k + 1, figures + 1),
-                            1 - k + figures)
-    layout = np.select(
-        [j < neg, j < length, j == length, (j == length + 1) & (end == 1)],
-        [_MINUS, body, np.where(end, _CR, _COMMA), _LF], _NUL)
-    return digits4, zeros4, layout.astype(np.uint8).reshape(-1, 23)
-
-
-def _significand(m, s, a, k):
-    """N = |x| * 10**(16 - k) rounded half to even, for |x| = m / 2**s."""
-    p = 16 - k
-    # wraps mod 2**64, which keeps the low 64 bits of the exact product
-    product = m * _POW10.take(p)
-    # the float product lies within 9 of the exact one, so the floor's low
-    # six bits, bits s..s+5 of the exact product, pin the floor down
-    near = (a * _POW10_FLOAT.take(p)).astype(np.uint64) - 32
-    floor = near + ((product >> s) - near & 63)
-    one = np.uint64(1) << s
-    twice_rest = (product & one - 1) << 1  # twice the remainder mod 2**s
-    return floor + ((twice_rest > one) | (twice_rest == one) & (floor & 1 == 1))
-
-
-def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17-digit significand N and decimal exponent k of each
-    2**-6 <= a < 2**53, so that a rounds to N * 10**(k - 16)."""
-    bits = a.view(np.uint64)
-    m = bits & 2**52 - 1 | 2**52
-    s = 1075 - (bits >> 52)  # a = m / 2**s, 0 <= s <= 58
-    # log10 can be one off, and N can round up to 10**17
-    k = np.floor(np.log10(a)).astype(np.intp)
-    n = _significand(m, s, a, k)
-    while True:
-        off = (n >= 10**17).astype(np.intp) - (n < 10**16)
-        fix = np.flatnonzero(off)
-        if not len(fix):
-            return n, k
-        k[fix] += off[fix]
-        n[fix] = _significand(m[fix], s[fix], a[fix], k[fix])
-
-
-def _exact_texts(a: np.ndarray, kind: np.ndarray) -> np.ndarray:
-    """The cells of the values 2**-6 <= a < 2**53, each with the sign and the
-    separator ``kind`` selects (row end * 2 + sign), as NUL-padded rows."""
-    digits4, zeros4, layout = _encoder_tables()
-    n, k = _decimal(a)
-    high, low = np.divmod(n, 10**8)
-    lead, high = np.divmod(high, 10**8)
-    work = np.empty((len(n), 6), dtype="<u4")
-    work[:, 0] = _WORK_HEAD
-    work[:, 1] = lead + _WORK_LEAD
-    zeros = 0  # the trailing zeros of N, counted group by group
-    for i, group in enumerate((high // 10**4, high % 10**4, low // 10**4, low % 10**4)):
-        work[:, 2 + i] = digits4.take(group)
-        group_zeros = zeros4.take(group)
-        zeros = np.where(group_zeros == 4, 4 + zeros, group_zeros)
-    code = (kind * 18 + k + 2) * 17 + zeros
-    offsets = layout.take(code, axis=0) + np.arange(0, 24 * len(n), 24)[:, None]
-    return work.view(np.uint8).ravel().take(offsets)
-
-
-def _cell_texts(x: np.ndarray, row_end: np.ndarray) -> np.ndarray:
-    """The bytes of ``FLOAT_FMT % v`` and then "," or, where ``row_end``, CRLF,
-    for each float64 ``v`` of ``x``, as NUL-padded rows."""
-    exponent = x.view(np.uint64) >> 52 & 0x7FF
-    exact = (exponent >= 1017) & (exponent <= 1075)  # 2**-6 <= |x| < 2**53
-    a = np.where(exact, np.abs(x), 1.0)
-    kind = row_end * 2 + np.signbit(x)
-    texts = np.empty((len(x), 23), dtype=np.uint8)
-    for lo in range(0, len(x), _TEXT_BLOCK):
-        block = slice(lo, lo + _TEXT_BLOCK)
-        texts[block] = _exact_texts(a[block], kind[block])
-    if not exact.all():
-        rest = np.flatnonzero(~exact)
-        cells = [(FLOAT_FMT % v).encode() + (b"\r\n" if end else b",")
-                 for v, end in zip(x[rest].tolist(), row_end[rest].tolist())]
-        width = max(texts.shape[1], *map(len, cells))
-        if width > texts.shape[1]:
-            texts = np.pad(texts, ((0, 0), (0, width - texts.shape[1])))
-        cells = np.array(cells, dtype=f"S{width}").view(np.uint8)
-        texts[rest] = cells.reshape(len(rest), width)
-    return texts
-
-
-def _trace_chunks(columns: list[np.ndarray]):
-    """The CSV rows of equal-length columns, as bytes of ``TRACE_CHUNK_ROWS``
-    rows each."""
-    for lo in range(0, len(columns[0]), TRACE_CHUNK_ROWS):
-        # one row per column, so each column's run starts are contiguous
-        x = np.array([column[lo:lo + TRACE_CHUNK_ROWS] for column in columns],
-                     dtype=np.float64)
-        bits = x.view(np.uint64)
-        # a chunk's first row always starts a run, so chunks share no state
-        starts = np.ones(x.shape, dtype=bool)
-        np.not_equal(bits[:, 1:], bits[:, :-1], out=starts[:, 1:])
-        row_end = np.zeros(x.shape, dtype=bool)
-        row_end[-1] = True
-        # a cell's run start is the last start at or before it in its column
-        run = np.cumsum(starts.ravel()).reshape(x.shape).T - 1
-        cells = _cell_texts(x[starts], row_end[starts]).take(run, axis=0)
-        # the NUL padding goes; the text holds no NUL
-        yield cells.tobytes().translate(None, b"\0")
-
-
-def _bits(trace: Trace) -> list[np.ndarray]:
-    """Each column's ``float64`` bits as ``uint64``: what the encoder formats."""
-    return [np.asarray(getattr(trace, name), dtype=np.float64).view(np.uint64)
-            for name in SERIES_FIELDS]
-
-
-def write_trace(trace: Trace, path: str | Path,
-                written: dict[Path, Trace] | None = None) -> None:
-    """Write a trace file: the bytes of ``np.savetxt`` with ``FLOAT_FMT``.
-
-    The file's directory is made if it is missing. ``written``, when given,
-    is the caller's registry of the files already written, each with the
-    trace it holds. A trace whose columns have the shapes and bits of a
-    registered one's is copied from that file instead of encoded again.
-    Either way the file is registered with ``trace``. The registry keeps a
-    reference to each trace, so a trace must not change after it is written.
-    """
-    path = Path(path)
-    source = None
-    if written is not None:
-        bits = _bits(trace)
-        source = next((file for file, other in written.items()
-                       if all(map(np.array_equal, bits, _bits(other)))), None)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if source is not None:
-            shutil.copyfile(source, path)
-        else:
-            with path.open("wb") as fh:
-                fh.write(",".join(TRACE_HEADER).encode() + b"\r\n")
-                fh.writelines(_trace_chunks([getattr(trace, name)
-                                             for name in SERIES_FIELDS]))
-    except shutil.SameFileError:  # the file already holds the trace
-        pass
-    except OSError as exc:
-        raise DataFormatError(f"cannot write trace to {path}: {exc}") from exc
-    if written is not None:
-        written[path] = trace
-
-
-def read_trace(path: str | Path) -> Trace:
-    """Read a trace file on the step derived from its ``t_s`` column (above).
-
-    The file holds samples only, so the trace has no labels to restore.
-    """
-    path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            header = fh.readline().rstrip("\r\n").split(",")
-            if header != TRACE_HEADER:
-                raise DataFormatError(f"{path}: unexpected trace header {header}")
-            body = fh.read()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read trace from {path}: {exc}") from exc
-    if not body.strip():
-        raise DataFormatError(f"{path}: empty trace")
-    try:
-        arr = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-        if arr.shape[1] != len(SERIES_FIELDS):
-            raise ValueError(f"{arr.shape[1]} columns, expected {len(SERIES_FIELDS)}")
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    t, n = arr[:, 0], arr.shape[0]
-    if n < 2:
-        raise DataFormatError(f"{path}: a one-row trace has no step")
-    if not np.all(np.isfinite(t)):
-        raise DataFormatError(f"{path}: t_s holds a non-finite time")
-    k, step = np.arange(n, dtype=float), float(t[1] - t[0])
-    if not np.array_equal(t[0] + k * step, t):
-        step = float(t[-1] - t[0]) / (n - 1)
-        if not np.all(np.abs(t[0] + k * step - t) <= 4.0 * np.spacing(np.max(np.abs(t)))):
-            raise DataFormatError(f"{path}: t_s is not uniformly sampled")
-    if not 0 < step < math.inf:
-        raise DataFormatError(f"{path}: t_s does not increase")
-    return Trace(**dict(zip(SERIES_FIELDS, arr.T)), dt=step)
-
-
-# ---------------------------------------------------------------------------
-# scenario config files
-# ---------------------------------------------------------------------------
-
-def _from_fahrenheit(value) -> float:
-    return fahrenheit_to_celsius(float(value))
-
-
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(x) for x in values)
-
-
-def _deltas_f_to_k(values) -> tuple[float, ...]:
-    return tuple(delta_f_to_k(float(x)) for x in values)
-
-
-# config key -> (dataclass field, converter), one table per section; a field
-# reachable from two keys (degC / degF, K / F) takes exactly one of them
-_BUILDING_KEYS = {
-    "c_room_j_per_k": ("c_room", float), "c_wall_j_per_k": ("c_wall", float),
-    "r_wall_k_per_w": ("r_wall", float), "q_internal_w": ("q_internal", float),
-    "t_outdoor_nominal_c": ("t_outdoor_nominal", float),
-    "t_outdoor_nominal_f": ("t_outdoor_nominal", _from_fahrenheit),
-    "t_supply_c": ("t_supply", float), "t_supply_f": ("t_supply", _from_fahrenheit),
-    "c_p_air_j_per_kg_k": ("c_p_air", float),
-    "mix_r": ("mix_r", float), "mix_c": ("mix_c", float),
-}
-_CONTROL_KEYS = {
-    "kp_temp": ("kp_temp", float), "ki_temp": ("ki_temp", float),
-    "kp_power": ("kp_power", float), "ki_power": ("ki_power", float),
-    "tau_airflow_s": ("tau_airflow", float), "tau_fan_s": ("tau_fan", float),
-    "fan_coeff_w_per_kg_s": ("fan_coeff", float),
-    "t_set_nominal_c": ("t_set_nominal", float),
-    "t_set_nominal_f": ("t_set_nominal", _from_fahrenheit),
-}
-_EVENT_KEYS = {
-    "kind": ("kind", str), "half_duration_s": ("half_duration", float),
-    "setpoint_deltas_k": ("setpoint_deltas", _floats),
-    "setpoint_deltas_f": ("setpoint_deltas", _deltas_f_to_k),
-    "power_delta_frac": ("power_delta_frac", float),
-    "forced_settle_s": ("forced_settle_duration", float),
-}
-_STEP_KEYS = {
-    "step_at_s": ("t_step", float), "step_c": ("delta", float),
-    "step_f": ("delta", lambda value: delta_f_to_k(float(value))),
-}
-_ROOT_KEYS = {
-    "scenario_id": ("scenario_id", str), "mode": ("mode", str),
-    "dt_s": ("dt", float), "warmup_s": ("warmup", float),
-    "settle_duration_s": ("settle_duration", float),
-}
-
-
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{where} must be a mapping")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _fields(section: dict, table: dict, where: str) -> dict:
-    """Dataclass keyword arguments for the keys a config section gives.
-
-    Keys the section omits are left out, so the dataclass supplies their
-    defaults.
-    """
-    _check_keys(section, set(table), where)
-    kw, given_as = {}, {}
-    for key, value in section.items():
-        name, convert = table[key]
-        if name in given_as:
-            raise ConfigurationError(f"give either {given_as[name]} or {key}, not both")
-        given_as[name] = key
-        try:
-            kw[name] = convert(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{where}: bad value for {key}: {exc}") from exc
-    return kw
-
-
-def _profile_from_config(spec, nominal: float) -> OutdoorProfile:
-    try:
-        if isinstance(spec, dict):
-            kw = _fields(spec, _STEP_KEYS, "outdoor profile")
-            if "t_step" not in kw:
-                raise ConfigurationError(f"bad outdoor profile spec: {spec}")
-            return OutdoorProfile.step_at(nominal, kw["t_step"], kw.get("delta", 0.0))
-        pairs = [(float(t), float(v)) for t, v in spec]
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"outdoor profile: bad value: {exc}") from exc
-    return OutdoorProfile(times=tuple(t for t, _ in pairs),
-                          values=tuple(v for _, v in pairs))
-
-
-def load_scenario_config(path: str | Path) -> Scenario:
-    """Build a Scenario from a YAML config file.
-
-    Every key is optional except the event's command for its loop
-    (``setpoint_deltas_k`` or ``_f`` for the default open loop,
-    ``power_delta_frac`` for a closed one). The scenario id defaults to the
-    file's stem and every other omission to the dataclass defaults (the
-    calibrated building and gains), except that ``mode:
-    closed_loop_forced_settling`` without ``forced_settle_s`` holds
-    ``FORCED_SETTLE_DEFAULT`` (3600 s). A section left out or null is empty;
-    any other section that is not a mapping is refused.
-    """
-    import yaml  # only configs need it; importing it costs every other command
-
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"no such config file: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config from {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: config must be a mapping")
-    sections = {name: {} if (section := raw.pop(name, None)) is None else section
-                for name in ("building", "control", "event", "outdoor")}
-    kw = {"scenario_id": path.stem, **_fields(raw, _ROOT_KEYS, "config root")}
-
-    params = BuildingParams(**_fields(sections["building"], _BUILDING_KEYS, "building"))
-    gains = ControllerGains(**_fields(sections["control"], _CONTROL_KEYS, "control"))
-    event_kw = _fields(sections["event"], _EVENT_KEYS, "event")
-    if kw.get("mode") == MODE_FORCED_SETTLING:
-        event_kw.setdefault("forced_settle_duration", FORCED_SETTLE_DEFAULT)
-    event = EventSchedule(**event_kw)
-    outdoor = sections["outdoor"]
-    _check_keys(outdoor, {"actual", "predicted"}, "outdoor")
-    profiles = {f"oa_{name}": _profile_from_config(spec, params.t_outdoor_nominal)
-                for name, spec in outdoor.items() if spec is not None}
-    return Scenario(params=params, gains=gains, event=event, **profiles, **kw)

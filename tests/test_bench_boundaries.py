@@ -26,7 +26,7 @@ import pytest
 
 import fanshift
 import fanshift.cli  # noqa: F401 - the tracer reaches every module through the package
-from fanshift import cli, data_io, engine, kernels
+from fanshift import cli, data_io, engine, kernels, tracefile
 
 from conftest import make_trace, quick_scenario, use_cpus
 
@@ -103,7 +103,7 @@ def test_workload_work_pinned(tmp_path, monkeypatch, workload, work):
     command = load_perfbench(monkeypatch, "workloads").WORKLOADS[workload](1, tmp_path)
     use_cpus(monkeypatch, 1)
     steps, encodes = [], []
-    simulate_loop, trace_chunks = kernels.simulate_loop, data_io._trace_chunks
+    simulate_loop, trace_chunks = kernels.simulate_loop, tracefile._trace_chunks
 
     def count_steps(*args):
         steps.append(args[1])
@@ -114,7 +114,7 @@ def test_workload_work_pinned(tmp_path, monkeypatch, workload, work):
         return trace_chunks(columns)
 
     monkeypatch.setattr(kernels, "simulate_loop", count_steps)
-    monkeypatch.setattr(data_io, "_trace_chunks", count_encodes)
+    monkeypatch.setattr(tracefile, "_trace_chunks", count_encodes)
     assert cli.main(command.argv + ["--out", str(tmp_path / "out")]) == 0
     assert (len(steps), sum(steps), len(encodes)) == work
 

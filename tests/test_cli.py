@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fanshift import cli, data_io, engine, metrics
+from fanshift import cli, compare, data_io, engine, metrics
 from fanshift.errors import ConfigurationError, NumericalError, TuningError
 
 from conftest import count_marches, make_trace, quick_scenario, use_cpus
@@ -62,7 +62,7 @@ class TestDriftSlope:
         diff = np.where(t >= t_start, 50.0 + 0.25 * (t - t_start), 0.0)
         event = make_trace(t, 1000.0 + diff)
         baseline = make_trace(t, np.full_like(t, 1000.0))
-        step0, slope = cli._drift_slope(event, baseline, t_start)
+        step0, slope = compare._drift_slope(event, baseline, t_start)
         assert step0 == pytest.approx(50.0 + 0.25 * 120.0)
         assert slope == pytest.approx(0.25)
 
@@ -70,7 +70,7 @@ class TestDriftSlope:
         t = np.arange(0.0, 12000.0, 1200.0)
         trace = make_trace(t, np.full_like(t, 1000.0))
         with pytest.raises(ConfigurationError, match="drift window"):
-            cli._drift_slope(trace, trace, 1200.0)
+            compare._drift_slope(trace, trace, 1200.0)
 
 
 class TestForcedSettlingMarches:
@@ -832,7 +832,7 @@ class TestMeasuredEpochClock:
     def test_decimal_step(self, tmp_path):
         measured = tmp_path / "epoch.csv"
         measured.write_text("ts,fan\n1700000000,500\n1700000100,600\n")
-        trace, record = cli._measured_outputs(measured, "time=ts,power=fan", 0.1, None)
+        trace, record = compare._measured_outputs(measured, "time=ts,power=fan", 0.1, None)
         assert trace.n_samples == 1001 and trace.dt == 0.1 and record is None
 
     def test_window_on_grid_gives_a_row(self, tmp_path):
@@ -843,8 +843,8 @@ class TestMeasuredEpochClock:
                             "1700003600,550\n1700004199.9,550\n"
                             "1700004200,500\n1700009000,500\n")
         window = (1700003600.0, 1700004200.1, 1700005400.3)
-        trace, record = cli._measured_outputs(measured, "time=ts,power=fan", 0.1,
-                                              window)
+        trace, record = compare._measured_outputs(measured, "time=ts,power=fan", 0.1,
+                                                  window)
         assert trace.n_samples == 90_001 and trace.dt == 0.1
         assert record.kind == "MEASURED" and record.e_in_j > 0.0
 
@@ -999,26 +999,47 @@ class TestParser:
                    for p in params.values())
 
 
-def loaded_on_import(names: list[str]) -> list[str]:
+def loaded_after(names: list[str], argv: list[str] | None = None) -> list[str]:
     """Those of ``names`` in ``sys.modules`` of a fresh interpreter once it
-    has imported the package and its CLI."""
+    has imported the package and its CLI and, given ``argv``, run
+    ``cli.main(argv)``, which must return 0."""
     src = str(Path(fanshift.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, fanshift, fanshift.cli; "
-            f"print(*[name for name in {names!r} if name in sys.modules])")
+    code = ("import sys, fanshift, fanshift.cli\n"
+            + ("" if argv is None else f"assert fanshift.cli.main({argv!r}) == 0\n")
+            + f"print(*[name for name in {names!r} if name in sys.modules])")
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout.split()
 
 
 def test_import_leaves_yaml_out():
     # only config files need PyYAML, so the commands that read none skip its import
-    assert loaded_on_import(["yaml"]) == []
+    assert loaded_after(["yaml"]) == []
 
 
 def test_import_leaves_unused_modules_out():
     # the trace registry compares bits, not digests; measured data (and its
     # logging) is read only by compare-models --measured; only a forked map
-    # cut short sends a kill
-    assert loaded_on_import(["hashlib", "_hashlib", "logging", "signal",
-                             "fanshift.measured"]) == []
+    # cut short sends a kill; the trace codec, the config loader and
+    # compare-models load when a command first uses them
+    assert loaded_after(["hashlib", "_hashlib", "logging", "signal",
+                         "fanshift.measured", "fanshift.tracefile",
+                         "fanshift.scenario_config", "fanshift.compare"]) == []
+
+
+LOADED_ON_USE = ["fanshift.tracefile", "fanshift.scenario_config", "fanshift.compare"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["sweep-mixing", "--r-grid", "0.3", "--c-grid", "0.1", "--dt", "10"], []),
+    (["simulate", "--config", "{config}"],
+     ["fanshift.tracefile", "fanshift.scenario_config"]),
+    (["compare-models", "--dt", "10"], ["fanshift.tracefile", "fanshift.compare"]),
+], ids=["sweep-mixing", "simulate", "compare-models"])
+def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
+    # a sweep writes no trace and reads no config, so it compiles neither codec
+    config = tmp_path / "short.yaml"
+    config.write_text(CLOSED_LOOP_3H)
+    argv = [arg.format(config=config) for arg in argv] + ["--out", str(tmp_path / "out")]
+    assert loaded_after(LOADED_ON_USE, argv) == loaded

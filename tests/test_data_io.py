@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fanshift import (BuildingParams, ControllerGains, EventSchedule,
-                      OutdoorProfile, Scenario, cli, data_io, measured)
+                      OutdoorProfile, Scenario, cli, data_io, measured,
+                      scenario_config, tracefile)
 from fanshift.errors import ConfigurationError, DataFormatError
 from fanshift.trace import SERIES_FIELDS, Trace
 
@@ -65,11 +66,11 @@ def savetxt_bytes(trace, path):
     with path.open("w", newline="") as fh:
         np.savetxt(fh, np.column_stack([getattr(trace, name) for name in SERIES_FIELDS]),
                    fmt=data_io.FLOAT_FMT, delimiter=",", newline="\r\n",
-                   header=",".join(data_io.TRACE_HEADER), comments="")
+                   header=",".join(tracefile.TRACE_HEADER), comments="")
     return path.read_bytes()
 
 
-CHUNK = data_io.TRACE_CHUNK_ROWS
+CHUNK = tracefile.TRACE_CHUNK_ROWS
 # both zeros, two NaN payloads, infinities, the smallest subnormal and plain values
 RUN_VALUES = [0.0, -0.0, math.nan,
               np.array([0x7FF4_0000_0000_0001], dtype=np.uint64).view(np.float64)[0],
@@ -125,7 +126,7 @@ class TestTraceEncoder:
 
 def encoded_cells(column) -> list[str]:
     """Each sample's text as the trace encoder writes a one-column trace."""
-    return b"".join(data_io._trace_chunks([column])).decode().split("\r\n")[:-1]
+    return b"".join(tracefile._trace_chunks([column])).decode().split("\r\n")[:-1]
 
 
 def percent_cells(values) -> list[str]:
@@ -203,13 +204,13 @@ NAN_OTHER_PAYLOAD = RUN_VALUES[3]
 
 def count_encodes(monkeypatch) -> list:
     """Spy on the trace encoder; the returned list gains one entry per encode."""
-    calls, trace_chunks = [], data_io._trace_chunks
+    calls, trace_chunks = [], tracefile._trace_chunks
 
     def spy(columns):
         calls.append(len(columns[0]))
         return trace_chunks(columns)
 
-    monkeypatch.setattr(data_io, "_trace_chunks", spy)
+    monkeypatch.setattr(tracefile, "_trace_chunks", spy)
     return calls
 
 
@@ -340,7 +341,17 @@ class TestOutputDir:
             assert data_io.check_output_dir(out).is_dir()
 
 
-HEADER = ",".join(data_io.TRACE_HEADER) + "\r\n"
+def test_codec_names_load_on_use_and_nothing_else():
+    # data_io keeps the codecs' public names, defined in the modules they load
+    assert data_io.write_trace is tracefile.write_trace
+    assert data_io.read_trace is tracefile.read_trace
+    assert data_io.load_scenario_config is scenario_config.load_scenario_config
+    for name in ("write_traces", "_trace_chunks", "TRACE_HEADER"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(data_io, name)
+
+
+HEADER =",".join(tracefile.TRACE_HEADER) + "\r\n"
 
 
 class TestTraceReadErrors:
