@@ -15,20 +15,21 @@ off a shared time grid; 2 numerical failure or a tuner that finds no neutral
 schedule; 3 self-check failure.
 
 ``sweep-mixing`` (over its grid points in (r, c) order) and
-``forced-settling`` (over its ten events) are studies with one failure
-policy, ``_study``: the rows of every case that succeeded are written, every
-failed case is listed on stderr in case order, and the command exits with
-the code of the first failure; with none, each case's full-window row must be
-energy neutral. Each checks what its cases share, windows included, once
-before the first march. The cases are marched on every usable CPU: with n
-CPUs the process forks n - 1 children and each of the n workers takes every
-n-th case. The rows, the stderr lines and the exit code come back in case
-order, the same bytes as a serial run. ``forced-settling`` first marches its
-two no-event runs in-process; the worker that marches an event writes its
-trace. With one CPU, without ``os.fork`` or while another thread is alive the
-cases are marched in-process; a child that fails has its share marched by
-the parent, and every child is reaped (killed first on an interrupt) before
-the command returns. ``simulate`` and ``compare-models`` run in-process.
+``forced-settling`` (its two no-event traces, then its ten events) are studies
+with one failure policy, ``_study``: the rows of every case that succeeded are
+written, every failed case is listed on stderr in case order, and the command
+exits with the code of the first failure; with none, each case's full-window
+row must be energy neutral. Each checks what its cases share, windows
+included, once before the first march. The cases are marched on every usable
+CPU: with n CPUs the process forks n - 1 children and each of the n workers
+takes every n-th case. The rows, the stderr lines and the exit code come back
+in case order, the same bytes as a serial run. ``forced-settling`` first
+marches its two no-event runs in-process, writing nothing; a no-event trace's
+item writes its files in the worker that takes it. With one CPU, without
+``os.fork`` or while another thread is alive the cases are marched in-process;
+a child that fails has its share marched by the parent, and every child is
+reaped (killed first on an interrupt) before the command returns. ``simulate``
+and ``compare-models`` run in-process.
 The code of ``compare-models`` is in ``compare``, imported when it runs, and
 ``data_io`` loads its trace and config codecs on first use (see there).
 """
@@ -186,9 +187,11 @@ def _forked_map(func, items: list) -> list:
     an exception ``func`` lets out is raised here. ``func`` may write files;
     since a lost share is computed again, those writes must be idempotent.
     Nothing is forked with one CPU or item, without ``os.fork`` or
-    ``os.sched_getaffinity``, or while another thread is alive (a fork
-    copies the locks it holds). Every child is reaped, and killed first if
-    this process is interrupted.
+    ``os.sched_getaffinity``, or while another Python thread is alive (a
+    fork copies the locks it holds). ``threading.active_count`` sees no
+    native thread; OpenBLAS's pool, which numpy starts, is stopped by
+    OpenBLAS itself at a fork and restarted by its next call. Every child is
+    reaped, and killed first if this process is interrupted.
     """
     cpus = getattr(os, "sched_getaffinity", None)
     forkable = cpus and hasattr(os, "fork") and threading.active_count() == 1
@@ -247,7 +250,7 @@ def _study(march, cases: list, names: list[str], what: str, results: Path) -> in
     failure is listed on stderr under "``what`` failed:" by its name in
     ``names``, in case order, and the first is raised. With none, a case
     whose first row, the full window's, is not energy neutral is a
-    ``SelfCheckError``.
+    ``SelfCheckError``; a case may return no rows, and is then not checked.
     """
     def attempt(case) -> list[data_io.ResultRecord] | FanshiftError:
         try:
@@ -264,7 +267,7 @@ def _study(march, cases: list, names: list[str], what: str, results: Path) -> in
         print(f"{what} failed:", *(f"{name}: {exc}" for name, exc in failures),
               sep="\n  ", file=sys.stderr)
         raise failures[0][1]
-    bad = [rows[0] for rows in outcomes if not rows[0].neutral]
+    bad = [rows[0] for rows in outcomes if rows and not rows[0].neutral]
     if bad:
         ids = ", ".join(f"{r.scenario_id}/{r.kind}" for r in bad)
         raise SelfCheckError(f"events violate the energy-neutrality criterion: {ids}")
@@ -345,13 +348,14 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     event start.
 
     This process first marches, in case order, every case's control baseline
-    and counterfactual. They are two distinct no-event runs (flat and stepped
-    forecast), memoised by the engine, and their 14 files hold two traces,
-    each encoded once. So a failing no-event run is reported before any event
-    marches. Then the ten events are a ``_study``: each worker finds the
-    baselines in the memo it inherited, computes its cases' rows and writes
-    their event traces. A failed case is listed by its scenario id; the rows
-    and traces of every case that succeeded are kept.
+    and counterfactual, two distinct no-event runs (flat and stepped forecast)
+    memoised by the engine, so a failing one stops the command before any
+    event; it writes nothing. Then a ``_study`` takes each no-event trace with
+    its files (8 and 6), then the ten events. A worker encodes a trace it
+    takes once and copies it to the trace's other files; for an event it finds
+    the baselines in the memo it inherited, computes the rows and writes the
+    event trace. A failed event is listed by its scenario id, a trace by its
+    forecast; the rows and traces of every item that succeeded are kept.
     """
     if step_f == 0 or step_offset >= Scenario.settle_duration:
         raise ConfigurationError(
@@ -363,26 +367,36 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
                  for case in STUDY_CASES for kind in (KIND_UP_DOWN, KIND_DOWN_UP)]
     windows = _windows(scenarios[0], window)
 
-    # the no-event runs repeat across cases; each distinct trace is encoded once
-    written: dict[Path, Trace] = {}
+    # in case order, so a failing no-event run stops the command before any
+    # event; its files are grouped by forecast, one group per distinct trace
+    groups: dict[OutdoorProfile, tuple[Trace, list[Path]]] = {}
     for scenario in scenarios:
-        control_base = run_baseline(scenario)
         sid = scenario.scenario_id
-        data_io.write_trace(control_base, traces_dir / f"{sid}_baseline.csv", written)
+        files = [(scenario.oa_predicted, f"{sid}_baseline.csv")]
         if scenario.oa_actual != scenario.oa_predicted:
-            counterfactual = run_baseline(replace(scenario,
-                                                  oa_predicted=scenario.oa_actual))
-            data_io.write_trace(counterfactual,
-                                traces_dir / f"{sid}_counterfactual.csv", written)
+            files.append((scenario.oa_actual, f"{sid}_counterfactual.csv"))
+        for forecast, name in files:
+            trace = run_baseline(replace(scenario, oa_predicted=forecast))
+            groups.setdefault(forecast, (trace, []))[1].append(traces_dir / name)
+    write_trace = data_io.write_trace  # the codec loads here, not in each worker
 
-    def march(scenario: Scenario) -> list[data_io.ResultRecord]:
-        """The case's metrics rows, its event trace written."""
-        event, counterfactual = run_event_pair(scenario)
-        rows = _records(scenario, event, counterfactual, windows)
-        data_io.write_trace(event, traces_dir / f"{scenario.scenario_id}.csv")
+    def march(item) -> list[data_io.ResultRecord]:
+        """A case's metrics rows, its event trace written, or a group's files."""
+        if not isinstance(item, Scenario):  # one encode, then copies
+            trace, paths = item
+            written: dict[Path, Trace] = {}
+            for path in paths:
+                write_trace(trace, path, written)
+            return []
+        event, counterfactual = run_event_pair(item)
+        rows = _records(item, event, counterfactual, windows)
+        write_trace(event, traces_dir / f"{item.scenario_id}.csv")
         return rows
 
-    return _study(march, scenarios, [s.scenario_id for s in scenarios],
+    names = [f"no-event trace, {'flat' if len(f.values) == 1 else 'stepped'} forecast"
+             for f in groups]  # a flat forecast has one value
+    return _study(march, [*groups.values(), *scenarios],
+                  names + [s.scenario_id for s in scenarios],
                   "study cases", out / "settling_study.csv")
 
 

@@ -33,15 +33,17 @@ Every other value (both zeros, subnormals, |x| < 2**-6, |x| >= 2**53, the
 infinities and NaN) is formatted by ``FLOAT_FMT % x``, which is also what
 the tests check the integer path against.
 
-A command that writes the same run to several files passes ``write_trace``
-a registry, a dict it owns for the whole command, from each file written to
-the trace that file holds. A trace whose every column has the shape and the
-``float64`` bits, compared as ``uint64``, of a registered trace's is copied
-from that trace's file instead of encoded again. The encoder formats those
-bits, so two traces share a file exactly when they share every bit; ``-0``
-and ``0``, or two NaN payloads, stay apart as they do in the text. The
-registry holds references to traces the caller keeps anyway, never copies
-or text.
+A caller that writes the same run to several files passes ``write_trace`` a
+registry, a dict from each file written to the trace that file holds.
+``forced-settling`` keeps one per no-event trace, local to the study item
+that writes the trace's files, so the worker that takes the item encodes the
+trace once and copies it to the rest; an event trace is written without one.
+A trace whose every column has the shape and the ``float64`` bits, compared
+as ``uint64``, of a registered trace's is copied from that trace's file
+instead of encoded again. The encoder formats those bits, so two traces
+share a file exactly when they share every bit; ``-0`` and ``0``, or two NaN
+payloads, stay apart as they do in the text. The registry holds references
+to traces the caller keeps anyway, never copies or text.
 
 A trace file holds ``t_s`` but not the step, so ``read_trace``, the one place
 a ``t`` column comes in from outside, derives it and checks the sampling. The

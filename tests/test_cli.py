@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fanshift import cli, compare, data_io, engine, metrics
+from fanshift import cli, compare, data_io, engine, metrics, tracefile
 from fanshift.errors import ConfigurationError, NumericalError, TuningError
 
 from conftest import count_marches, make_trace, quick_scenario, use_cpus
@@ -585,7 +585,7 @@ class TestForkedSettling:
         out = tmp_path / name
         code = cli.main([*self.ARGV, "--out", str(out)])
         files = {str(p.relative_to(out)): p.read_bytes()
-                 for p in sorted(out.rglob("*.csv"))}
+                 for p in sorted(out.rglob("*.csv")) if p.is_file()}
         return code, files, capsys.readouterr().err
 
     def test_same_bytes_for_any_worker_count(self, tmp_path, capsys, monkeypatch):
@@ -652,11 +652,87 @@ class TestForkedSettling:
         use_cpus(monkeypatch, 2)
         code, files, err = self._run(tmp_path, capsys, "out")
         assert (code, err) == (2, "numerical failure: diverged\n  state: {'t': 30.0}\n")
-        # the flat baseline alone marched, and no event
+        # the flat baseline alone marched, and no event; no-event files are
+        # written after the fork, so none is
         assert len(calls) == 1 and not forks
-        assert sorted(files) == [f"traces/{case}_{kind}_baseline.csv"
-                                 for case in ("forced", "unforced")
-                                 for kind in ("DOWN_UP", "UP_DOWN")]
+        assert files == {}
+
+    def _spy_encodes(self, monkeypatch, log):
+        """Spy on the trace encoder: each encode appends its process id to
+        ``log``, so the encodes of forked workers count too."""
+        trace_chunks = tracefile._trace_chunks
+
+        def spy(columns):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return trace_chunks(columns)
+
+        monkeypatch.setattr(tracefile, "_trace_chunks", spy)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_twelve_encodes_on_any_cpu_count(self, tmp_path, capsys, monkeypatch, cpus):
+        log = tmp_path / "encodes"
+        self._spy_encodes(monkeypatch, log)
+        use_cpus(monkeypatch, cpus)
+        assert self._run(tmp_path, capsys, "out")[0] == 0
+        assert_no_child_left()
+        # two no-event traces and ten events; the other 12 files are copies
+        assert len(log.read_text().split()) == 12
+
+    def test_parent_forks_before_it_writes(self, tmp_path, capsys, monkeypatch):
+        log = tmp_path / "encodes"
+        self._spy_encodes(monkeypatch, log)
+        forks, forks_at_write = count_forks(monkeypatch), []
+        write_trace = data_io.write_trace
+
+        def spy(*args):
+            forks_at_write.append(len(forks))  # a child appends to its own copy
+            return write_trace(*args)
+
+        monkeypatch.setattr(data_io, "write_trace", spy)
+        use_cpus(monkeypatch, 2)
+        assert self._run(tmp_path, capsys, "out")[0] == 0
+        assert_no_child_left()
+        assert forks_at_write and set(forks_at_write) == {1}
+        # each worker encodes one no-event trace and its five events
+        pids = log.read_text().split()
+        assert len(pids) == 12 and pids.count(str(os.getpid())) == 6
+
+    # the no-event files, (case, file) pairs for both kinds, by forecast
+    NO_EVENT_FILES = {
+        "flat": [("unforced", "baseline"), ("forced", "baseline"),
+                 ("oa_step_unpredicted", "baseline"),
+                 ("oa_step_prediction_only", "counterfactual")],
+        "stepped": [("oa_step_predicted", "baseline"),
+                    ("oa_step_unpredicted", "counterfactual"),
+                    ("oa_step_prediction_only", "baseline")],
+    }
+
+    # on two CPUs the flat group is the parent's item, the stepped the child's
+    @pytest.mark.parametrize("forecast, other", [("flat", "stepped"),
+                                                 ("stepped", "flat")])
+    def test_no_event_write_failure_listed(self, tmp_path, capsys, monkeypatch,
+                                           forecast, other):
+        case, label = self.NO_EVENT_FILES[forecast][0]
+        blocked = tmp_path / "out" / "traces" / f"{case}_UP_DOWN_{label}.csv"
+        blocked.mkdir(parents=True)  # a directory where the group's first file goes
+        use_cpus(monkeypatch, 2)
+        code, files, err = self._run(tmp_path, capsys, "out")
+        assert_no_child_left()
+        assert code == 1
+        assert err.startswith(f"study cases failed:\n  no-event trace, {forecast} "
+                              f"forecast: cannot write trace to {blocked}: ")
+        assert err.count("cannot write trace") == 2  # listed, then the exit's line
+        # every event keeps its row and its trace; the other group is whole
+        sids = [f"{case}_{kind}" for case in cli.STUDY_CASES
+                for kind in ("UP_DOWN", "DOWN_UP")]
+        rows = data_io.read_results(tmp_path / "out" / "settling_study.csv")
+        assert [row.scenario_id for row in rows] == sids
+        assert sorted(files) == sorted(
+            ["settling_study.csv", *(f"traces/{sid}.csv" for sid in sids),
+             *(f"traces/{case}_{kind}_{label}.csv"
+               for case, label in self.NO_EVENT_FILES[other]
+               for kind in ("UP_DOWN", "DOWN_UP"))])
 
     @pytest.mark.parametrize("loss", ["dies", "garbles"])
     def test_lost_share_marched_by_parent(self, tmp_path, capsys, monkeypatch, loss):
