@@ -24,12 +24,12 @@ included, once before the first march. The cases are marched on every usable
 CPU: with n CPUs the process forks n - 1 children and each of the n workers
 takes every n-th case. The rows, the stderr lines and the exit code come back
 in case order, the same bytes as a serial run. ``forced-settling`` first
-marches its two no-event runs in-process, writing nothing; a no-event trace's
-item writes its files in the worker that takes it. With one CPU, without
-``os.fork`` or while another thread is alive the cases are marched in-process;
-a child that fails has its share marched by the parent, and every child is
-reaped (killed first on an interrupt) before the command returns. ``simulate``
-and ``compare-models`` run in-process.
+marches its two no-event runs in-process, writing nothing; the worker that
+takes a no-event trace encodes its first file and copies that file to the
+rest. With one CPU, without ``os.fork`` or while another thread is alive the
+cases are marched in-process; a child that fails has its share marched by the
+parent, and every child is reaped (killed first on an interrupt) before the
+command returns. ``simulate`` and ``compare-models`` run in-process.
 The code of ``compare-models`` is in ``compare``, imported when it runs, and
 ``data_io`` loads its trace and config codecs on first use (see there).
 """
@@ -345,22 +345,23 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     """Forced vs unforced settling and the three baseline-error cases.
 
     The outdoor step of the error cases lands ``step_offset`` seconds after
-    event start.
+    event start, no later than one step before ``t_settle``: the march reads
+    no later outdoor temperature, so a later step would change no row.
 
     This process first marches, in case order, every case's control baseline
     and counterfactual, two distinct no-event runs (flat and stepped forecast)
     memoised by the engine, so a failing one stops the command before any
     event; it writes nothing. Then a ``_study`` takes each no-event trace with
-    its files (8 and 6), then the ten events. A worker encodes a trace it
-    takes once and copies it to the trace's other files; for an event it finds
+    its files (8 and 6), then the ten events. A worker encodes a trace into
+    its first file and copies that file to the rest; for an event it finds
     the baselines in the memo it inherited, computes the rows and writes the
     event trace. A failed event is listed by its scenario id, a trace by its
     forecast; the rows and traces of every item that succeeded are kept.
     """
-    if step_f == 0 or step_offset >= Scenario.settle_duration:
+    if step_f == 0 or step_offset > Scenario.settle_duration - dt:
         raise ConfigurationError(
-            "the oa_step cases need a non-zero --step-f and a --step-offset below "
-            f"{Scenario.settle_duration:g} s, else their rows copy the forced ones")
+            "the oa_step cases need a non-zero --step-f and a --step-offset of at most "
+            f"{Scenario.settle_duration - dt:g} s, else their rows copy the forced ones")
     out = data_io.check_output_dir(out)
     traces_dir = out / "traces"
     scenarios = [_study_scenario(case, kind, dt, step_offset, step_f, mix_r, mix_c)
@@ -383,10 +384,10 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     def march(item) -> list[data_io.ResultRecord]:
         """A case's metrics rows, its event trace written, or a group's files."""
         if not isinstance(item, Scenario):  # one encode, then copies
-            trace, paths = item
-            written: dict[Path, Trace] = {}
-            for path in paths:
-                write_trace(trace, path, written)
+            trace, (first, *copies) = item
+            write_trace(trace, first)
+            for path in copies:
+                write_trace(trace, path, first)
             return []
         event, counterfactual = run_event_pair(item)
         rows = _records(item, event, counterfactual, windows)

@@ -19,6 +19,9 @@ from .trace import Trace
 
 __all__ = ["cmd_compare_models"]
 
+# the span every output trace is trimmed to and normalized over, around event start, s
+_BEFORE_S, _AFTER_S = 1800.0, 10800.0  # 30 min before through 3 h after
+
 
 def _drift_slope(event: Trace, baseline: Trace, t_start: float) -> tuple[float, float]:
     """Initial power step (2 min in) and mean drift slope 5-25 min in, W/s."""
@@ -60,8 +63,8 @@ def _measured_outputs(measured: str | Path, column_map: str | None, dt: float,
         metrics.evaluate_event(trace, baseline, w), w,
         scenario_id=series.label or "measured", mode="measured",
         kind="MEASURED", r=float("nan"), c=float("nan"))
-    return metrics.normalize(trace, max(t_first, w.t_start - 1800.0),
-                             min(t_last, w.t_start + 10800.0)), record
+    return metrics.normalize(trace, max(t_first, w.t_start - _BEFORE_S),
+                             min(t_last, w.t_start + _AFTER_S)), record
 
 
 def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
@@ -109,8 +112,8 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
                 raise cli.SelfCheckError(
                     f"two-state model {kind}: drift follows the initial step")
 
-            lo = event.index_at(scenario.t_start - 1800.0)
-            hi = event.index_at(scenario.t_start + 10800.0)
+            lo = event.index_at(scenario.t_start - _BEFORE_S)
+            hi = event.index_at(scenario.t_start + _AFTER_S)
             clipped = event.sliced(lo, hi)
             normalized = metrics.normalize(clipped, float(clipped.t[0]),
                                            float(clipped.t[-1]))

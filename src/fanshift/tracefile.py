@@ -33,18 +33,6 @@ Every other value (both zeros, subnormals, |x| < 2**-6, |x| >= 2**53, the
 infinities and NaN) is formatted by ``FLOAT_FMT % x``, which is also what
 the tests check the integer path against.
 
-A caller that writes the same run to several files passes ``write_trace`` a
-registry, a dict from each file written to the trace that file holds.
-``forced-settling`` keeps one per no-event trace, local to the study item
-that writes the trace's files, so the worker that takes the item encodes the
-trace once and copies it to the rest; an event trace is written without one.
-A trace whose every column has the shape and the ``float64`` bits, compared
-as ``uint64``, of a registered trace's is copied from that trace's file
-instead of encoded again. The encoder formats those bits, so two traces
-share a file exactly when they share every bit; ``-0`` and ``0``, or two NaN
-payloads, stay apart as they do in the text. The registry holds references
-to traces the caller keeps anyway, never copies or text.
-
 A trace file holds ``t_s`` but not the step, so ``read_trace``, the one place
 a ``t`` column comes in from outside, derives it and checks the sampling. The
 step is ``t[1] - t[0]`` when ``t[0] + k * step`` rebuilds the column bit for
@@ -214,44 +202,26 @@ def _trace_chunks(columns: list[np.ndarray]):
         yield cells.tobytes().translate(None, b"\0")
 
 
-def _bits(trace: Trace) -> list[np.ndarray]:
-    """Each column's ``float64`` bits as ``uint64``: what the encoder formats."""
-    return [np.asarray(getattr(trace, name), dtype=np.float64).view(np.uint64)
-            for name in SERIES_FIELDS]
-
-
 def write_trace(trace: Trace, path: str | Path,
-                written: dict[Path, Trace] | None = None) -> None:
+                copy_of: str | Path | None = None) -> None:
     """Write a trace file: the bytes of ``np.savetxt`` with ``FLOAT_FMT``.
 
-    The file's directory is made if it is missing. ``written``, when given,
-    is the caller's registry of the files already written, each with the
-    trace it holds. A trace whose columns have the shapes and bits of a
-    registered one's is copied from that file instead of encoded again.
-    Either way the file is registered with ``trace``. The registry keeps a
-    reference to each trace, so a trace must not change after it is written.
+    The file's directory is made if it is missing. ``copy_of``, when given,
+    is a file the caller already wrote with ``trace`` by this function; it is
+    copied instead of encoding ``trace`` again.
     """
     path = Path(path)
-    source = None
-    if written is not None:
-        bits = _bits(trace)
-        source = next((file for file, other in written.items()
-                       if all(map(np.array_equal, bits, _bits(other)))), None)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        if source is not None:
-            shutil.copyfile(source, path)
+        if copy_of is not None:
+            shutil.copyfile(copy_of, path)
         else:
             with path.open("wb") as fh:
                 fh.write(",".join(TRACE_HEADER).encode() + b"\r\n")
                 fh.writelines(_trace_chunks([getattr(trace, name)
                                              for name in SERIES_FIELDS]))
-    except shutil.SameFileError:  # the file already holds the trace
-        pass
     except OSError as exc:
         raise DataFormatError(f"cannot write trace to {path}: {exc}") from exc
-    if written is not None:
-        written[path] = trace
 
 
 def read_trace(path: str | Path) -> Trace:

@@ -4,8 +4,9 @@
 renamed or moved boundary leaves its layer unmeasured. The two writers are
 also timed by file size, read from their second positional argument, and
 each kernel call is counted by the plant model and step count in its first
-two. A trace copied from an identical one already written stays inside the
-``write_trace`` boundary, so ``trace_write`` counts files, not encodes.
+two. A trace file copied from the file its caller already wrote (the
+``copy_of`` argument) is written inside the ``write_trace`` boundary too, so
+``trace_write`` counts files, not encodes.
 
 The work of each benchmark workload, built by ``perfbench/workloads.py`` at
 seed 1 and run in-process, is pinned in kernel calls, simulated steps and

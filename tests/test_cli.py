@@ -88,6 +88,7 @@ class TestForcedSettlingMarches:
         ["--step-offset", "1e9"],    # far past the horizon
         ["--step-offset", "35000"],  # at the last sample, t_settle
         ["--step-f", "0"],
+        ["--step-offset", "34900"],  # at 42,100 s, after the last input read
     ])
     def test_step_that_never_happens_exits_1(self, tmp_path, capsys, monkeypatch, step):
         # the oa_step rows would be copies of the forced ones, mislabelled
@@ -708,14 +709,18 @@ class TestForkedSettling:
                     ("oa_step_prediction_only", "baseline")],
     }
 
-    # on two CPUs the flat group is the parent's item, the stepped the child's
-    @pytest.mark.parametrize("forecast, other", [("flat", "stepped"),
-                                                 ("stepped", "flat")])
+    # on two CPUs the flat group is the parent's item, the stepped the child's;
+    # a group's first file is encoded, its later ones are copies of it
+    @pytest.mark.parametrize("forecast, other, at", [
+        pytest.param("flat", "stepped", 0, id="flat-stepped"),
+        pytest.param("stepped", "flat", 0, id="stepped-flat"),
+        pytest.param("flat", "stepped", 1, id="flat-stepped-copy"),
+    ])
     def test_no_event_write_failure_listed(self, tmp_path, capsys, monkeypatch,
-                                           forecast, other):
-        case, label = self.NO_EVENT_FILES[forecast][0]
+                                           forecast, other, at):
+        case, label = self.NO_EVENT_FILES[forecast][at]
         blocked = tmp_path / "out" / "traces" / f"{case}_UP_DOWN_{label}.csv"
-        blocked.mkdir(parents=True)  # a directory where the group's first file goes
+        blocked.mkdir(parents=True)  # a directory where that file goes
         use_cpus(monkeypatch, 2)
         code, files, err = self._run(tmp_path, capsys, "out")
         assert_no_child_left()
@@ -723,7 +728,8 @@ class TestForkedSettling:
         assert err.startswith(f"study cases failed:\n  no-event trace, {forecast} "
                               f"forecast: cannot write trace to {blocked}: ")
         assert err.count("cannot write trace") == 2  # listed, then the exit's line
-        # every event keeps its row and its trace; the other group is whole
+        # every event keeps its row and its trace; the other group is whole,
+        # and the failed group keeps the files written before the blocked one
         sids = [f"{case}_{kind}" for case in cli.STUDY_CASES
                 for kind in ("UP_DOWN", "DOWN_UP")]
         rows = data_io.read_results(tmp_path / "out" / "settling_study.csv")
@@ -731,7 +737,8 @@ class TestForkedSettling:
         assert sorted(files) == sorted(
             ["settling_study.csv", *(f"traces/{sid}.csv" for sid in sids),
              *(f"traces/{case}_{kind}_{label}.csv"
-               for case, label in self.NO_EVENT_FILES[other]
+               for case, label in [*self.NO_EVENT_FILES[other],
+                                   *self.NO_EVENT_FILES[forecast][:at]]
                for kind in ("UP_DOWN", "DOWN_UP"))])
 
     @pytest.mark.parametrize("loss", ["dies", "garbles"])
@@ -1095,10 +1102,10 @@ def test_import_leaves_yaml_out():
 
 
 def test_import_leaves_unused_modules_out():
-    # the trace registry compares bits, not digests; measured data (and its
-    # logging) is read only by compare-models --measured; only a forked map
-    # cut short sends a kill; the trace codec, the config loader and
-    # compare-models load when a command first uses them
+    # no command needs a digest; measured data (and its logging) is read
+    # only by compare-models --measured; only a forked map cut short sends a
+    # kill; the trace codec, the config loader and compare-models load when a
+    # command first uses them
     assert loaded_after(["hashlib", "_hashlib", "logging", "signal",
                          "fanshift.measured", "fanshift.tracefile",
                          "fanshift.scenario_config", "fanshift.compare"]) == []

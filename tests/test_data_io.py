@@ -199,9 +199,6 @@ class TestCellEncoder:
         assert encoded_cells(column) == percent_cells(column.tolist())
 
 
-NAN_OTHER_PAYLOAD = RUN_VALUES[3]
-
-
 def count_encodes(monkeypatch) -> list:
     """Spy on the trace encoder; the returned list gains one entry per encode."""
     calls, trace_chunks = [], tracefile._trace_chunks
@@ -215,74 +212,22 @@ def count_encodes(monkeypatch) -> list:
 
 
 class TestTraceRegistry:
-    @pytest.mark.parametrize("first, other", [(0.0, -0.0),
-                                              (math.nan, NAN_OTHER_PAYLOAD)],
-                             ids=["signed_zero", "nan_payload"])
-    def test_equal_values_other_bits_encoded_apart(self, tmp_path, monkeypatch,
-                                                   first, other):
-        p_fan = np.array([800.0, first, 810.0])
-        a = make_trace([0.0, 1.0, 2.0], p_fan)
-        b = make_trace([0.0, 1.0, 2.0], np.where([False, True, False], other, p_fan))
-        assert np.array_equal(a.p_fan, b.p_fan, equal_nan=True)
-        assert a.p_fan.view(np.uint64)[1] != b.p_fan.view(np.uint64)[1]
-        encodes = count_encodes(monkeypatch)
-        written = {}
-        data_io.write_trace(a, tmp_path / "a.csv", written)
-        data_io.write_trace(b, tmp_path / "b.csv", written)
-        assert len(encodes) == 2 and len(written) == 2
-        data_io.write_trace(a, tmp_path / "a_alone.csv")
-        data_io.write_trace(b, tmp_path / "b_alone.csv")
-        for name in ("a", "b"):
-            assert ((tmp_path / f"{name}.csv").read_bytes()
-                    == (tmp_path / f"{name}_alone.csv").read_bytes())
+    """A trace written to several files: encoded once, then copied."""
 
     def test_repeated_trace_copied(self, tmp_path, monkeypatch):
         trace = make_trace([0.0, 1.0, 2.0], [800.0, -0.0, 810.0])
+        data_io.write_trace(trace, tmp_path / "a.csv")
         encodes = count_encodes(monkeypatch)
-        written = {}
-        data_io.write_trace(trace, tmp_path / "a.csv", written)
-        data_io.write_trace(replace(trace), tmp_path / "b.csv", written)
-        assert len(encodes) == 1
+        data_io.write_trace(trace, tmp_path / "b.csv", tmp_path / "a.csv")
+        assert encodes == []
         assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
-
-    def test_one_bit_of_the_last_sample_encoded_apart(self, tmp_path, monkeypatch):
-        # every column is compared to its last sample, bit for bit
-        a = replace(make_trace([0.0, 1.0, 2.0], [800.0, 805.0, 810.0]),
-                    t_wall=np.full(3, 21.0))
-        flip = np.array([0, 0, 1], dtype=np.uint64)
-        b = replace(a, t_wall=(a.t_wall.view(np.uint64) ^ flip).view(np.float64))
-        encodes = count_encodes(monkeypatch)
-        written = {}
-        data_io.write_trace(a, tmp_path / "a.csv", written)
-        data_io.write_trace(b, tmp_path / "b.csv", written)
-        assert len(encodes) == 2
-        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
-
-    def test_same_path_twice(self, tmp_path):
-        trace = make_trace([0.0, 1.0, 2.0], [800.0, 805.0, 810.0])
-        written = {}
-        data_io.write_trace(trace, tmp_path / "a.csv", written)
-        data_io.write_trace(trace, tmp_path / "a.csv", written)
-        data_io.write_trace(trace, tmp_path / "alone.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
-
-    def test_file_written_over_is_forgotten(self, tmp_path):
-        a = make_trace([0.0, 1.0], [800.0, 805.0])
-        b = make_trace([0.0, 1.0], [900.0, 905.0])
-        written = {}
-        data_io.write_trace(a, tmp_path / "first.csv", written)
-        data_io.write_trace(b, tmp_path / "first.csv", written)
-        data_io.write_trace(a, tmp_path / "second.csv", written)
-        data_io.write_trace(a, tmp_path / "alone.csv")
-        assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
     def test_copy_failure_is_a_data_format_error(self, tmp_path):
         trace = make_trace([0.0, 1.0], [800.0, 805.0])
-        written = {}
-        data_io.write_trace(trace, tmp_path / "a.csv", written)
-        (tmp_path / "a.csv").unlink()  # the registered file to copy from is gone
-        with pytest.raises(DataFormatError, match="cannot write trace"):
-            data_io.write_trace(trace, tmp_path / "b.csv", written)
+        # the file to copy from was never written
+        with pytest.raises(DataFormatError, match="cannot write trace to .*b.csv"):
+            data_io.write_trace(trace, tmp_path / "b.csv", tmp_path / "a.csv")
+        assert not (tmp_path / "b.csv").exists()
 
     def test_forced_settling_encodes_each_distinct_trace_once(self, tmp_path,
                                                               monkeypatch):
@@ -300,11 +245,10 @@ def _write_encoded(tmp_path, path):
 
 def _write_copied(tmp_path, path):
     trace = make_trace([0.0, 1.0], [800.0, 805.0])
-    written = {}
-    data_io.write_trace(trace, tmp_path / "source.csv", written)
+    data_io.write_trace(trace, tmp_path / "source.csv")
     with pytest.MonkeyPatch.context() as monkeypatch:
         encodes = count_encodes(monkeypatch)
-        data_io.write_trace(trace, path, written)
+        data_io.write_trace(trace, path, tmp_path / "source.csv")
     assert encodes == []  # copied, not encoded
 
 
