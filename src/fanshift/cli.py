@@ -51,21 +51,17 @@ from .engine import (FORCED_SETTLE_DEFAULT, KIND_DOWN_UP, KIND_UP_DOWN, KINDS,
                      OutdoorProfile, Scenario, run_baseline, run_closed_loop,
                      run_open_loop, tune_open_loop_event)
 from .errors import (ConfigurationError, DataFormatError, FanshiftError,
-                     NumericalError, TraceAlignmentError, TuningError)
+                     NumericalError, SelfCheckError, TraceAlignmentError,
+                     TuningError)
 from .thermal import BuildingParams, delta_f_to_k
 from .trace import Trace
 
-__all__ = ["main", "cmd_simulate", "cmd_sweep_mixing", "cmd_forced_settling",
-           "SelfCheckError"]
+__all__ = ["main", "cmd_simulate", "cmd_sweep_mixing", "cmd_forced_settling"]
 
 SHORT_WINDOW_HR = 2.0
 # --window values: the settling window alone, or it and the 2 h window
 WINDOWS = ("full", "both")
 COMMANDS = ("simulate", "sweep-mixing", "forced-settling", "compare-models")
-
-
-class SelfCheckError(FanshiftError):
-    """A command's built-in result verification failed."""
 
 
 def run_event_pair(scenario: Scenario) -> tuple[Trace, Trace]:
@@ -241,7 +237,7 @@ def _forked_map(func, items: list) -> list:
             os.waitpid(pid, 0)
 
 
-def _study(march, cases: list, names: list[str], what: str, results: Path) -> int:
+def _study(march, cases: list, names: list[str], what: str, results: Path) -> list:
     """March a study's cases, write their rows and report every failure.
 
     ``march(case)`` returns the case's metrics rows or raises a
@@ -251,6 +247,7 @@ def _study(march, cases: list, names: list[str], what: str, results: Path) -> in
     ``names``, in case order, and the first is raised. With none, a case
     whose first row, the full window's, is not energy neutral is a
     ``SelfCheckError``; a case may return no rows, and is then not checked.
+    It returns the rows it wrote.
     """
     def attempt(case) -> list[data_io.ResultRecord] | FanshiftError:
         try:
@@ -271,7 +268,7 @@ def _study(march, cases: list, names: list[str], what: str, results: Path) -> in
     if bad:
         ids = ", ".join(f"{r.scenario_id}/{r.kind}" for r in bad)
         raise SelfCheckError(f"events violate the energy-neutrality criterion: {ids}")
-    return 0
+    return records
 
 
 def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
@@ -302,8 +299,9 @@ def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
         event, counterfactual = run_event_pair(scenario)
         return _records(scenario, event, counterfactual, windows)
 
-    return _study(march, grid, [f"r={r} c={c}" for r, c in grid], "sweep points",
-                  out / "mixing_sweep.csv")
+    _study(march, grid, [f"r={r} c={c}" for r, c in grid], "sweep points",
+           out / "mixing_sweep.csv")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +344,11 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
 
     The outdoor step of the error cases lands ``step_offset`` seconds after
     event start, no later than one step before ``t_settle``: the march reads
-    no later outdoor temperature, so a later step would change no row.
+    no later outdoor temperature. A step may still move no metric (a forecast
+    is read only while the power loop is engaged, to t_end + hold; an actual
+    step in the last steps moves event and counterfactual alike), so once
+    every row and trace is written, each oa_step case whose full-window row
+    equals its kind's forced row in every metric column is a ``SelfCheckError``.
 
     This process first marches, in case order, every case's control baseline
     and counterfactual, two distinct no-event runs (flat and stepped forecast)
@@ -361,7 +363,7 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     if step_f == 0 or step_offset > Scenario.settle_duration - dt:
         raise ConfigurationError(
             "the oa_step cases need a non-zero --step-f and a --step-offset of at most "
-            f"{Scenario.settle_duration - dt:g} s, else their rows copy the forced ones")
+            f"{Scenario.settle_duration - dt:g} s, one step before the march ends")
     out = data_io.check_output_dir(out)
     traces_dir = out / "traces"
     scenarios = [_study_scenario(case, kind, dt, step_offset, step_f, mix_r, mix_c)
@@ -396,9 +398,17 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
 
     names = [f"no-event trace, {'flat' if len(f.values) == 1 else 'stepped'} forecast"
              for f in groups]  # a flat forecast has one value
-    return _study(march, [*groups.values(), *scenarios],
+    rows = _study(march, [*groups.values(), *scenarios],
                   names + [s.scenario_id for s in scenarios],
                   "study cases", out / "settling_study.csv")
+    # each event's rows, its full window's first; compared without the id
+    full = {r.scenario_id: replace(r, scenario_id="") for r in rows[::len(windows)]}
+    copies = [sid for sid, row in full.items()
+              if sid.startswith("oa_step") and row == full[f"forced_{row.kind}"]]
+    if copies:
+        raise SelfCheckError(f"the outdoor step moved no metric of {', '.join(copies)}: "
+                             "each row equals its kind's forced row")
+    return 0
 
 
 # ---------------------------------------------------------------------------

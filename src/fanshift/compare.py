@@ -13,7 +13,7 @@ import numpy as np
 
 from . import cli, data_io, metrics
 from .engine import KIND_DOWN_UP, KIND_UP_DOWN, MODE_OPEN_LOOP, EventSchedule, Scenario
-from .errors import ConfigurationError, DataFormatError
+from .errors import ConfigurationError, DataFormatError, SelfCheckError
 from .thermal import BuildingParams, delta_f_to_k
 from .trace import Trace
 
@@ -106,10 +106,10 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
             step0, slope = _drift_slope(event, baseline, scenario.t_start)
             same_direction = slope * step0 > 0
             if model_name == "mixing" and not same_direction:
-                raise cli.SelfCheckError(
+                raise SelfCheckError(
                     f"mixing model {kind}: drift opposes the initial step")
             if model_name == "original" and same_direction:
-                raise cli.SelfCheckError(
+                raise SelfCheckError(
                     f"two-state model {kind}: drift follows the initial step")
 
             lo = event.index_at(scenario.t_start - _BEFORE_S)

@@ -19,8 +19,8 @@ command that writes it holds that. The open-loop tuner solves the signed net
 over the event window for zero, to within ``NET_STOP_FRAC`` of the probe's
 own integral of |p_fan - p_base| there. Its probes march only to the t_end
 sample, the prefix of the full march to the bit, since the net reads nothing
-later. It then runs the root to t_settle, and judges it by
-``metrics.NEUTRAL_FRAC`` like every result row.
+later. It marches no root to t_settle: the stop rule is tighter than the
+results' verdict (``metrics.evaluate_event``), so the root's row is neutral.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ _MAX_EXPANSION = 8.0
 class OutdoorProfile:
     """Piecewise-constant outdoor temperature, degC."""
 
-    times: tuple[float, ...] = (0.0,)
-    values: tuple[float, ...] = (29.4,)
+    times: tuple[float, ...]
+    values: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.times) != len(self.values) or not self.times:
@@ -415,10 +415,10 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
     the t_end sample (:func:`_run`'s ``until``), all the net reads, so its net
     is the full march's to the bit; no magnitude is probed twice.
 
-    The root is then run to t_settle through :func:`run_open_loop`, whose
-    memo keeps it for the event run of the tuned schedule, and judged by the
-    results' verdict (``metrics.NEUTRAL_FRAC``). A schedule that already
-    meets the stop rule is returned unchanged.
+    A schedule that already meets the stop rule is returned unchanged. The
+    root is neither marched to t_settle nor judged here: its row's net is the
+    probe's and its E_in + E_out is at least the probe's scale, so the stop
+    rule (``NET_STOP_FRAC`` < ``metrics.NEUTRAL_FRAC``) makes the row neutral.
     """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("tuning applies to open-loop scenarios")
@@ -439,13 +439,7 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
         return None if abs(signed) <= NET_STOP_FRAC * scale else signed
 
     mag = _neutral_magnitude(net, abs(d2_init))
-    tuned = scenario if mag == abs(d2_init) else schedule(mag)
-    signed, neutral = metrics.neutrality(run_open_loop(tuned), counterfactual, window)
-    if not neutral:
-        raise TuningError(
-            f"the root |delta2|={mag:.6g} is not neutral over t_settle: "
-            f"net {signed:.3g} J")
-    return tuned.event
+    return scenario.event if mag == abs(d2_init) else schedule(mag).event
 
 
 def _neutral_magnitude(net, m0: float) -> float:

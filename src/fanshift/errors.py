@@ -41,3 +41,7 @@ class TuningError(FanshiftError):
 
 class DataFormatError(FanshiftError):
     """Measured-data file is missing columns or too corrupt to use."""
+
+
+class SelfCheckError(FanshiftError):
+    """A command's built-in result verification failed."""

@@ -10,8 +10,8 @@ the settling window [t_start, t_settle]:
 
 An event is energy neutral when the *net* deviation over the event window
 [t_start, t_end] (``event_net``) stays below ``NEUTRAL_FRAC`` of the total
-shifted energy, the one criterion every verdict uses; the open-loop tuner
-solves the same net for zero. Room disruption
+shifted energy, a verdict ``evaluate_event`` alone makes; the open-loop
+tuner solves the same net for zero, to a tighter stop rule. Room disruption
 is measured as the RMS room-temperature deviation over the settling window.
 All integrals are trapezoidal on the shared trace grid, exact for the
 piecewise-linear synthetic traces used as oracles.
@@ -34,7 +34,6 @@ __all__ = [
     "energy_in_out",
     "rte",
     "event_net",
-    "neutrality",
     "temp_rmse",
     "normalize",
     "linear_baseline",
@@ -76,7 +75,7 @@ class EventMetrics:
     energy_in: float            # J
     energy_out: float           # J
     rte: float | None
-    neutrality_residual: float  # J, magnitude of neutrality()'s signed net
+    neutrality_residual: float  # J, magnitude of event_net()'s signed net
     neutral: bool
     rmse_temp: float            # K over the settling window
 
@@ -122,21 +121,6 @@ def event_net(event: Trace, baseline: Trace, window: EventWindow) -> tuple[float
     diff = event.p_fan[i0:i1 + 1] - baseline.p_fan[i0:i1 + 1]
     return (float(np.trapezoid(diff, dx=event.dt)),
             float(np.trapezoid(np.abs(diff), dx=event.dt)))
-
-
-def neutrality(event: Trace, baseline: Trace, window: EventWindow) -> tuple[float, bool]:
-    """Signed net deviation (J) over [t_start, t_end] and the verdict.
-
-    The net is :func:`event_net`'s. Neutral when |net| < NEUTRAL_FRAC *
-    (energy_in + energy_out), the energies taken over the full settling
-    window. A pair with no shifted energy at all is classified neutral.
-    """
-    net, _ = event_net(event, baseline, window)
-    e_in, e_out = energy_in_out(event, baseline, window)
-    total = e_in + e_out
-    if total == 0.0:
-        return net, True
-    return net, abs(net) < NEUTRAL_FRAC * total
 
 
 def temp_rmse(event: Trace, baseline: Trace, window: EventWindow) -> float:
@@ -189,14 +173,15 @@ def linear_baseline(measured: Trace, window: EventWindow) -> Trace:
 
 
 def evaluate_event(event: Trace, baseline: Trace, window: EventWindow) -> EventMetrics:
-    """All metrics for one pair in a single record."""
+    """All metrics for one pair, the neutrality verdict included: neutral when
+    |event_net| < ``NEUTRAL_FRAC`` * (energy_in + energy_out), or that is 0."""
     e_in, e_out = energy_in_out(event, baseline, window)
-    net, neutral = neutrality(event, baseline, window)
+    net, _ = event_net(event, baseline, window)
     return EventMetrics(
         energy_in=e_in,
         energy_out=e_out,
         rte=rte(e_in, e_out),
         neutrality_residual=abs(net),
-        neutral=neutral,
+        neutral=e_in + e_out == 0.0 or abs(net) < NEUTRAL_FRAC * (e_in + e_out),
         rmse_temp=temp_rmse(event, baseline, window),
     )

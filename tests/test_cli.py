@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -73,6 +75,11 @@ class TestDriftSlope:
             compare._drift_slope(trace, trace, 1200.0)
 
 
+# the scenario ids of forced-settling's outdoor-step cases, in case order
+OA_STEP_CASES = [f"{case}_{kind}" for case in cli.STUDY_CASES[2:]
+                 for kind in ("UP_DOWN", "DOWN_UP")]
+
+
 class TestForcedSettlingMarches:
     def test_each_distinct_run_marched_once(self, tmp_path, monkeypatch):
         use_cpus(monkeypatch, 1)
@@ -97,6 +104,25 @@ class TestForcedSettlingMarches:
         assert cli.main(["forced-settling", "--dt", "200", *step, "--out", str(out)]) == 1
         assert "oa_step cases need" in capsys.readouterr().err
         assert not calls and not out.exists()
+
+    @pytest.mark.parametrize("offset, copied", [
+        # the forecast is read only while the power loop is engaged, to 7,180 s
+        # after event start, and reaches the baseline's power two steps late
+        ("7200", ["oa_step_prediction_only_UP_DOWN", "oa_step_prediction_only_DOWN_UP"]),
+        # three steps before t_settle the step moves event and counterfactual alike
+        ("34940", OA_STEP_CASES),
+        ("900", []),  # perfbench's largest offset
+    ], ids=["prediction-only", "all-oa-step", "none"])
+    def test_step_that_moves_no_metric_exits_3(self, tmp_path, capsys, offset, copied):
+        out = tmp_path / "out"
+        code = cli.main(["forced-settling", "--dt", "20", "--step-offset", offset,
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == (3 if copied else 0)
+        assert [sid for sid in OA_STEP_CASES if sid in err] == copied
+        # every row and trace is still written
+        assert len(data_io.read_results(out / "settling_study.csv")) == 10
+        assert len(list((out / "traces").glob("*.csv"))) == 24
 
 
 MEASURED_COLUMNS = ["--column-map", "time=ts,power=fan"]
@@ -815,14 +841,15 @@ class TestTunedEvent:
         config.write_text(OPEN_LOOP_SHORT)
         calls = count_marches(monkeypatch)
         engine.tune_open_loop_event(data_io.load_scenario_config(config))
-        tuning = len(calls)  # the baseline and every probe
+        tuning = len(calls)  # the baseline and every probe, each cut at t_end
         engine._memo_open_loop.cache_clear()
         calls.clear()
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(config), "--tune-neutral",
                          "--out", str(out)]) == 0
-        # the event run reuses the accepted probe's march
-        assert len(calls) == tuning
+        # the tuner's marches, then the root once, in the event run
+        assert len(calls) == tuning + 1
+        assert calls.count(calls[0]) == 2  # the baseline and the root reach t_settle
 
     def test_forecast_off_the_actual_profile(self, tmp_path, monkeypatch):
         # the control baseline (forecast), the counterfactual (actual) and the
@@ -1094,6 +1121,17 @@ def loaded_after(names: list[str], argv: list[str] | None = None) -> list[str]:
             + f"print(*[name for name in {names!r} if name in sys.modules])")
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout.split()
+
+
+def test_every_exported_name_resolves():
+    # a name left in an __all__ after its definition went fails here; the
+    # names data_io loads on first use count as well
+    modules = [fanshift] + [importlib.import_module(f"fanshift.{m.name}")
+                            for m in pkgutil.iter_modules(fanshift.__path__)]
+    checked = [mod.__name__ for mod in modules if hasattr(mod, "__all__")]
+    assert {"fanshift", "fanshift.data_io", "fanshift.metrics"} <= set(checked)
+    assert [f"{mod.__name__}.{name}" for mod in modules
+            for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_import_leaves_yaml_out():

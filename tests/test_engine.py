@@ -13,7 +13,6 @@ from fanshift import (BuildingParams, ControllerGains, EventSchedule,
                       metrics, run_baseline,
                       run_closed_loop, run_open_loop, tune_open_loop_event)
 from fanshift.errors import ConfigurationError, NumericalError, TuningError
-from fanshift.metrics import neutrality
 from fanshift.trace import SERIES_FIELDS
 
 from conftest import (TRACE_OUTPUTS, count_marches, count_plant_steps,
@@ -548,8 +547,10 @@ class TestTuner:
         sc2 = replace(sc, event=tuned)
         base = run_baseline(sc2)
         ev = run_open_loop(sc2)
-        residual, neutral = neutrality(ev, base, sc2.window())
-        assert neutral
+        m = metrics.evaluate_event(ev, base, sc2.window())
+        assert m.neutral
+        net, scale = metrics.event_net(ev, base, sc2.window())
+        assert m.neutrality_residual == abs(net) <= engine.NET_STOP_FRAC * scale
         # first delta untouched, second retains its sign convention
         assert tuned.setpoint_deltas[0] == sc.event.setpoint_deltas[0]
         assert tuned.setpoint_deltas[1] <= 0.0
@@ -560,9 +561,9 @@ class TestTuner:
         tuned = tune_open_loop_event(sc)
         # exact: a changed search or stop rule moves the root
         assert tuned.setpoint_deltas == (0.5555555555555556, -0.6622184483101543)
-        # the baseline, four probes cut at t_end, and the root to t_settle
+        # the baseline and four probes cut at t_end; the root is not re-marched
         n_end = round(sc.t_end / sc.dt)
-        assert calls == [sc.n_steps] + [n_end] * 4 + [sc.n_steps]
+        assert calls == [sc.n_steps] + [n_end] * 4
 
     def test_only_the_root_returned_unchanged(self):
         sc = self._scenario()
@@ -571,7 +572,8 @@ class TestTuner:
         # inside the 5% band but off the root: the band does not stop the search
         d1, d2 = root.setpoint_deltas
         off = replace(sc, event=replace(root, setpoint_deltas=(d1, d2 * 1.01)))
-        assert neutrality(run_open_loop(off), run_baseline(off), off.window())[1]
+        assert metrics.evaluate_event(run_open_loop(off), run_baseline(off),
+                                      off.window()).neutral
         moved = tune_open_loop_event(off)
         assert moved.setpoint_deltas[1] != off.event.setpoint_deltas[1]
         assert moved.setpoint_deltas == pytest.approx(root.setpoint_deltas, abs=1e-4)
@@ -594,11 +596,12 @@ class TestTuner:
         tuned = tune_open_loop_event(sc)
         full = [t_set for n, t_set in marches if n == sc.n_steps]
         probes = [t_set for n, t_set in marches if n != sc.n_steps]
-        # the baseline at the nominal setpoint, then the root
-        assert full == [sc.gains.t_set_nominal,
-                        sc.gains.t_set_nominal + tuned.setpoint_deltas[1]]
+        # the baseline at the nominal setpoint; every probe stops at t_end
+        assert full == [sc.gains.t_set_nominal]
         assert len(probes) == len(set(probes)) >= 2
-        assert all(n == n_end for n, _ in marches[1:-1])
+        assert all(n == n_end for n, _ in marches[1:])
+        # the root is a probe
+        assert sc.gains.t_set_nominal + tuned.setpoint_deltas[1] in probes
 
     def test_root_does_not_move_with_the_stop_rule(self, monkeypatch):
         roots = []
@@ -616,21 +619,27 @@ class TestTuner:
     def test_accepted_probe_reused_bit_for_bit(self, monkeypatch):
         sc = self._scenario()
         tuned = replace(sc, event=tune_open_loop_event(sc), scenario_id="renamed")
-        # the memo holds exactly the counterfactual and the root, no probe
+        # the memo holds exactly the counterfactual: no probe, no root
         counterfactual = replace(sc, event=engine._NO_EVENT, oa_actual=sc.oa_predicted,
                                  scenario_id="")
         info = engine._memo_open_loop.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
-        for run in (counterfactual, replace(tuned, scenario_id="")):
-            engine._memo_open_loop(run)
-        assert engine._memo_open_loop.cache_info().misses == 2
+        assert (info.misses, info.currsize) == (1, 1)
+        base = engine._memo_open_loop(counterfactual)
+        assert engine._memo_open_loop.cache_info().misses == 1
+        # the root marches once, in its event run, and is kept there
         calls = count_marches(monkeypatch)
         kept = run_open_loop(tuned)
-        assert not calls
-        assert kept is engine._memo_open_loop(replace(tuned, scenario_id=""))
+        assert calls == [sc.n_steps]
+        assert run_open_loop(tuned) is kept and len(calls) == 1
+        # the event row's net is the accepted probe's to the bit
+        k = round(sc.t_end / sc.dt)
+        probe = engine._run(tuned, until=sc.t_end)
+        assert probe.p_fan.tobytes() == kept.p_fan[:k + 1].tobytes()
+        net, scale = metrics.event_net(kept, base, sc.window())
+        assert (net, scale) == metrics.event_net(probe, base.sliced(0, k), sc.window())
+        assert abs(net) <= engine.NET_STOP_FRAC * scale
         engine._memo_open_loop.cache_clear()
         fresh = run_open_loop(tuned)
-        assert len(calls) == 1
         for name in SERIES_FIELDS:
             assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
             assert not getattr(kept, name).flags.writeable
@@ -665,7 +674,8 @@ class TestCutProbe:
         net_cut = metrics.event_net(cut, base.sliced(0, k), sc.window())
         net_full = metrics.event_net(full, base, sc.window())
         assert [x.hex() for x in net_cut] == [x.hex() for x in net_full]
-        assert net_full[0] == neutrality(full, base, sc.window())[0]
+        m = metrics.evaluate_event(full, base, sc.window())
+        assert m.neutrality_residual == abs(net_full[0])
 
     def test_inputs_and_bounds_are_the_full_horizons(self, monkeypatch):
         # the outdoor air steps up 30 K after t_end, which raises the upper bound

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanshift import (EventWindow, energy_in_out, evaluate_event,
-                      linear_baseline, metrics, neutrality, normalize, rte,
-                      temp_rmse)
+from fanshift import (EventWindow, energy_in_out, engine, evaluate_event,
+                      linear_baseline, metrics, normalize, rte, temp_rmse)
 from fanshift.errors import ConfigurationError, TraceAlignmentError
 
 from conftest import make_trace
@@ -99,17 +98,20 @@ class TestRte:
 
 
 class TestNeutrality:
+    """The verdict of ``evaluate_event``; the signed net is ``event_net``'s."""
+
     def test_identical_traces_neutral_by_convention(self):
         ev, base = square_pair()
-        net, neutral = neutrality(ev, base, WINDOW)
-        assert net == 0.0 and neutral
+        m = evaluate_event(ev, base, WINDOW)
+        assert metrics.event_net(ev, base, WINDOW)[0] == 0.0
+        assert m.neutrality_residual == 0.0 and m.neutral
 
     def test_cancelling_pulses_are_neutral(self):
         ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -100.0)])
-        net, neutral = neutrality(ev, base, WINDOW)
+        m = evaluate_event(ev, base, WINDOW)
         # cancellation exact up to the two grid-edge half-samples
-        assert abs(net) <= 100.0
-        assert neutral
+        assert m.neutrality_residual <= 100.0
+        assert m.neutral
 
     def test_cancelling_ramps_are_exactly_neutral(self):
         dt = 1.0
@@ -117,41 +119,61 @@ class TestNeutrality:
         wave = np.interp(t, [0, 300, 900, 1200], [0.0, 90.0, -90.0, 0.0])
         ev = make_trace(t, 500.0 + wave)
         base = make_trace(t, np.full_like(t, 500.0))
-        net, neutral = neutrality(ev, base, WINDOW)
-        assert net == pytest.approx(0.0, abs=1e-9)
-        assert neutral
+        m = evaluate_event(ev, base, WINDOW)
+        assert m.neutrality_residual == pytest.approx(0.0, abs=1e-9)
+        assert m.neutral
 
     def test_unbalanced_pulses_fail(self):
         ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -50.0)])
-        net, neutral = neutrality(ev, base, WINDOW)
+        m = evaluate_event(ev, base, WINDOW)
         # 60 kJ - 30 kJ = +30 kJ against alpha = 0.05 * 90 kJ = 4.5 kJ
-        assert net == pytest.approx(3.0e4, rel=2e-3)
-        assert not neutral
+        assert metrics.event_net(ev, base, WINDOW)[0] == pytest.approx(3.0e4, rel=2e-3)
+        assert m.neutrality_residual == pytest.approx(3.0e4, rel=2e-3)
+        assert not m.neutral
 
     def test_net_is_signed(self):
         # the mirrored event gives back more than it drew: the same net, negated
         ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -50.0)])
         mirror, _ = square_pair(pulses=[(0, 600, -100.0), (600, 1200, 50.0)])
-        net, _ = neutrality(ev, base, WINDOW)
-        net_mirror, neutral = neutrality(mirror, base, WINDOW)
+        net, _ = metrics.event_net(ev, base, WINDOW)
+        net_mirror, _ = metrics.event_net(mirror, base, WINDOW)
         assert net_mirror == -net
-        assert not neutral
+        assert not evaluate_event(mirror, base, WINDOW).neutral
         assert evaluate_event(mirror, base, WINDOW).neutrality_residual == net
 
     def test_vacuous_tolerance_accepts_anything(self, monkeypatch):
         monkeypatch.setattr(metrics, "NEUTRAL_FRAC", 1.0)
         ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -50.0)])
-        _, neutral = neutrality(ev, base, WINDOW)
-        assert neutral
+        assert evaluate_event(ev, base, WINDOW).neutral
 
     def test_scale_equivariance(self):
         ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -50.0)])
-        r1, n1 = neutrality(ev, base, WINDOW)
+        m1 = evaluate_event(ev, base, WINDOW)
         ev2 = ev.with_p_fan(ev.p_fan * 7.0)
         base2 = base.with_p_fan(base.p_fan * 7.0)
-        r2, n2 = neutrality(ev2, base2, WINDOW)
-        assert r2 == pytest.approx(7.0 * r1, rel=1e-12)
-        assert n1 == n2
+        m2 = evaluate_event(ev2, base2, WINDOW)
+        assert m2.neutrality_residual == pytest.approx(7.0 * m1.neutrality_residual,
+                                                       rel=1e-12)
+        assert m1.neutral == m2.neutral
+
+    def test_stop_rule_tighter_than_the_verdict(self):
+        assert engine.NET_STOP_FRAC < metrics.NEUTRAL_FRAC
+
+    @given(a=st.floats(min_value=-200.0, max_value=200.0),
+           eps=st.floats(min_value=-4e-4, max_value=4e-4),
+           start=st.integers(min_value=1, max_value=598),
+           width=st.integers(min_value=1, max_value=300),
+           tail=st.floats(min_value=-50.0, max_value=50.0))
+    @settings(max_examples=200, deadline=None)
+    def test_stop_rule_implies_neutral(self, a, eps, start, width, tail):
+        # a pulse pair inside the event window, off balance by eps, so the
+        # stop rule holds for about half the draws; a third pulse after t_end
+        ev, base = square_pair(pulses=[(start, start + width, a * (1.0 + eps)),
+                                       (start + width, start + 2 * width, -a),
+                                       (1201, 2400, tail)])
+        net, scale = metrics.event_net(ev, base, WINDOW)
+        if abs(net) <= engine.NET_STOP_FRAC * scale:
+            assert evaluate_event(ev, base, WINDOW).neutral
 
     def test_energies_scale_linearly(self):
         ev, base = square_pair(pulses=[(0, 600, 100.0), (900, 1800, -40.0)])
@@ -273,6 +295,18 @@ class TestLinearBaseline:
 
 
 class TestEvaluateEvent:
+    def test_energies_integrated_once(self, monkeypatch):
+        calls, energy_in_out = [], metrics.energy_in_out
+
+        def spy(*args):
+            calls.append(args)
+            return energy_in_out(*args)
+
+        monkeypatch.setattr(metrics, "energy_in_out", spy)
+        ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -100.0)])
+        evaluate_event(ev, base, WINDOW)
+        assert len(calls) == 1
+
     def test_bundles_everything(self):
         ev, base = square_pair(pulses=[(0, 600, 100.0), (600, 1200, -100.0)])
         m = evaluate_event(ev, base, WINDOW)
