@@ -9,9 +9,10 @@ Four subcommands compose the library into reproducible studies:
 
 Everything is emitted as CSV (traces and flat metrics rows); plotting is left
 to external tools. ``simulate`` and the two studies take ``--window full`` (the
-settling window's row) or ``both`` (it, then the 2 h window's). Exit codes: 0
-success; 1 configuration error (a usage error included), bad data or traces
-off a shared time grid; 2 numerical failure or a tuner that finds no neutral
+settling window's row) or ``both`` (it, then the 2 h window's). A command
+exits 0, or with the code its error's class carries (``errors``): 1 for a
+configuration error (a usage error included), bad data or traces off a
+shared time grid; 2 numerical failure or a tuner that finds no neutral
 schedule; 3 self-check failure.
 
 ``sweep-mixing`` (over its grid points in (r, c) order) and
@@ -46,13 +47,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import data_io, metrics
-from .engine import (FORCED_SETTLE_DEFAULT, KIND_DOWN_UP, KIND_UP_DOWN, KINDS,
-                     MODE_CLOSED_LOOP, MODE_OPEN_LOOP, EventSchedule,
-                     OutdoorProfile, Scenario, run_baseline, run_closed_loop,
-                     run_open_loop, tune_open_loop_event)
-from .errors import (ConfigurationError, DataFormatError, FanshiftError,
-                     NumericalError, SelfCheckError, TraceAlignmentError,
-                     TuningError)
+from .engine import (FORCED_SETTLE_DEFAULT, KIND_UP_DOWN, KINDS, MODE_CLOSED_LOOP,
+                     MODE_OPEN_LOOP, EventSchedule, OutdoorProfile, Scenario,
+                     run_baseline, run_closed_loop, run_open_loop,
+                     tune_open_loop_event)
+from .errors import ConfigurationError, FanshiftError, SelfCheckError
 from .thermal import BuildingParams, delta_f_to_k
 from .trace import Trace
 
@@ -308,33 +307,11 @@ def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
 # forced-settling
 # ---------------------------------------------------------------------------
 
-STUDY_CASES = ("unforced", "forced", "oa_step_predicted",
-               "oa_step_unpredicted", "oa_step_prediction_only")
-
-
-def _study_scenario(case: str, kind: str, dt: float, step_offset: float,
-                    step_f: float, mix_r: float, mix_c: float) -> Scenario:
-    params = BuildingParams().with_mixing(mix_r, mix_c)
-    nominal = params.t_outdoor_nominal
-    flat = OutdoorProfile.constant(nominal)
-    warmup = 7200.0
-    stepped = OutdoorProfile.step_at(nominal, warmup + step_offset,
-                                     delta_f_to_k(step_f))
-    actual, predicted = {
-        "unforced": (flat, flat),
-        "forced": (flat, flat),
-        "oa_step_predicted": (stepped, stepped),
-        "oa_step_unpredicted": (stepped, flat),
-        "oa_step_prediction_only": (flat, stepped),
-    }[case]
-    hold = 0.0 if case == "unforced" else FORCED_SETTLE_DEFAULT
-    return Scenario(
-        params=params,
-        event=EventSchedule(kind=kind, power_delta_frac=0.10,
-                            forced_settle_duration=hold),
-        mode=MODE_CLOSED_LOOP, dt=dt, warmup=warmup,
-        oa_actual=actual, oa_predicted=predicted,
-        scenario_id=f"{case}_{kind}")
+# forced-settling's cases: each one's (actual, forecast) outdoor profile
+STUDY_CASES = {"unforced": ("flat", "flat"), "forced": ("flat", "flat"),
+               "oa_step_predicted": ("stepped", "stepped"),
+               "oa_step_unpredicted": ("stepped", "flat"),
+               "oa_step_prediction_only": ("flat", "stepped")}
 
 
 def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
@@ -342,23 +319,29 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
                         window: str) -> int:
     """Forced vs unforced settling and the three baseline-error cases.
 
-    The outdoor step of the error cases lands ``step_offset`` seconds after
-    event start, no later than one step before ``t_settle``: the march reads
-    no later outdoor temperature. A step may still move no metric (a forecast
-    is read only while the power loop is engaged, to t_end + hold; an actual
-    step in the last steps moves event and counterfactual alike), so once
-    every row and trace is written, each oa_step case whose full-window row
-    equals its kind's forced row in every metric column is a ``SelfCheckError``.
+    Each case of ``STUDY_CASES`` runs for both kinds, every one but
+    "unforced" holding the power loop ``FORCED_SETTLE_DEFAULT`` after its
+    event. The stepped profile's outdoor step lands ``step_offset`` seconds
+    after event start, no later than one step before ``t_settle``: the march
+    reads no later outdoor temperature. A step may still move no metric (a
+    forecast is read only while the power loop is engaged, to t_end + hold;
+    an actual step in the last steps moves event and counterfactual alike),
+    so once every row and trace is written, each oa_step case whose
+    full-window row equals its kind's forced row in every metric column is a
+    ``SelfCheckError``.
 
-    This process first marches, in case order, every case's control baseline
-    and counterfactual, two distinct no-event runs (flat and stepped forecast)
-    memoised by the engine, so a failing one stops the command before any
-    event; it writes nothing. Then a ``_study`` takes each no-event trace with
-    its files (8 and 6), then the ten events. A worker encodes a trace into
-    its first file and copies that file to the rest; for an event it finds
-    the baselines in the memo it inherited, computes the rows and writes the
-    event trace. A failed event is listed by its scenario id, a trace by its
-    forecast; the rows and traces of every item that succeeded are kept.
+    A case's control baseline (under its forecast) and counterfactual (under
+    its actual profile, when that differs) are one of two no-event runs, flat
+    and stepped. This process marches each once, writing nothing, through
+    the first case that sees it (unforced_UP_DOWN and
+    oa_step_predicted_UP_DOWN), so a failing one stops the command before any
+    event; the engine memoises both. Then a ``_study`` takes each no-event
+    trace with its files (8 and 6), then the ten events. A worker encodes a
+    trace into its first file and copies that file to the rest; for an event
+    it finds the baselines in the memo it inherited, computes the rows and
+    writes the event trace. A failed event is listed by its scenario id, a
+    trace by its forecast; the rows and traces of every item that succeeded
+    are kept.
     """
     if step_f == 0 or step_offset > Scenario.settle_duration - dt:
         raise ConfigurationError(
@@ -366,21 +349,31 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
             f"{Scenario.settle_duration - dt:g} s, one step before the march ends")
     out = data_io.check_output_dir(out)
     traces_dir = out / "traces"
-    scenarios = [_study_scenario(case, kind, dt, step_offset, step_f, mix_r, mix_c)
-                 for case in STUDY_CASES for kind in (KIND_UP_DOWN, KIND_DOWN_UP)]
+    params = BuildingParams().with_mixing(mix_r, mix_c)
+    nominal = params.t_outdoor_nominal
+    profiles = {"flat": OutdoorProfile.constant(nominal),
+                "stepped": OutdoorProfile.step_at(nominal, Scenario.warmup + step_offset,
+                                                  delta_f_to_k(step_f))}
+    scenarios = []
+    groups: dict[str, tuple[Scenario, list[Path]]] = {}  # profile: first case, files
+    for case, (actual, forecast) in STUDY_CASES.items():
+        hold = 0.0 if case == "unforced" else FORCED_SETTLE_DEFAULT
+        for kind in KINDS:
+            scenario = Scenario(
+                params=params, mode=MODE_CLOSED_LOOP, dt=dt,
+                event=EventSchedule(kind=kind, power_delta_frac=0.10,
+                                    forced_settle_duration=hold),
+                oa_actual=profiles[actual], oa_predicted=profiles[forecast],
+                scenario_id=f"{case}_{kind}")
+            scenarios.append(scenario)
+            # the baseline runs under the forecast, the counterfactual under an
+            # actual profile that differs; equal keys leave the baseline alone
+            for profile, label in {actual: "counterfactual", forecast: "baseline"}.items():
+                groups.setdefault(profile, (scenario, []))[1].append(
+                    traces_dir / f"{scenario.scenario_id}_{label}.csv")
     windows = _windows(scenarios[0], window)
-
-    # in case order, so a failing no-event run stops the command before any
-    # event; its files are grouped by forecast, one group per distinct trace
-    groups: dict[OutdoorProfile, tuple[Trace, list[Path]]] = {}
-    for scenario in scenarios:
-        sid = scenario.scenario_id
-        files = [(scenario.oa_predicted, f"{sid}_baseline.csv")]
-        if scenario.oa_actual != scenario.oa_predicted:
-            files.append((scenario.oa_actual, f"{sid}_counterfactual.csv"))
-        for forecast, name in files:
-            trace = run_baseline(replace(scenario, oa_predicted=forecast))
-            groups.setdefault(forecast, (trace, []))[1].append(traces_dir / name)
+    items = [(run_baseline(replace(first, oa_predicted=profiles[profile])), files)
+             for profile, (first, files) in groups.items()]
     write_trace = data_io.write_trace  # the codec loads here, not in each worker
 
     def march(item) -> list[data_io.ResultRecord]:
@@ -396,10 +389,9 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
         write_trace(event, traces_dir / f"{item.scenario_id}.csv")
         return rows
 
-    names = [f"no-event trace, {'flat' if len(f.values) == 1 else 'stepped'} forecast"
-             for f in groups]  # a flat forecast has one value
-    rows = _study(march, [*groups.values(), *scenarios],
-                  names + [s.scenario_id for s in scenarios],
+    rows = _study(march, [*items, *scenarios],
+                  [f"no-event trace, {profile} forecast" for profile in groups]
+                  + [s.scenario_id for s in scenarios],
                   "study cases", out / "settling_study.csv")
     # each event's rows, its full window's first; compared without the id
     full = {r.scenario_id: replace(r, scenario_id="") for r in rows[::len(windows)]}
@@ -509,20 +501,11 @@ def main(argv: list[str] | None = None) -> int:
         args = vars(parser.parse_args(argv))
         del args["command"]
         return args.pop("run")(**args)
-    except (ConfigurationError, DataFormatError, TraceAlignmentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        if exc.sample:
+    except FanshiftError as exc:  # the class names its exit code and label
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        if getattr(exc, "sample", None):
             print(f"  state: {exc.sample}", file=sys.stderr)
-        return 2
-    except TuningError as exc:
-        print(f"tuning failed: {exc}", file=sys.stderr)
-        return 2
-    except SelfCheckError as exc:
-        print(f"self-check failed: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cli, data_io, metrics
-from .engine import KIND_DOWN_UP, KIND_UP_DOWN, MODE_OPEN_LOOP, EventSchedule, Scenario
+from .engine import (KIND_DOWN_UP, KIND_SIGN, KIND_UP_DOWN, MODE_OPEN_LOOP,
+                     EventSchedule, Scenario)
 from .errors import ConfigurationError, DataFormatError, SelfCheckError
 from .thermal import BuildingParams, delta_f_to_k
 from .trace import Trace
@@ -93,13 +94,13 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
     elif column_map is not None or measured_window is not None:
         raise ConfigurationError("--column-map and --measured-window need --measured")
     delta = delta_f_to_k(setpoint_delta_f)
-    deltas = {KIND_DOWN_UP: (delta, -delta), KIND_UP_DOWN: (-delta, delta)}
 
     for model_name, params in plants.items():
-        for kind, (d1, d2) in deltas.items():
+        for kind in (KIND_DOWN_UP, KIND_UP_DOWN):
+            d2 = KIND_SIGN[kind] * delta  # setpoint up cuts power
             scenario = Scenario(
                 params=params, mode=MODE_OPEN_LOOP, dt=dt,
-                event=EventSchedule(kind=kind, setpoint_deltas=(d1, d2)),
+                event=EventSchedule(kind=kind, setpoint_deltas=(-d2, d2)),
                 scenario_id=f"{model_name}_{kind}")
             event, baseline = cli.run_event_pair(scenario)
 

@@ -10,17 +10,18 @@ a bit-exact fixed point, where runs sit flat and unmarched until an input change
 Every run takes its scenario alone, and ``_run`` alone builds its inputs.
 
 Identical scenarios produce bit-identical traces: the engine is seed-free.
-The last three open-loop runs are memoised on the scenario without its id, and
-every caller of one gets the memoised trace itself, read-only and shared. A
-baseline is the open-loop run of a zero setpoint schedule under the forecast,
-so shared baselines, the one a closed loop subtracts included, and the tuned
-event march once. A trace carries no label of the scenario it came from; the
-command that writes it holds that. The open-loop tuner solves the signed net
-over the event window for zero, to within ``NET_STOP_FRAC`` of the probe's
-own integral of |p_fan - p_base| there. Its probes march only to the t_end
-sample, the prefix of the full march to the bit, since the net reads nothing
-later. It marches no root to t_settle: the stop rule is tighter than the
-results' verdict (``metrics.evaluate_event``), so the root's row is neutral.
+A baseline is the open-loop run of a zero setpoint schedule under the
+forecast. The last two are memoised, and every caller of one gets the
+memoised trace itself, read-only and shared, so a baseline that several runs
+share (the one a closed loop subtracts included) marches once. An event run
+marches each time it is asked for. A trace carries no label of the scenario
+it came from; the command that writes it holds that. The open-loop tuner
+solves the signed net over the event window for zero, to within
+``NET_STOP_FRAC`` of the probe's own integral of |p_fan - p_base| there. Its
+probes march only to the t_end sample, the prefix of the full march to the
+bit, since the net reads nothing later. It marches no root to t_settle: the
+stop rule is tighter than the results' verdict (``metrics.evaluate_event``),
+so the root's row is neutral.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ FORCED_SETTLE_DEFAULT = 3600.0
 KIND_UP_DOWN = "UP_DOWN"
 KIND_DOWN_UP = "DOWN_UP"
 KINDS = (KIND_UP_DOWN, KIND_DOWN_UP)
+# the sign of each kind's first-half power shift; a pair's commands are negatives
+KIND_SIGN = {KIND_UP_DOWN: 1.0, KIND_DOWN_UP: -1.0}
 
 # temperatures this far outside [t_supply, max outdoor] mean the integrator
 # has blown up; checked in one numpy pass once the march ends
@@ -152,11 +155,11 @@ class EventSchedule:
             d1, d2 = self.setpoint_deltas
             if not all(map(math.isfinite, (d1, d2))):
                 raise ConfigurationError(f"event deltas must be finite, got {(d1, d2)}")
-            # setpoint up cuts power: DOWN_UP raises the setpoint first
-            if self.kind == KIND_DOWN_UP and not (d1 >= 0.0 >= d2):
-                raise ConfigurationError("DOWN_UP needs setpoint deltas (+, -)")
-            if self.kind == KIND_UP_DOWN and not (d1 <= 0.0 <= d2):
-                raise ConfigurationError("UP_DOWN needs setpoint deltas (-, +)")
+            # setpoint up cuts power: a power shift's sign is its delta's opposite
+            sign = KIND_SIGN[self.kind]
+            if not sign * d1 <= 0.0 <= sign * d2:
+                raise ConfigurationError(f"{self.kind} needs setpoint deltas "
+                                         f"({'+-'[sign > 0]}, {'-+'[sign > 0]})")
 
     @property
     def duration(self) -> float:
@@ -311,11 +314,11 @@ def _run(scenario: Scenario, until: float | None = None) -> Trace:
     else:
         p_base = run_baseline(scenario).p_fan
         start = scenario.whole_steps(scenario.t_start)
-        shift = scenario.event.power_delta_frac * p_base[start]
-        shift = -shift if scenario.event.kind == KIND_DOWN_UP else shift
+        event = scenario.event
+        shift = KIND_SIGN[event.kind] * event.power_delta_frac * p_base[start]
         p_ref = _halves(scenario, shift, -shift)
-        engaged[start:start + 2 * scenario.whole_steps(scenario.event.half_duration)
-                + scenario.whole_steps(scenario.event.forced_settle_duration)] = 1
+        engaged[start:start + 2 * scenario.whole_steps(event.half_duration)
+                + scenario.whole_steps(event.forced_settle_duration)] = 1
 
     t_mix0, t_wall0, mdot_eq = equilibrium(p, g.t_set_nominal, float(t_out[0]))
     i_temp0 = mdot_eq / g.ki_temp if g.ki_temp > 0 else 0.0
@@ -357,9 +360,9 @@ def run_baseline(scenario: Scenario) -> Trace:
 
     This is the counterfactual the power controller subtracts from measured
     fan power; it starts at the analytic equilibrium for the nominal setpoint.
-    It is the open-loop run of a zero setpoint schedule under the forecast:
-    :func:`run_open_loop`'s memoised trace itself, read-only and shared by
-    every scenario that differs only in its event, mode, id or actual profile.
+    It is the open-loop run of a zero setpoint schedule under the forecast,
+    memoised: the trace itself, read-only and shared by every scenario that
+    differs only in its event, mode, id or actual profile.
     """
     return _memo_open_loop(replace(scenario, event=_NO_EVENT, mode=MODE_OPEN_LOOP,
                                    oa_actual=scenario.oa_predicted, scenario_id=""))
@@ -368,16 +371,16 @@ def run_baseline(scenario: Scenario) -> Trace:
 def run_open_loop(scenario: Scenario) -> Trace:
     """Predetermined setpoint-schedule event under the *actual* outdoor profile.
 
-    The last three distinct runs are memoised on the scenario without its id,
-    and each call returns the memoised trace itself, read-only and shared.
+    Marched on each call: no command asks for one event twice.
     """
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("run_open_loop needs an open-loop scenario")
-    return _memo_open_loop(replace(scenario, scenario_id=""))
+    return _run(scenario)
 
 
-# a command reuses its flat and stepped baselines and its tuned event
-@functools.lru_cache(maxsize=3)
+# the no-event runs of ``run_baseline``: no command holds more than two, a
+# flat and a stepped forecast
+@functools.lru_cache(maxsize=2)
 def _memo_open_loop(scenario: Scenario) -> Trace:
     """The full open-loop march of ``scenario``, with read-only arrays."""
     trace = _run(scenario)
@@ -423,7 +426,7 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
     if scenario.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("tuning applies to open-loop scenarios")
     d1, d2_init = scenario.event.setpoint_deltas
-    sign2 = -1.0 if scenario.event.kind == KIND_DOWN_UP else 1.0
+    sign2 = KIND_SIGN[scenario.event.kind]
     window = scenario.window()
     counterfactual = run_baseline(replace(scenario, oa_predicted=scenario.oa_actual))
     base_cut = counterfactual.sliced(0, counterfactual.index_at(scenario.t_end))

@@ -1,13 +1,17 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration problems, unusable data
-and traces off a shared time grid exit 1; numerical failures and a tuner that
-finds no neutral schedule exit 2; failed self-checks exit 3.
+Each class carries the exit code and the stderr label the CLI reports it
+with: ``FanshiftError`` and every class that does not override them exit 1
+as an ``error`` (configuration problems, unusable data, traces off a shared
+time grid); numerical failures and a tuner that finds no neutral schedule
+exit 2; failed self-checks exit 3.
 """
 
 
 class FanshiftError(Exception):
     """Base class for all package errors."""
+
+    exit_code, label = 1, "error"
 
 
 class ConfigurationError(FanshiftError):
@@ -26,6 +30,8 @@ class NumericalError(FanshiftError):
     from a forked worker.
     """
 
+    exit_code, label = 2, "numerical failure"
+
     def __init__(self, message: str, sample: dict | None = None):
         super().__init__(message)
         self.sample = sample or {}
@@ -38,6 +44,8 @@ class TraceAlignmentError(FanshiftError):
 class TuningError(FanshiftError):
     """Event tuning failed to bracket or converge."""
 
+    exit_code, label = 2, "tuning failed"
+
 
 class DataFormatError(FanshiftError):
     """Measured-data file is missing columns or too corrupt to use."""
@@ -45,3 +53,5 @@ class DataFormatError(FanshiftError):
 
 class SelfCheckError(FanshiftError):
     """A command's built-in result verification failed."""
+
+    exit_code, label = 3, "self-check failed"

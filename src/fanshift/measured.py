@@ -42,36 +42,6 @@ class MeasuredSeries:
     rejects: list[tuple[int, str]] = field(default_factory=list)
 
 
-_TEMP_UNITS = {"C": lambda v: v, "F": fahrenheit_to_celsius}
-_POWER_UNITS = {"W": lambda v: v, "KW": lambda v: v * 1000.0}
-
-
-def parse_column_map(spec: str) -> dict[str, tuple[str, str | None]]:
-    """Parse ``"time=ts,power=fan:kW,temp=zone:F"`` into a column map.
-
-    Keys: time (required), power (required), temp, setpoint. Units follow a
-    colon: power W|kW, temperatures C|F; time is auto-detected (numeric
-    seconds or ISO-8601).
-    """
-    out: dict[str, tuple[str, str | None]] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigurationError(f"bad column-map entry {part!r} (need key=column)")
-        key, rest = part.split("=", 1)
-        key = key.strip()
-        if key not in ("time", "power", "temp", "setpoint"):
-            raise ConfigurationError(f"unknown column-map key {key!r}")
-        column, _, unit = rest.partition(":")
-        out[key] = (column.strip(), unit.strip() or None)
-    for required in ("time", "power"):
-        if required not in out:
-            raise ConfigurationError(f"column map must declare {required!r}")
-    return out
-
-
 def _parse_time(text: str) -> float:
     try:
         return float(text)
@@ -83,32 +53,62 @@ def _parse_time(text: str) -> float:
     return stamp.timestamp()
 
 
+_TEMP_UNITS = {"C": float, "F": lambda text: fahrenheit_to_celsius(float(text))}
+# column-map key -> (converter of a field's text by upper-cased unit, default
+# unit), in the order a row's fields are read; time takes no unit
+_COLUMNS = {"time": ({"": _parse_time}, ""),
+            "power": ({"W": float, "KW": lambda text: float(text) * 1000.0}, "W"),
+            "temp": (_TEMP_UNITS, "C"), "setpoint": (_TEMP_UNITS, "C")}
+
+
+def parse_column_map(spec: str) -> dict[str, tuple[str, str | None]]:
+    """Parse ``"time=ts,power=fan:kW,temp=zone:F"`` into a column map.
+
+    Keys: time (required), power (required), temp, setpoint, each given
+    once. Units follow a colon: power W|kW, temperatures C|F. Time takes
+    none: it is numeric seconds or ISO-8601, told apart field by field.
+    """
+    out: dict[str, tuple[str, str | None]] = {}
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise ConfigurationError(f"bad column-map entry {part!r} (need key=column)")
+        key, rest = part.split("=", 1)
+        key = key.strip()
+        if key not in _COLUMNS:
+            raise ConfigurationError(f"unknown column-map key {key!r}")
+        if key in out:
+            raise ConfigurationError(f"column-map key {key!r} given twice")
+        column, _, unit = (text.strip() for text in rest.partition(":"))
+        units, default = _COLUMNS[key]
+        if (unit or default).upper() not in units:
+            raise ConfigurationError(f"unknown unit {unit!r} for {key}")
+        out[key] = (column, unit or None)
+    for required in ("time", "power"):
+        if required not in out:
+            raise ConfigurationError(f"column map must declare {required!r}")
+    return out
+
+
 def load_measured_csv(path: str | Path, spec: str) -> MeasuredSeries:
     """Load and validate a measured fan-power CSV, columns mapped by ``spec``.
 
-    ``spec`` is a :func:`parse_column_map` string. Rows with unparsable or
-    non-finite values or non-increasing timestamps are rejected individually
-    (logged); the file is rejected outright when the reject fraction exceeds
+    ``spec`` is a :func:`parse_column_map` string; a unit on time or a key
+    given twice is a ``ConfigurationError``. Every declared column is
+    converted the same way, by its unit. Rows with unparsable or non-finite
+    values or non-increasing timestamps are rejected individually (logged);
+    the file is rejected outright when the reject fraction exceeds
     ``REJECT_THRESHOLD`` or declared columns are missing.
     """
     column_map = parse_column_map(spec)
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"no such file: {path}")
-
-    def conv(kind: str, unit: str | None):
-        if kind == "power":
-            table, default = _POWER_UNITS, "W"
-        else:
-            table, default = _TEMP_UNITS, "C"
-        key = (unit or default).upper()
-        if key not in table:
-            raise ConfigurationError(f"unknown unit {unit!r} for {kind}")
-        return table[key]
-
-    power_conv = conv("power", column_map["power"][1])
-    temp_conv = conv("temp", column_map.get("temp", ("", None))[1])
-    set_conv = conv("setpoint", column_map.get("setpoint", ("", None))[1])
+    # each declared column's name and converter, in the order of _COLUMNS
+    converters = {key: (column_map[key][0], units[(column_map[key][1] or default).upper()])
+                  for key, (units, default) in _COLUMNS.items() if key in column_map}
 
     try:
         with path.open(newline="") as fh:
@@ -118,27 +118,22 @@ def load_measured_csv(path: str | Path, spec: str) -> MeasuredSeries:
         raise DataFormatError(f"cannot read measured data from {path}: {exc}") from exc
     if header is None:
         raise DataFormatError(f"{path}: empty file")
-    for key in column_map:
-        col = column_map[key][0]
+    for col, _ in converters.values():
         if col not in header:
             raise DataFormatError(f"{path}: missing column {col!r}")
 
-    t, power, temp, setp = [], [], [], []
+    columns: dict[str, list[float]] = {key: [] for key in converters}
     rejects: list[tuple[int, str]] = []
     n_rows = len(rows)
     last_t = -math.inf
     for i, row in enumerate(rows):
         try:
-            stamp = _parse_time(row[column_map["time"][0]])
-            p = power_conv(float(row[column_map["power"][0]]))
-            tz = (temp_conv(float(row[column_map["temp"][0]]))
-                  if "temp" in column_map else None)
-            sz = (set_conv(float(row[column_map["setpoint"][0]]))
-                  if "setpoint" in column_map else None)
+            values = {key: conv(row[col]) for key, (col, conv) in converters.items()}
         except (ValueError, KeyError, TypeError) as exc:  # TypeError: a short row
             rejects.append((i, f"unparseable: {exc}"))
             continue
-        if not all(math.isfinite(v) for v in (stamp, p, tz, sz) if v is not None):
+        stamp, p = values["time"], values["power"]
+        if not all(map(math.isfinite, values.values())):
             rejects.append((i, "non-finite value"))
             continue
         if stamp <= last_t:
@@ -148,12 +143,8 @@ def load_measured_csv(path: str | Path, spec: str) -> MeasuredSeries:
             rejects.append((i, f"negative power {p}"))
             continue
         last_t = stamp
-        t.append(stamp)
-        power.append(p)
-        if "temp" in column_map:
-            temp.append(tz)
-        if "setpoint" in column_map:
-            setp.append(sz)
+        for key, value in values.items():
+            columns[key].append(value)
 
     if n_rows == 0:
         raise DataFormatError(f"{path}: no data rows")
@@ -164,11 +155,9 @@ def load_measured_csv(path: str | Path, spec: str) -> MeasuredSeries:
     for idx, reason in rejects:
         log.warning("%s: rejected row %d (%s)", path, idx, reason)
 
-    return MeasuredSeries(
-        t=np.asarray(t), power=np.asarray(power),
-        temp=np.asarray(temp) if temp else None,
-        setpoint=np.asarray(setp) if setp else None,
-        label=path.stem, rejects=rejects)
+    arrays = {key: np.asarray(column) for key, column in columns.items()}
+    return MeasuredSeries(t=arrays.pop("time"), **arrays, label=path.stem,
+                          rejects=rejects)
 
 
 def resample(series: MeasuredSeries, dt: float) -> Trace:

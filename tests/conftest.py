@@ -18,9 +18,9 @@ TRACE_OUTPUTS = ("t_mix", "t_room", "t_wall", "t_set_eff", "mdot_desired",
 
 @pytest.fixture(autouse=True)
 def empty_open_loop_memo():
-    """Start every test with no memoised open-loop run (baselines and tuned
-    events alike), so a run a previous test left in the memo cannot hide a
-    march from a spied or patched kernel."""
+    """Start every test with no memoised no-event run, the only runs the
+    engine memoises, so a baseline a previous test left in the memo cannot
+    hide a march from a spied or patched kernel."""
     engine._memo_open_loop.cache_clear()
 
 

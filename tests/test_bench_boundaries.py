@@ -120,6 +120,20 @@ def test_workload_work_pinned(tmp_path, monkeypatch, workload, work):
     assert (len(steps), sum(steps), len(encodes)) == work
 
 
+@pytest.mark.parametrize("workload", ["settling_study", "mixing_sweep", "neutral_tune"])
+def test_workload_writes_what_the_benchmark_checks(tmp_path, monkeypatch, workload):
+    """Each workload at seed 1 writes exactly its command's expected files,
+    and the benchmark's own output check finds no problem in them."""
+    command = load_perfbench(monkeypatch, "workloads").WORKLOADS[workload](1, tmp_path)
+    check_outputs = load_perfbench(monkeypatch, "run").check_outputs
+    use_cpus(monkeypatch, 1)
+    out = tmp_path / "out"
+    assert cli.main(command.argv + ["--out", str(out)]) == 0
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert written == sorted(command.expected_files)
+    assert check_outputs(command, out)[0] == []
+
+
 def test_every_workload_setup_builds(tmp_path, monkeypatch):
     # child.py builds each command's first scenario before main runs, so a
     # scenario or mode change it cannot take would fail every benchmark run

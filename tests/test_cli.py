@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fanshift import cli, compare, data_io, engine, metrics, tracefile
+from fanshift import cli, compare, data_io, engine, errors, metrics, tracefile
 from fanshift.errors import ConfigurationError, NumericalError, TuningError
 
 from conftest import count_marches, make_trace, quick_scenario, use_cpus
@@ -76,7 +76,7 @@ class TestDriftSlope:
 
 
 # the scenario ids of forced-settling's outdoor-step cases, in case order
-OA_STEP_CASES = [f"{case}_{kind}" for case in cli.STUDY_CASES[2:]
+OA_STEP_CASES = [f"{case}_{kind}" for case in list(cli.STUDY_CASES)[2:]
                  for kind in ("UP_DOWN", "DOWN_UP")]
 
 
@@ -142,6 +142,8 @@ class TestRejectedCommandWritesNothing:
          "not on trace grid"),
         (["compare-models", "--dt", "100", "--measured", "{one_row}"],
          "--measured needs --column-map"),
+        (["compare-models", "--dt", "100", "--measured", "{hours}",
+          "--column-map", "time=ts:ms,power=fan"], "unknown unit 'ms' for time"),
         (["compare-models", "--dt", "100", *MEASURED_COLUMNS],
          "need --measured"),
         (["compare-models", "--dt", "100", "--measured-window", "0,100,200"],
@@ -165,7 +167,7 @@ class TestRejectedCommandWritesNothing:
         (["compare-models", "--dt", "10", "--mix-r", "0", "--mix-c", "0"],
          "needs a mixing pocket"),
     ], ids=["forced-settling", "compare-models", "simulate", "measured-one-row",
-            "measured-window-off-grid", "measured-no-column-map",
+            "measured-window-off-grid", "measured-no-column-map", "measured-time-unit",
             "column-map-alone", "measured-window-alone", "measured-directory",
             "measured-not-utf8", "measured-huge-field", "config-directory",
             "config-not-utf8", "setpoint-delta-zero", "setpoint-delta-negative",
@@ -864,6 +866,28 @@ class TestTunedEvent:
         assert calls.count(780) == 3  # n_steps of 7,800 s at dt 10
 
 
+class TestMemoHoldsNoEventRuns:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "{config}", "--tune-neutral"],
+        ["compare-models", "--dt", "10"],
+    ], ids=["simulate-tune-neutral", "compare-models"])
+    def test_no_event_runs_alone(self, tmp_path, monkeypatch, argv):
+        # an event is marched once, where it is asked for: memoising it
+        # would keep a trace nothing reads again
+        config = tmp_path / "open.yaml"
+        config.write_text(OPEN_LOOP_SHORT)
+        events, memo = [], engine._memo_open_loop
+
+        def spy(scenario):
+            events.append(scenario.event)
+            return memo(scenario)
+
+        monkeypatch.setattr(engine, "_memo_open_loop", spy)
+        argv = [arg.format(config=config) for arg in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert events and set(events) == {engine._NO_EVENT}
+
+
 class TestTunedResidual:
     def test_row_residual_meets_the_stop_rule(self, tmp_path):
         # the actual outdoor profile steps +6 F at event start; the forecast
@@ -1054,6 +1078,46 @@ class TestUsageErrors:
             cli.main(["sweep-mixing", "--help"])
         assert info.value.code == 0
         assert "--r-grid" in capsys.readouterr().out
+
+
+class TestExitCodes:
+    # every class in errors.py, with the exit code and the stderr label
+    # main reports it by
+    CODES = {
+        errors.FanshiftError: (1, "error"),
+        errors.ConfigurationError: (1, "error"),
+        errors.EquilibriumInfeasibleError: (1, "error"),
+        errors.DataFormatError: (1, "error"),
+        errors.TraceAlignmentError: (1, "error"),
+        errors.NumericalError: (2, "numerical failure"),
+        errors.TuningError: (2, "tuning failed"),
+        errors.SelfCheckError: (3, "self-check failed"),
+    }
+
+    def test_every_class_listed(self):
+        assert set(self.CODES) == {cls for cls in vars(errors).values()
+                                   if isinstance(cls, type)
+                                   and issubclass(cls, errors.FanshiftError)}
+
+    def _main(self, monkeypatch, exc) -> int:
+        def fail(**kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_simulate", fail)
+        return cli.main(["simulate", "--config", "c.yaml", "--out", "o"])
+
+    @pytest.mark.parametrize("cls", list(CODES), ids=lambda cls: cls.__name__)
+    def test_exits_by_class(self, capsys, monkeypatch, cls):
+        code, label = self.CODES[cls]
+        assert self._main(monkeypatch, cls("boom")) == code
+        assert capsys.readouterr().err == f"{label}: boom\n"
+
+    def test_subclass_defined_elsewhere_exits_1(self, capsys, monkeypatch):
+        class ElsewhereError(errors.FanshiftError):
+            pass
+
+        assert self._main(monkeypatch, ElsewhereError("boom")) == 1
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestStudyWindows:

@@ -584,6 +584,21 @@ class TestMeasuredSetpoint:
                                        "time=ts,power=fan,setpoint=sp:K")
 
 
+class TestColumnMapRefused:
+    def test_unit_on_time(self, tmp_path):
+        # millisecond stamps would load as seconds, 1,000 times too far apart
+        path = write_measured(tmp_path, [(1_700_000_000_000, 500.0),
+                                         (1_700_000_060_000, 600.0)])
+        with pytest.raises(ConfigurationError, match="unknown unit 'ms' for time"):
+            measured.load_measured_csv(path, "time=ts:ms,power=fan")
+
+    def test_repeated_key(self, tmp_path):
+        path = tmp_path / "measured.csv"
+        path.write_text("ts,a,b\n0,500,0.5\n100,600,0.6\n")
+        with pytest.raises(ConfigurationError, match="column-map key 'power' given twice"):
+            measured.load_measured_csv(path, "time=ts,power=a,power=b:kW")
+
+
 T0 = 1719835200  # 2024-07-01T12:00:00Z
 
 

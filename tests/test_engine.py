@@ -626,23 +626,17 @@ class TestTuner:
         assert (info.misses, info.currsize) == (1, 1)
         base = engine._memo_open_loop(counterfactual)
         assert engine._memo_open_loop.cache_info().misses == 1
-        # the root marches once, in its event run, and is kept there
+        # the root marches once, in its event run
         calls = count_marches(monkeypatch)
-        kept = run_open_loop(tuned)
+        event = run_open_loop(tuned)
         assert calls == [sc.n_steps]
-        assert run_open_loop(tuned) is kept and len(calls) == 1
         # the event row's net is the accepted probe's to the bit
         k = round(sc.t_end / sc.dt)
         probe = engine._run(tuned, until=sc.t_end)
-        assert probe.p_fan.tobytes() == kept.p_fan[:k + 1].tobytes()
-        net, scale = metrics.event_net(kept, base, sc.window())
+        assert probe.p_fan.tobytes() == event.p_fan[:k + 1].tobytes()
+        net, scale = metrics.event_net(event, base, sc.window())
         assert (net, scale) == metrics.event_net(probe, base.sliced(0, k), sc.window())
         assert abs(net) <= engine.NET_STOP_FRAC * scale
-        engine._memo_open_loop.cache_clear()
-        fresh = run_open_loop(tuned)
-        for name in SERIES_FIELDS:
-            assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
-            assert not getattr(kept, name).flags.writeable
 
     def test_requires_open_loop(self):
         sc = Scenario(params=BuildingParams().with_mixing(0.3, 0.1),
