@@ -47,10 +47,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import data_io, metrics
-from .engine import (FORCED_SETTLE_DEFAULT, KIND_UP_DOWN, KINDS, MODE_CLOSED_LOOP,
-                     MODE_OPEN_LOOP, EventSchedule, OutdoorProfile, Scenario,
-                     run_baseline, run_closed_loop, run_open_loop,
-                     tune_open_loop_event)
+from .engine import (FORCED_SETTLE_DEFAULT, KIND_UP_DOWN, KINDS, EventSchedule,
+                     OutdoorProfile, Scenario, run_baseline, run_closed_loop,
+                     run_open_loop, tune_open_loop_event)
 from .errors import ConfigurationError, FanshiftError, SelfCheckError
 from .thermal import BuildingParams, delta_f_to_k
 from .trace import Trace
@@ -70,7 +69,7 @@ def run_event_pair(scenario: Scenario) -> tuple[Trace, Trace]:
     under the *actual* outdoor profile. When the forecast agrees, it is the
     memoised baseline a closed loop subtracts, marched once.
     """
-    run = run_open_loop if scenario.mode == MODE_OPEN_LOOP else run_closed_loop
+    run = run_open_loop if scenario.event.power_delta_frac is None else run_closed_loop
     return run(scenario), run_baseline(replace(scenario, oa_predicted=scenario.oa_actual))
 
 
@@ -104,7 +103,7 @@ def _records(scenario: Scenario, event: Trace, counterfactual: Trace,
     """The metrics rows of one event, one per window of ``_windows``."""
     return [data_io.ResultRecord.from_metrics(
         metrics.evaluate_event(event, counterfactual, window), window,
-        scenario_id=scenario.scenario_id, mode=scenario.mode_label,
+        scenario_id=scenario.scenario_id, mode=scenario.event.mode,
         kind=scenario.event.kind, r=scenario.params.mix_r,
         c=scenario.params.mix_c) for window in windows]
 
@@ -286,8 +285,7 @@ def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
     if not r_grid or not c_grid:
         raise ConfigurationError("grids must be non-empty")
     out = data_io.check_output_dir(out)
-    reference = Scenario(event=EventSchedule(kind=kind, power_delta_frac=power_frac),
-                         mode=MODE_CLOSED_LOOP, dt=dt)
+    reference = Scenario(event=EventSchedule(kind=kind, power_delta_frac=power_frac), dt=dt)
     windows = _windows(reference, window)
     grid = sorted({(r, c) for r in r_grid for c in c_grid})
 
@@ -307,11 +305,12 @@ def cmd_sweep_mixing(*, r_grid: list[float], c_grid: list[float], kind: str,
 # forced-settling
 # ---------------------------------------------------------------------------
 
-# forced-settling's cases: each one's (actual, forecast) outdoor profile
-STUDY_CASES = {"unforced": ("flat", "flat"), "forced": ("flat", "flat"),
-               "oa_step_predicted": ("stepped", "stepped"),
-               "oa_step_unpredicted": ("stepped", "flat"),
-               "oa_step_prediction_only": ("flat", "stepped")}
+# forced-settling's cases: each one's (actual, forecast) outdoor profile and hold, s
+STUDY_CASES = {"unforced": ("flat", "flat", 0.0),
+               "forced": ("flat", "flat", FORCED_SETTLE_DEFAULT),
+               "oa_step_predicted": ("stepped", "stepped", FORCED_SETTLE_DEFAULT),
+               "oa_step_unpredicted": ("stepped", "flat", FORCED_SETTLE_DEFAULT),
+               "oa_step_prediction_only": ("flat", "stepped", FORCED_SETTLE_DEFAULT)}
 
 
 def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
@@ -319,10 +318,9 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
                         window: str) -> int:
     """Forced vs unforced settling and the three baseline-error cases.
 
-    Each case of ``STUDY_CASES`` runs for both kinds, every one but
-    "unforced" holding the power loop ``FORCED_SETTLE_DEFAULT`` after its
-    event. The stepped profile's outdoor step lands ``step_offset`` seconds
-    after event start, no later than one step before ``t_settle``: the march
+    Each case of ``STUDY_CASES`` runs for both kinds under its profiles and
+    hold. The stepped profile's outdoor step lands ``step_offset`` seconds
+    after event start, from 0 to one step before ``t_settle``: the march
     reads no later outdoor temperature. A step may still move no metric (a
     forecast is read only while the power loop is engaged, to t_end + hold;
     an actual step in the last steps moves event and counterfactual alike),
@@ -343,9 +341,9 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     trace by its forecast; the rows and traces of every item that succeeded
     are kept.
     """
-    if step_f == 0 or step_offset > Scenario.settle_duration - dt:
+    if step_f == 0 or step_offset < 0 or step_offset > Scenario.settle_duration - dt:
         raise ConfigurationError(
-            "the oa_step cases need a non-zero --step-f and a --step-offset of at most "
+            "the oa_step cases need a non-zero --step-f and a --step-offset from 0 to "
             f"{Scenario.settle_duration - dt:g} s, one step before the march ends")
     out = data_io.check_output_dir(out)
     traces_dir = out / "traces"
@@ -356,11 +354,10 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
                                                   delta_f_to_k(step_f))}
     scenarios = []
     groups: dict[str, tuple[Scenario, list[Path]]] = {}  # profile: first case, files
-    for case, (actual, forecast) in STUDY_CASES.items():
-        hold = 0.0 if case == "unforced" else FORCED_SETTLE_DEFAULT
+    for case, (actual, forecast, hold) in STUDY_CASES.items():
         for kind in KINDS:
             scenario = Scenario(
-                params=params, mode=MODE_CLOSED_LOOP, dt=dt,
+                params=params, dt=dt,
                 event=EventSchedule(kind=kind, power_delta_frac=0.10,
                                     forced_settle_duration=hold),
                 oa_actual=profiles[actual], oa_predicted=profiles[forecast],

@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cli, data_io, metrics
-from .engine import (KIND_DOWN_UP, KIND_SIGN, KIND_UP_DOWN, MODE_OPEN_LOOP,
-                     EventSchedule, Scenario)
+from .engine import KIND_DOWN_UP, KIND_SIGN, KIND_UP_DOWN, EventSchedule, Scenario
 from .errors import ConfigurationError, DataFormatError, SelfCheckError
 from .thermal import BuildingParams, delta_f_to_k
 from .trace import Trace
@@ -99,7 +98,7 @@ def cmd_compare_models(*, out: str | Path, dt: float, mix_r: float,
         for kind in (KIND_DOWN_UP, KIND_UP_DOWN):
             d2 = KIND_SIGN[kind] * delta  # setpoint up cuts power
             scenario = Scenario(
-                params=params, mode=MODE_OPEN_LOOP, dt=dt,
+                params=params, dt=dt,
                 event=EventSchedule(kind=kind, setpoint_deltas=(-d2, d2)),
                 scenario_id=f"{model_name}_{kind}")
             event, baseline = cli.run_event_pair(scenario)

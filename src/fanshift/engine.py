@@ -1,12 +1,13 @@
 """Fixed-step simulation engine for load-shifting experiments.
 
 A :class:`Scenario` fully describes one experiment: building, gains, event
-schedule, outdoor profiles (actual and predicted), timestep, and mode. A
-run marches the plant and controllers over [0, t_settle] with a classical
-4th-order Runge-Kutta step for the plant and exact exponential updates for
-the lags, all inputs zero-order-held over each step. Runs start from the
-analytic equilibrium, the temperature integral carrying the equilibrium flow:
-a bit-exact fixed point, where runs sit flat and unmarched until an input changes.
+schedule (whose command names its loop), outdoor profiles (actual and
+predicted) and timestep. A run marches the plant and controllers over
+[0, t_settle] with a classical 4th-order Runge-Kutta step for the plant and
+exact exponential updates for the lags, all inputs zero-order-held over each
+step. Runs start from the analytic equilibrium, the temperature integral
+carrying the equilibrium flow: a bit-exact fixed point, where runs sit flat
+and unmarched until an input changes.
 Every run takes its scenario alone, and ``_run`` alone builds its inputs.
 
 Identical scenarios produce bit-identical traces: the engine is seed-free.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -56,7 +57,7 @@ __all__ = [
 MODE_OPEN_LOOP = "open_loop"
 MODE_CLOSED_LOOP = "closed_loop"
 MODE_FORCED_SETTLING = "closed_loop_forced_settling"
-# both closed-loop spellings name one mode, keyed by the event's hold alone
+# the spellings of a Scenario's init-only ``mode``; both closed ones name one loop
 MODES = (MODE_OPEN_LOOP, MODE_CLOSED_LOOP, MODE_FORCED_SETTLING)
 # the hold a config spelled closed_loop_forced_settling gets when it gives none, s
 FORCED_SETTLE_DEFAULT = 3600.0
@@ -124,8 +125,8 @@ class EventSchedule:
 
     Open-loop events move the setpoint by ``setpoint_deltas`` (K) over the
     two halves; closed-loop events shift fan power by ``power_delta_frac`` of
-    the baseline fan power at event start. A scenario takes exactly its own
-    loop's command. DOWN_UP cuts power first (setpoint up), UP_DOWN raises it
+    the baseline fan power at event start, so the command names the loop
+    (:attr:`mode`). DOWN_UP cuts power first (setpoint up), UP_DOWN raises it
     first.
 
     ``forced_settle_duration`` (s) is the hold: how long a closed-loop
@@ -152,6 +153,9 @@ class EventSchedule:
         if self.power_delta_frac is not None and not 0 <= self.power_delta_frac < math.inf:
             raise ConfigurationError("power_delta_frac must be finite and >= 0")
         if self.setpoint_deltas is not None:
+            if len(self.setpoint_deltas) != 2:
+                raise ConfigurationError(
+                    f"setpoint_deltas needs two deltas, got {len(self.setpoint_deltas)}")
             d1, d2 = self.setpoint_deltas
             if not all(map(math.isfinite, (d1, d2))):
                 raise ConfigurationError(f"event deltas must be finite, got {(d1, d2)}")
@@ -165,6 +169,13 @@ class EventSchedule:
     def duration(self) -> float:
         return 2.0 * self.half_duration
 
+    @property
+    def mode(self) -> str:
+        """The loop the command names, as rows spell it: a closed loop by its hold."""
+        if self.power_delta_frac is None:
+            return MODE_OPEN_LOOP
+        return MODE_FORCED_SETTLING if self.forced_settle_duration > 0 else MODE_CLOSED_LOOP
+
 
 # the zero setpoint schedule of every baseline, and a Scenario's default event
 _NO_EVENT = EventSchedule(half_duration=0.0, setpoint_deltas=(0.0, 0.0))
@@ -174,18 +185,19 @@ _NO_EVENT = EventSchedule(half_duration=0.0, setpoint_deltas=(0.0, 0.0))
 class Scenario:
     """One complete experiment description.
 
-    ``mode`` is ``MODE_OPEN_LOOP`` or closed loop, which either of
-    ``MODE_CLOSED_LOOP`` and ``MODE_FORCED_SETTLING`` spells: a closed-loop
-    run is keyed by its event's hold alone. The mode text results carry is
-    :attr:`mode_label`, derived from the hold. The event must carry its own
-    loop's command; the default, the zero setpoint schedule of a baseline,
+    The event names the loop (:attr:`EventSchedule.mode`) and must carry its
+    command alone. ``mode`` is an init-only spelling of that loop, one of
+    ``MODES`` (either closed-loop spelling names the one closed loop):
+    checked against the command, then dropped, so a ``replace`` that swaps
+    the event leaves no stale loop behind. Left None, the command alone
+    decides. The default event, the zero setpoint schedule of a baseline,
     builds an open-loop scenario that is only run for its baseline.
     """
 
     params: BuildingParams = field(default_factory=BuildingParams)
     gains: ControllerGains = field(default_factory=ControllerGains)
     event: EventSchedule = _NO_EVENT
-    mode: str = MODE_OPEN_LOOP
+    mode: InitVar[str | None] = None
     dt: float = 1.0
     warmup: float = 7200.0
     settle_duration: float = 35_000.0
@@ -193,22 +205,23 @@ class Scenario:
     oa_predicted: OutdoorProfile | None = None
     scenario_id: str = "scenario"
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
+    def __post_init__(self, mode: str | None):
+        if mode is not None and mode not in MODES:
+            raise ConfigurationError(f"unknown mode {mode!r}")
         if not 0 < self.dt < math.inf:
             raise ConfigurationError("dt must be finite and positive")
         if not (0 <= self.warmup < math.inf and 0 <= self.settle_duration < math.inf):
             raise ConfigurationError("warmup and settle_duration must be finite and >= 0")
-        if self.mode == MODE_OPEN_LOOP and self.event.forced_settle_duration > 0:
+        loop = self.event.mode if mode is None else mode
+        if loop == MODE_OPEN_LOOP and self.event.forced_settle_duration > 0:
             raise ConfigurationError(
                 "an open-loop event has no forced-settle hold, got "
                 f"forced_settle_duration={self.event.forced_settle_duration:g}")
         # a loop reads only its own command; the other loop's would be dropped
-        own, other = (("setpoint_deltas", "power_delta_frac") if self.mode == MODE_OPEN_LOOP
+        own, other = (("setpoint_deltas", "power_delta_frac") if loop == MODE_OPEN_LOOP
                       else ("power_delta_frac", "setpoint_deltas"))
         if getattr(self.event, own) is None or getattr(self.event, other) is not None:
-            raise ConfigurationError(f"{self.mode} events take {own} and no {other}")
+            raise ConfigurationError(f"{loop} events take {own} and no {other}")
         if self.event.duration + self.event.forced_settle_duration > self.settle_duration:
             raise ConfigurationError(
                 "event and forced-settle hold do not fit inside the settling window")
@@ -255,15 +268,6 @@ class Scenario:
     def window(self) -> metrics.EventWindow:
         return metrics.EventWindow(self.t_start, self.t_end, self.t_settle)
 
-    @property
-    def mode_label(self) -> str:
-        """The mode text of result rows; a closed loop is named by its hold."""
-        if self.mode == MODE_OPEN_LOOP:
-            return MODE_OPEN_LOOP
-        if self.event.forced_settle_duration > 0:
-            return MODE_FORCED_SETTLING
-        return MODE_CLOSED_LOOP
-
 
 def _model_id(params: BuildingParams) -> int:
     return kernels.MODEL_MIXING if params.uses_mixing_model else kernels.MODEL_ORIGINAL
@@ -309,7 +313,7 @@ def _run(scenario: Scenario, until: float | None = None) -> Trace:
     t_set = np.full(n + 1, g.t_set_nominal)
     p_ref = p_base = np.zeros(n + 1)
     engaged = np.zeros(n + 1, dtype=np.uint8)
-    if scenario.mode == MODE_OPEN_LOOP:
+    if scenario.event.mode == MODE_OPEN_LOOP:
         t_set += _halves(scenario, *scenario.event.setpoint_deltas)
     else:
         p_base = run_baseline(scenario).p_fan
@@ -362,10 +366,10 @@ def run_baseline(scenario: Scenario) -> Trace:
     fan power; it starts at the analytic equilibrium for the nominal setpoint.
     It is the open-loop run of a zero setpoint schedule under the forecast,
     memoised: the trace itself, read-only and shared by every scenario that
-    differs only in its event, mode, id or actual profile.
+    differs only in its event, id or actual profile.
     """
-    return _memo_open_loop(replace(scenario, event=_NO_EVENT, mode=MODE_OPEN_LOOP,
-                                   oa_actual=scenario.oa_predicted, scenario_id=""))
+    return _memo_open_loop(replace(scenario, event=_NO_EVENT, scenario_id="",
+                                   oa_actual=scenario.oa_predicted))
 
 
 def run_open_loop(scenario: Scenario) -> Trace:
@@ -373,7 +377,7 @@ def run_open_loop(scenario: Scenario) -> Trace:
 
     Marched on each call: no command asks for one event twice.
     """
-    if scenario.mode != MODE_OPEN_LOOP:
+    if scenario.event.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("run_open_loop needs an open-loop scenario")
     return _run(scenario)
 
@@ -395,12 +399,12 @@ def run_closed_loop(scenario: Scenario) -> Trace:
     The power PI is engaged over [t_start, t_end + hold), where the hold is
     the event's ``forced_settle_duration``: a square-wave power reference
     over the event, then a zero one. It then hands back to the temperature
-    controller, whose integral carries over unchanged. Either closed-loop
-    spelling of ``mode`` runs this one path. Its baseline, :func:`run_baseline`,
+    controller, whose integral carries over unchanged. Every closed-loop
+    event runs this one path, held or not. Its baseline, :func:`run_baseline`,
     supplies both the feedback subtraction and the fan power at t_start that
     ``power_delta_frac`` scales.
     """
-    if scenario.mode == MODE_OPEN_LOOP:
+    if scenario.event.mode == MODE_OPEN_LOOP:
         raise ConfigurationError("run_closed_loop needs a closed-loop scenario")
     return _run(scenario)
 
@@ -423,7 +427,7 @@ def tune_open_loop_event(scenario: Scenario) -> EventSchedule:
     probe's and its E_in + E_out is at least the probe's scale, so the stop
     rule (``NET_STOP_FRAC`` < ``metrics.NEUTRAL_FRAC``) makes the row neutral.
     """
-    if scenario.mode != MODE_OPEN_LOOP:
+    if scenario.event.mode != MODE_OPEN_LOOP:
         raise ConfigurationError("tuning applies to open-loop scenarios")
     d1, d2_init = scenario.event.setpoint_deltas
     sign2 = KIND_SIGN[scenario.event.kind]

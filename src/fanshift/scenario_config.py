@@ -31,6 +31,15 @@ def _deltas_f_to_k(values) -> tuple[float, ...]:
     return tuple(delta_f_to_k(float(x)) for x in values)
 
 
+def _boolean_free(value):
+    """``value``, unless it is or holds a YAML boolean (yes/no/on/off): no key takes one."""
+    if isinstance(value, bool):
+        raise ValueError(f"no config key takes a boolean (yes/no/on/off), got {value}")
+    for item in value if isinstance(value, list) else ():
+        _boolean_free(item)
+    return value
+
+
 # config key -> (dataclass field, converter), one table per section; a field
 # reachable from two keys (degC / degF, K / F) takes exactly one of them
 _BUILDING_KEYS = {
@@ -90,7 +99,7 @@ def _fields(section: dict, table: dict, where: str) -> dict:
             raise ConfigurationError(f"give either {given_as[name]} or {key}, not both")
         given_as[name] = key
         try:
-            kw[name] = convert(value)
+            kw[name] = convert(_boolean_free(value))
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"{where}: bad value for {key}: {exc}") from exc
     return kw
@@ -103,7 +112,7 @@ def _profile_from_config(spec, nominal: float) -> OutdoorProfile:
             if "t_step" not in kw:
                 raise ConfigurationError(f"bad outdoor profile spec: {spec}")
             return OutdoorProfile.step_at(nominal, kw["t_step"], kw.get("delta", 0.0))
-        pairs = [(float(t), float(v)) for t, v in spec]
+        pairs = [(float(t), float(v)) for t, v in _boolean_free(spec)]
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"outdoor profile: bad value: {exc}") from exc
     return OutdoorProfile(times=tuple(t for t, _ in pairs),

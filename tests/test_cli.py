@@ -96,6 +96,8 @@ class TestForcedSettlingMarches:
         ["--step-offset", "35000"],  # at the last sample, t_settle
         ["--step-f", "0"],
         ["--step-offset", "34900"],  # at 42,100 s, after the last input read
+        ["--step-offset", "-7100"],  # before event start
+        ["--step-offset", "-7200"],  # at t=0
     ])
     def test_step_that_never_happens_exits_1(self, tmp_path, capsys, monkeypatch, step):
         # the oa_step rows would be copies of the forced ones, mislabelled
@@ -363,6 +365,31 @@ class TestConfigSectionNotAMapping:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {section} must be a mapping\n"
+        assert not calls and not out.exists()
+
+
+class TestConfigValueRefused:
+    # a YAML boolean (yes/no/on/off), which float() would take as 1 or 0, and
+    # setpoint deltas that are not a pair are refused before any march
+    @pytest.mark.parametrize("old, new, message", [
+        ("dt_s: 1.0", "dt_s: yes", "bad value for dt_s"),
+        ("mix_r: 0.3", "mix_r: on", "bad value for mix_r"),
+        ("[1.0, -1.0]", "[yes, no]", "bad value for setpoint_deltas_f"),
+        ("[1.0, -1.0]", "[1.0]", "setpoint_deltas needs two deltas, got 1"),
+        ("[1.0, -1.0]", "[1.0, -1.0, 0.0]", "setpoint_deltas needs two deltas, got 3"),
+        ("[1.0, -1.0]", "[]", "setpoint_deltas needs two deltas, got 0"),
+    ], ids=["dt-yes", "mix-r-on", "deltas-yes-no", "one-delta", "three-deltas",
+            "no-deltas"])
+    def test_exits_1_writing_nothing(self, tmp_path, capsys, monkeypatch, old, new, message):
+        text = TestOtherLoopCommandRejected.GTA
+        assert old in text
+        config = tmp_path / "bad.yaml"
+        config.write_text(text.replace(old, new))
+        calls = count_marches(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
         assert not calls and not out.exists()
 
 

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,6 +72,11 @@ class TestEventSchedule:
         with pytest.raises(ConfigurationError):
             EventSchedule(kind="UPUP")
 
+    @pytest.mark.parametrize("deltas", [(1.0,), (1.0, -1.0, 0.0), ()])
+    def test_setpoint_deltas_must_be_a_pair(self, deltas):
+        with pytest.raises(ConfigurationError, match="setpoint_deltas needs two deltas"):
+            EventSchedule(kind="UP_DOWN", setpoint_deltas=deltas)
+
     @pytest.mark.parametrize("field, value", [
         ("half_duration", math.nan), ("half_duration", math.inf),
         ("forced_settle_duration", math.nan), ("forced_settle_duration", math.inf),
@@ -100,6 +105,17 @@ class TestScenarioValidation:
         sc = Scenario(**kw)
         run = run_open_loop if mode == engine.MODE_OPEN_LOOP else run_closed_loop
         assert run(sc).t[-1] == 3600.0
+
+    def test_swapping_the_event_swaps_the_loop(self):
+        # the event names its loop; a spelled mode is checked, then dropped
+        assert "mode" not in {f.name for f in fields(Scenario)}
+        open_sc = quick_scenario(dt=10.0)
+        closed = replace(open_sc, event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.10,
+                                                      forced_settle_duration=600.0))
+        assert (open_sc.event.mode, closed.event.mode) == (
+            "open_loop", "closed_loop_forced_settling")
+        assert run_closed_loop(closed).t[-1] == closed.t_settle
+        assert replace(closed, event=open_sc.event) == open_sc
 
     def test_default_event_is_the_zero_schedule(self):
         assert Scenario().event.setpoint_deltas == (0.0, 0.0)
@@ -363,7 +379,7 @@ class TestClosedLoop:
                                 event=EventSchedule(kind="UP_DOWN", power_delta_frac=0.10,
                                                     forced_settle_duration=hold))
             runs.append(run_closed_loop(sc))
-            labels.append(sc.mode_label)
+            labels.append(sc.event.mode)
         for name in SERIES_FIELDS:
             assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
         assert labels == 2 * ["closed_loop_forced_settling" if hold else "closed_loop"]
