@@ -341,6 +341,11 @@ def cmd_forced_settling(*, out: str | Path, dt: float, step_offset: float,
     trace by its forecast; the rows and traces of every item that succeeded
     are kept.
     """
+    # NaN fails every comparison below, and an infinite --dt moves its range
+    for option, value in (("--dt", dt), ("--step-offset", step_offset),
+                          ("--step-f", step_f)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{option} must be finite, got {value:g}")
     if step_f == 0 or step_offset < 0 or step_offset > Scenario.settle_duration - dt:
         raise ConfigurationError(
             "the oa_step cases need a non-zero --step-f and a --step-offset from 0 to "

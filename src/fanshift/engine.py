@@ -340,7 +340,7 @@ def _run(scenario: Scenario, until: float | None = None) -> Trace:
         "t_mix", "t_room", "t_wall", "t_set_eff", "mdot_desired", "mdot_actual",
         "p_fan")}
 
-    status = kernels.simulate_loop(
+    status, _marched = kernels.simulate_loop(
         _model_id(p), n, scenario.dt, p, g, mdot_max, t_low, t_high,
         t_out, t_set, p_ref, engaged, p_base,
         (t_mix0, g.t_set_nominal, t_wall0, i_temp0, mdot_eq, g.fan_coeff * mdot_eq),

@@ -3,18 +3,16 @@
 Everything in this module runs as plain Python; ``JIT_ENABLED`` records
 that no compiled backend is in use.
 
-``simulate_loop`` is the package's only implementation of a control step.
-It takes the run's ``BuildingParams`` and ``ControllerGains`` and binds them
-once per march: ``plant_step`` closes one whole RK4 step over the plant's
-constants and ``dt``, with the model's rate equations written out in its four
-stages, so a marched plant step is one five-argument call; the gains and lag
-decays become local floats before the first step. Within a stage the flow
-between two nodes is computed once and its negation used for the reverse
-flow, and ``mdot * c_p_air`` once per step; both are bit-exact (see
-``plant_step``). The temperature PI, the power PI and the two lags are
-written out in the loop body, so the plant is the only call a marched step
-makes. Tests pin ``plant_step`` to a textbook RK4 and the loop to reference
-implementations of each controller update, bit for bit.
+``simulate_loop`` is the package's only implementation of a control step,
+one function with no helper. It takes the run's ``BuildingParams`` and
+``ControllerGains`` and makes their constants, the lag decays and the RK4
+step's fractions of ``dt`` local floats before the first step. The power PI,
+the temperature PI, the two lags and the plant's classical RK4 step (the
+model's rate equations written out in each of its four stages) are written
+out in the loop body, so a marched step makes no function call. It returns
+the first bad sample and the number of steps it marched. Tests pin the loop,
+bit for bit, to reference implementations of each controller update and of
+the RK4 step composed in the loop's order.
 
 The arrays (1-D float64, uint8 for ``engaged``) are read and written only
 through memoryviews. Indexing a numpy array yields a numpy scalar, and one
@@ -76,82 +74,6 @@ MODEL_MIXING = 1
 JIT_ENABLED = False
 
 
-def plant_step(model, params, dt):
-    """Bind one plant's classical RK4 step to ``params`` and the step ``dt``.
-
-    Returns ``step(t_mix, t_room, t_wall, mdot, t_out) -> (t_mix, t_room,
-    t_wall)``, the state one step on with the inputs held over the step, and
-    the model's rate equations written out in each of the four stages. The
-    two-state model has no pocket: ``t_mix`` is a passenger that the room's
-    RK4 sum moves.
-
-    Shared terms are computed once: per stage the flows ``x = (t_room -
-    t_mix) / r_mix`` and ``y = (t_wall - t_room) / r_wall``, whose negations
-    are the reverse flows, and per step ``mc = mdot * c_p_air`` (Python
-    evaluates ``mdot * c_p_air * dT`` as ``(mdot * c_p_air) * dT``). IEEE
-    subtraction, negation and division are sign-symmetric, so every rate
-    keeps the bits of the equations as written, except that a zero rate may
-    change sign; a zero's sign cannot reach a nonzero temperature.
-    """
-    c_wall, r_wall = params.c_wall, params.r_wall
-    q_internal, t_supply, c_p_air = params.q_internal, params.t_supply, params.c_p_air
-    h2 = 0.5 * dt
-    sixth = dt / 6.0
-
-    if model == MODEL_ORIGINAL:
-        c_room = params.c_room
-
-        def step(t_mix, t_room, t_wall, mdot, t_out):
-            mc = mdot * c_p_air
-            y = (t_wall - t_room) / r_wall
-            r1 = (y + q_internal + mc * (t_supply - t_room)) / c_room
-            w1 = ((t_out - t_wall) / r_wall - y) / c_wall
-            r, w = t_room + h2 * r1, t_wall + h2 * w1
-            y = (w - r) / r_wall
-            r2 = (y + q_internal + mc * (t_supply - r)) / c_room
-            w2 = ((t_out - w) / r_wall - y) / c_wall
-            r, w = t_room + h2 * r2, t_wall + h2 * w2
-            y = (w - r) / r_wall
-            r3 = (y + q_internal + mc * (t_supply - r)) / c_room
-            w3 = ((t_out - w) / r_wall - y) / c_wall
-            r, w = t_room + dt * r3, t_wall + dt * w3
-            y = (w - r) / r_wall
-            r4 = (y + q_internal + mc * (t_supply - r)) / c_room
-            w4 = ((t_out - w) / r_wall - y) / c_wall
-            s = r1 + 2.0 * r2 + 2.0 * r3 + r4
-            return (t_mix + sixth * s, t_room + sixth * s,
-                    t_wall + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4))
-        return step
-
-    c_mix, c_room_rest, r_mix = params.c_mix, params.c_room_rest, params.r_mix
-
-    def step(t_mix, t_room, t_wall, mdot, t_out):
-        mc = mdot * c_p_air
-        x, y = (t_room - t_mix) / r_mix, (t_wall - t_room) / r_wall
-        a1 = (x + q_internal + mc * (t_supply - t_mix)) / c_mix
-        r1 = (y - x) / c_room_rest
-        w1 = ((t_out - t_wall) / r_wall - y) / c_wall
-        m, r, w = t_mix + h2 * a1, t_room + h2 * r1, t_wall + h2 * w1
-        x, y = (r - m) / r_mix, (w - r) / r_wall
-        a2 = (x + q_internal + mc * (t_supply - m)) / c_mix
-        r2 = (y - x) / c_room_rest
-        w2 = ((t_out - w) / r_wall - y) / c_wall
-        m, r, w = t_mix + h2 * a2, t_room + h2 * r2, t_wall + h2 * w2
-        x, y = (r - m) / r_mix, (w - r) / r_wall
-        a3 = (x + q_internal + mc * (t_supply - m)) / c_mix
-        r3 = (y - x) / c_room_rest
-        w3 = ((t_out - w) / r_wall - y) / c_wall
-        m, r, w = t_mix + dt * a3, t_room + dt * r3, t_wall + dt * w3
-        x, y = (r - m) / r_mix, (w - r) / r_wall
-        a4 = (x + q_internal + mc * (t_supply - m)) / c_mix
-        r4 = (y - x) / c_room_rest
-        w4 = ((t_out - w) / r_wall - y) / c_wall
-        return (t_mix + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-                t_room + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
-                t_wall + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4))
-    return step
-
-
 def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
                   t_out, t_set_sched, p_ref, engaged, p_base, start, outs):
     """March the closed loop over n_steps of size dt.
@@ -167,13 +89,24 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
 
     Each step runs, in this order: the power PI (engaged samples only; its
     integral starts at zero at every engagement), the temperature PI on the
-    adjusted setpoint, the airflow and fan-power lags, and the plant. The PI
-    and lag updates are written out in the loop body. A PI's sum is computed
-    with the candidate integral first; it is computed again with the held
-    integral only when anti-windup holds it, since with the candidate kept
-    the two are the same expression. The final sample's commands come from
-    the same PI updates with a zero step, which evaluates them without
-    advancing either integrator.
+    adjusted setpoint, the airflow and fan-power lags, and the plant. All
+    four are written out in the loop body. A PI's sum is computed with the
+    candidate integral first; it is computed again with the held integral
+    only when anti-windup holds it, since with the candidate kept the two are
+    the same expression. The final sample's commands come from the same PI
+    updates with a zero step, which evaluates them without advancing either
+    integrator.
+
+    The plant step is the classical RK4 step of ``model``'s rate equations
+    with the airflow and outdoor temperature held over the step. The
+    two-state model has no pocket: ``t_mix`` is a passenger that the room's
+    RK4 sum moves. Shared terms are computed once: per stage the flows ``x =
+    (t_room - t_mix) / r_mix`` and ``y = (t_wall - t_room) / r_wall``, whose
+    negations are the reverse flows, and per step ``mc = mdot * c_p_air``
+    (Python evaluates ``mdot * c_p_air * dT`` as ``(mdot * c_p_air) * dT``).
+    IEEE subtraction, negation and division are sign-symmetric, so every
+    rate keeps the bits of the equations as written, except that a zero rate
+    may change sign; a zero's sign cannot reach a nonzero temperature.
 
     The march does not stop at a bad sample. Every sample is stored in place
     as it is computed, and once the march ends one numpy pass over ``t_mix``,
@@ -187,12 +120,19 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
     identical ``t_wall``, so this one compare skips only the packing of the
     two states, never a settle.
 
-    Returns -1 on success, else the index of the first bad sample. The
+    Returns ``(first_bad, marched)``: ``first_bad`` is -1 on success, else
+    the index of the first bad sample, and ``marched`` the number of plant
+    steps taken, n_steps less the samples copied in settled stretches. The
     bounds must be finite: ``(t_low <= v) & (v <= t_high)`` is then false for
     NaN and +-inf, so only ``p_fan``, which has no bounds, needs its own
     finiteness check.
     """
-    step_plant = plant_step(model, params, dt)
+    mixing = model == MODEL_MIXING
+    c_room, c_wall, r_wall = params.c_room, params.c_wall, params.r_wall
+    c_mix, c_room_rest, r_mix = params.c_mix, params.c_room_rest, params.r_mix
+    q_internal, t_supply, c_p_air = params.q_internal, params.t_supply, params.c_p_air
+    h2 = 0.5 * dt
+    sixth = dt / 6.0
     kp_temp, ki_temp, kp_power, ki_power, fan_coeff = (
         gains.kp_temp, gains.ki_temp, gains.kp_power, gains.ki_power, gains.fan_coeff)
     decay_airflow = math.exp(-dt / gains.tau_airflow)
@@ -211,7 +151,7 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
     i_power = 0.0  # reset at every engagement before it is read
     was_engaged = False
 
-    i = stop = 0
+    i = stop = skipped = 0
     while True:
         if i == stop:
             # the inputs hold their bits from one stop to the next
@@ -277,7 +217,52 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
         mdot_act = mdot_des + (mdot_act - mdot_des) * decay_airflow
         p_target = fan_coeff * mdot_act
         p_fan = p_target + (p_fan - p_target) * decay_fan
-        t_mix, t_room, t_wall = step_plant(t_mix, t_room, t_wall, mdot_act, t_out_i)
+        # the plant's RK4 step, its four stages written out
+        mc = mdot_act * c_p_air
+        if mixing:
+            x, y = (t_room - t_mix) / r_mix, (t_wall - t_room) / r_wall
+            a1 = (x + q_internal + mc * (t_supply - t_mix)) / c_mix
+            r1 = (y - x) / c_room_rest
+            w1 = ((t_out_i - t_wall) / r_wall - y) / c_wall
+            m, r, w = t_mix + h2 * a1, t_room + h2 * r1, t_wall + h2 * w1
+            x, y = (r - m) / r_mix, (w - r) / r_wall
+            a2 = (x + q_internal + mc * (t_supply - m)) / c_mix
+            r2 = (y - x) / c_room_rest
+            w2 = ((t_out_i - w) / r_wall - y) / c_wall
+            m, r, w = t_mix + h2 * a2, t_room + h2 * r2, t_wall + h2 * w2
+            x, y = (r - m) / r_mix, (w - r) / r_wall
+            a3 = (x + q_internal + mc * (t_supply - m)) / c_mix
+            r3 = (y - x) / c_room_rest
+            w3 = ((t_out_i - w) / r_wall - y) / c_wall
+            m, r, w = t_mix + dt * a3, t_room + dt * r3, t_wall + dt * w3
+            x, y = (r - m) / r_mix, (w - r) / r_wall
+            a4 = (x + q_internal + mc * (t_supply - m)) / c_mix
+            r4 = (y - x) / c_room_rest
+            w4 = ((t_out_i - w) / r_wall - y) / c_wall
+            t_mix, t_room, t_wall = (
+                t_mix + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                t_room + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
+                t_wall + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4))
+        else:
+            y = (t_wall - t_room) / r_wall
+            r1 = (y + q_internal + mc * (t_supply - t_room)) / c_room
+            w1 = ((t_out_i - t_wall) / r_wall - y) / c_wall
+            r, w = t_room + h2 * r1, t_wall + h2 * w1
+            y = (w - r) / r_wall
+            r2 = (y + q_internal + mc * (t_supply - r)) / c_room
+            w2 = ((t_out_i - w) / r_wall - y) / c_wall
+            r, w = t_room + h2 * r2, t_wall + h2 * w2
+            y = (w - r) / r_wall
+            r3 = (y + q_internal + mc * (t_supply - r)) / c_room
+            w3 = ((t_out_i - w) / r_wall - y) / c_wall
+            r, w = t_room + dt * r3, t_wall + dt * w3
+            y = (w - r) / r_wall
+            r4 = (y + q_internal + mc * (t_supply - r)) / c_room
+            w4 = ((t_out_i - w) / r_wall - y) / c_wall
+            s = r1 + 2.0 * r2 + 2.0 * r3 + r4
+            t_mix, t_room, t_wall = (
+                t_mix + sixth * s, t_room + sixth * s,
+                t_wall + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4))
 
         i += 1
         # a settled step repeats sample i - 1 up to the next stop; the state
@@ -289,6 +274,7 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
                 i_power_0, out_mdot_act[i - 1], out_p_fan[i - 1], was_engaged):
             for out in outs:
                 out[i:stop] = out[i - 1]
+            skipped += stop - i
             i = stop
         was_engaged = eng
 
@@ -297,4 +283,4 @@ def simulate_loop(model, n_steps, dt, params, gains, mdot_max, t_low, t_high,
     for out in outs[:3]:
         ok &= (out >= t_low) & (out <= t_high)
     first_bad = int(ok.argmin())
-    return -1 if ok[first_bad] else first_bad
+    return (-1 if ok[first_bad] else first_bad), n_steps - skipped

@@ -96,7 +96,8 @@ def _fields(section: dict, table: dict, where: str) -> dict:
     for key, value in section.items():
         name, convert = table[key]
         if name in given_as:
-            raise ConfigurationError(f"give either {given_as[name]} or {key}, not both")
+            raise ConfigurationError(
+                f"{where}: give either {given_as[name]} or {key}, not both")
         given_as[name] = key
         try:
             kw[name] = convert(_boolean_free(value))
@@ -105,18 +106,24 @@ def _fields(section: dict, table: dict, where: str) -> dict:
     return kw
 
 
-def _profile_from_config(spec, nominal: float) -> OutdoorProfile:
+def _profile_from_config(spec, nominal: float, where: str) -> OutdoorProfile:
+    """The outdoor profile that config key ``where`` (``outdoor.actual`` or
+    ``outdoor.predicted``) gives: a step mapping or a list of [time, value]
+    pairs. Every error it raises names ``where``."""
+    if isinstance(spec, dict):
+        kw = _fields(spec, _STEP_KEYS, where)
+        if "t_step" not in kw:
+            raise ConfigurationError(f"{where}: a step profile needs step_at_s, got {spec}")
     try:
         if isinstance(spec, dict):
-            kw = _fields(spec, _STEP_KEYS, "outdoor profile")
-            if "t_step" not in kw:
-                raise ConfigurationError(f"bad outdoor profile spec: {spec}")
             return OutdoorProfile.step_at(nominal, kw["t_step"], kw.get("delta", 0.0))
         pairs = [(float(t), float(v)) for t, v in _boolean_free(spec)]
+        return OutdoorProfile(times=tuple(t for t, _ in pairs),
+                              values=tuple(v for _, v in pairs))
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"outdoor profile: bad value: {exc}") from exc
-    return OutdoorProfile(times=tuple(t for t, _ in pairs),
-                          values=tuple(v for _, v in pairs))
+        raise ConfigurationError(f"{where}: bad value: {exc}") from exc
+    except ConfigurationError as exc:  # the profile's own checks
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def load_scenario_config(path: str | Path) -> Scenario:
@@ -156,6 +163,7 @@ def load_scenario_config(path: str | Path) -> Scenario:
     event = EventSchedule(**event_kw)
     outdoor = sections["outdoor"]
     _check_keys(outdoor, {"actual", "predicted"}, "outdoor")
-    profiles = {f"oa_{name}": _profile_from_config(spec, params.t_outdoor_nominal)
+    profiles = {f"oa_{name}": _profile_from_config(spec, params.t_outdoor_nominal,
+                                                   f"outdoor.{name}")
                 for name, spec in outdoor.items() if spec is not None}
     return Scenario(params=params, gains=gains, event=event, **profiles, **kw)

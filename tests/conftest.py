@@ -72,20 +72,87 @@ def count_marches(monkeypatch) -> list:
 
 
 def count_plant_steps(monkeypatch) -> list:
-    """Spy on the kernel's plant step; the returned list gains one entry
-    (the ``t_out`` it was given) per step the kernel marches."""
-    calls, plant_step = [], kernels.plant_step
+    """Spy on the kernel; the returned list gains the number of plant steps
+    each march took, as the kernel returns it."""
+    calls, simulate_loop = [], kernels.simulate_loop
 
-    def bind(*args):
-        step = plant_step(*args)
+    def spy(*args):
+        first_bad, marched = simulate_loop(*args)
+        calls.append(marched)
+        return first_bad, marched
 
-        def spy(*state):
-            calls.append(state[-1])
-            return step(*state)
-        return spy
-
-    monkeypatch.setattr(kernels, "plant_step", bind)
+    monkeypatch.setattr(kernels, "simulate_loop", spy)
     return calls
+
+
+def plant_step(model, params, dt):
+    """The tests' reference plant: one plant's classical RK4 step bound to
+    ``params`` and the step ``dt``, as ``kernels.simulate_loop`` writes it out.
+
+    Returns ``step(t_mix, t_room, t_wall, mdot, t_out) -> (t_mix, t_room,
+    t_wall)``, the state one step on with the inputs held over the step.
+    Its rate equations, shared terms and operation order are the loop's, so
+    ``test_thermal.py`` pins the loop's RK4 to a textbook one through it, and
+    ``test_control.py``'s reference march composes it with the controller
+    references.
+    """
+    c_wall, r_wall = params.c_wall, params.r_wall
+    q_internal, t_supply, c_p_air = params.q_internal, params.t_supply, params.c_p_air
+    h2 = 0.5 * dt
+    sixth = dt / 6.0
+
+    if model == kernels.MODEL_ORIGINAL:
+        c_room = params.c_room
+
+        def step(t_mix, t_room, t_wall, mdot, t_out):
+            mc = mdot * c_p_air
+            y = (t_wall - t_room) / r_wall
+            r1 = (y + q_internal + mc * (t_supply - t_room)) / c_room
+            w1 = ((t_out - t_wall) / r_wall - y) / c_wall
+            r, w = t_room + h2 * r1, t_wall + h2 * w1
+            y = (w - r) / r_wall
+            r2 = (y + q_internal + mc * (t_supply - r)) / c_room
+            w2 = ((t_out - w) / r_wall - y) / c_wall
+            r, w = t_room + h2 * r2, t_wall + h2 * w2
+            y = (w - r) / r_wall
+            r3 = (y + q_internal + mc * (t_supply - r)) / c_room
+            w3 = ((t_out - w) / r_wall - y) / c_wall
+            r, w = t_room + dt * r3, t_wall + dt * w3
+            y = (w - r) / r_wall
+            r4 = (y + q_internal + mc * (t_supply - r)) / c_room
+            w4 = ((t_out - w) / r_wall - y) / c_wall
+            s = r1 + 2.0 * r2 + 2.0 * r3 + r4
+            return (t_mix + sixth * s, t_room + sixth * s,
+                    t_wall + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4))
+        return step
+
+    c_mix, c_room_rest, r_mix = params.c_mix, params.c_room_rest, params.r_mix
+
+    def step(t_mix, t_room, t_wall, mdot, t_out):
+        mc = mdot * c_p_air
+        x, y = (t_room - t_mix) / r_mix, (t_wall - t_room) / r_wall
+        a1 = (x + q_internal + mc * (t_supply - t_mix)) / c_mix
+        r1 = (y - x) / c_room_rest
+        w1 = ((t_out - t_wall) / r_wall - y) / c_wall
+        m, r, w = t_mix + h2 * a1, t_room + h2 * r1, t_wall + h2 * w1
+        x, y = (r - m) / r_mix, (w - r) / r_wall
+        a2 = (x + q_internal + mc * (t_supply - m)) / c_mix
+        r2 = (y - x) / c_room_rest
+        w2 = ((t_out - w) / r_wall - y) / c_wall
+        m, r, w = t_mix + h2 * a2, t_room + h2 * r2, t_wall + h2 * w2
+        x, y = (r - m) / r_mix, (w - r) / r_wall
+        a3 = (x + q_internal + mc * (t_supply - m)) / c_mix
+        r3 = (y - x) / c_room_rest
+        w3 = ((t_out - w) / r_wall - y) / c_wall
+        m, r, w = t_mix + dt * a3, t_room + dt * r3, t_wall + dt * w3
+        x, y = (r - m) / r_mix, (w - r) / r_wall
+        a4 = (x + q_internal + mc * (t_supply - m)) / c_mix
+        r4 = (y - x) / c_room_rest
+        w4 = ((t_out - w) / r_wall - y) / c_wall
+        return (t_mix + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                t_room + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
+                t_wall + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4))
+    return step
 
 
 def quick_scenario(**overrides) -> Scenario:
@@ -115,12 +182,13 @@ def march(params, gains, n_steps, dt, start, engaged=None, p_ref=None,
           p_base=None, t_low=None, t_high=None):
     """Run ``kernels.simulate_loop`` from ``start`` under the nominal outdoor
     temperature and setpoint, with sanity bounds 5 K beyond supply and
-    outdoor unless given. Returns (status, {output name: array})."""
+    outdoor unless given. Returns (status, {output name: array}), the status
+    being the kernel's first bad sample."""
     n1 = n_steps + 1
     zeros = np.zeros(n1)
     mdot_max = MDOT_LIMIT_FACTOR * equilibrium(params, gains.t_set_nominal)[2]
     outs = {name: np.empty(n1) for name in LOOP_OUTPUTS}
-    status = kernels.simulate_loop(
+    status, _ = kernels.simulate_loop(
         _model_id(params), n_steps, dt, params, gains, mdot_max,
         params.t_supply - 5.0 if t_low is None else t_low,
         params.t_outdoor_nominal + 5.0 if t_high is None else t_high,

@@ -9,8 +9,9 @@ two. A trace file copied from the file its caller already wrote (the
 ``trace_write`` counts files, not encodes.
 
 The work of each benchmark workload, built by ``perfbench/workloads.py`` at
-seed 1 and run in-process, is pinned in kernel calls, simulated steps and
-trace encodes, so a run or an encode that stops being reused fails here.
+seed 1 and run in-process, is pinned in kernel calls, simulated steps,
+marched steps and trace encodes, so a run, a skipped step or an encode that
+stops being reused fails here.
 They run on one CPU, so ``sweep-mixing`` and ``forced-settling`` march
 every run in-process, where the spies and the tracer see it.
 
@@ -29,7 +30,7 @@ import fanshift
 import fanshift.cli  # noqa: F401 - the tracer reaches every module through the package
 from fanshift import cli, data_io, engine, kernels, tracefile
 
-from conftest import make_trace, quick_scenario, use_cpus
+from conftest import count_plant_steps, make_trace, quick_scenario, use_cpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -118,6 +119,22 @@ def test_workload_work_pinned(tmp_path, monkeypatch, workload, work):
     monkeypatch.setattr(tracefile, "_trace_chunks", count_encodes)
     assert cli.main(command.argv + ["--out", str(tmp_path / "out")]) == 0
     assert (len(steps), sum(steps), len(encodes)) == work
+
+
+@pytest.mark.parametrize("workload, marched", [
+    ("settling_study", 19_258),
+    ("mixing_sweep", 35_020),
+    ("neutral_tune", 6_181),
+])
+def test_workload_marched_steps_pinned(tmp_path, monkeypatch, workload, marched):
+    """Plant steps the kernel marches in each benchmark workload at seed 1:
+    a settled stretch or a cut tuner probe that stops being skipped fails
+    here, though it leaves the simulated steps above unchanged."""
+    command = load_perfbench(monkeypatch, "workloads").WORKLOADS[workload](1, tmp_path)
+    use_cpus(monkeypatch, 1)
+    steps = count_plant_steps(monkeypatch)
+    assert cli.main(command.argv + ["--out", str(tmp_path / "out")]) == 0
+    assert sum(steps) == marched
 
 
 @pytest.mark.parametrize("workload", ["settling_study", "mixing_sweep", "neutral_tune"])

@@ -168,12 +168,23 @@ class TestRejectedCommandWritesNothing:
         # without a pocket the "mixing" model is the two-state one
         (["compare-models", "--dt", "10", "--mix-r", "0", "--mix-c", "0"],
          "needs a mixing pocket"),
+        # NaN slipped past the step-offset range and failed in the outdoor
+        # profile, naming no option
+        (["forced-settling", "--dt", "200", "--step-offset", "nan"],
+         "--step-offset must be finite"),
+        (["forced-settling", "--dt", "200", "--step-f", "nan"],
+         "--step-f must be finite"),
+        (["forced-settling", "--dt", "200", "--step-f", "inf"],
+         "--step-f must be finite"),
+        # an infinite step was blamed on the step offset's range
+        (["forced-settling", "--dt", "inf"], "--dt must be finite"),
     ], ids=["forced-settling", "compare-models", "simulate", "measured-one-row",
             "measured-window-off-grid", "measured-no-column-map", "measured-time-unit",
             "column-map-alone", "measured-window-alone", "measured-directory",
             "measured-not-utf8", "measured-huge-field", "config-directory",
             "config-not-utf8", "setpoint-delta-zero", "setpoint-delta-negative",
-            "compare-models-no-pocket"])
+            "compare-models-no-pocket", "step-offset-nan", "step-f-nan",
+            "step-f-inf", "dt-inf"])
     def test_no_output_directory(self, tmp_path, capsys, argv, message):
         raw = yaml.safe_load(CLOSED_LOOP_3H)
         raw["building"]["mix_c"] = 0.01

@@ -4,7 +4,7 @@ them pinned bit for bit.
 
 ``temp_pi``, ``power_pi`` and ``lag_step`` below are the references: each
 controller update as its own function. ``reference_march`` composes them in
-the loop's order, with ``kernels.plant_step`` (pinned to a textbook RK4 in
+the loop's order, with ``conftest.plant_step`` (pinned to a textbook RK4 in
 ``test_thermal.py``) for the plant.
 """
 
@@ -21,9 +21,8 @@ from fanshift import BuildingParams, ControllerGains, equilibrium
 from fanshift.control import MDOT_LIMIT_FACTOR, SETPOINT_ADJ_LIMIT_K
 from fanshift.engine import _model_id
 from fanshift.errors import ConfigurationError
-from fanshift.kernels import plant_step
 
-from conftest import equilibrium_start, march
+from conftest import equilibrium_start, march, plant_step
 
 # documented loop gains, stated per degree of error
 TABLE_GAINS = ControllerGains(kp_temp=2.0, ki_temp=0.001)

@@ -464,6 +464,21 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError, match="strictly increasing"):
             data_io.load_scenario_config(path)
 
+    @pytest.mark.parametrize("outdoor, message", [
+        ("{actual: [[0, 29.4], [100, no]]}",
+         "outdoor.actual: bad value: no config key takes a boolean"),
+        ("{predicted: [[0, 29.4], [9000, 31.0], [4000, 30.0]]}",
+         "outdoor.predicted: profile times must be strictly increasing"),
+        ("{actual: {step_at_s: 100, step_f: .nan}}",
+         "outdoor.actual: profile times and values must be finite"),
+    ], ids=["bad-value", "times-backwards", "non-finite-step"])
+    def test_bad_profile_names_its_key(self, tmp_path, outdoor, message):
+        path = write_config(tmp_path, OPEN_CONFIG.replace("outdoor: {}",
+                                                          f"outdoor: {outdoor}"))
+        with pytest.raises(ConfigurationError) as info:
+            data_io.load_scenario_config(path)
+        assert str(info.value).startswith(message)
+
 
 def write_measured(tmp_path, rows, name="measured.csv"):
     path = tmp_path / name

@@ -416,7 +416,7 @@ class TestStep:
             series = getattr(trace, name)
             assert np.array_equal(series.view(np.uint64),
                                   np.full_like(series, series[0]).view(np.uint64)), name
-        assert len(steps) <= 2
+        assert sum(steps) <= 2
 
     def test_event_warmup_not_marched(self, monkeypatch):
         # the event run leaves the fixed point only when its inputs change
@@ -427,11 +427,11 @@ class TestStep:
         baseline = run_baseline(sc)
         steps = count_plant_steps(monkeypatch)
         run_closed_loop(sc)
-        assert len(steps) <= sc.n_steps - sc.warmup / sc.dt + 2
+        assert sum(steps) <= sc.n_steps - sc.warmup / sc.dt + 2
 
     @pytest.mark.parametrize("mix", [None, (0.5, 0.3)], ids=["two_state", "mixing"])
     def test_moving_event_counts_marched_steps(self, monkeypatch, mix):
-        # the spy sees the steps the kernel marches, so a moving run cannot
+        # the kernel counts the steps it marches, so a moving run cannot
         # pass a step-count bound with zero
         params = BuildingParams() if mix is None else BuildingParams().with_mixing(*mix)
         sc = Scenario(params=params,
@@ -441,7 +441,7 @@ class TestStep:
         baseline = run_baseline(sc)
         steps = count_plant_steps(monkeypatch)
         run_closed_loop(sc)
-        assert 2 * sc.event.half_duration / sc.dt < len(steps) < sc.n_steps
+        assert 2 * sc.event.half_duration / sc.dt < sum(steps) < sc.n_steps
 
     def test_convergence_from_perturbed_start(self):
         # a small room-temperature offset decays back to the setpoint

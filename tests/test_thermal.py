@@ -11,8 +11,10 @@ from fanshift import BuildingParams, equilibrium
 from fanshift.control import MDOT_LIMIT_FACTOR
 from fanshift.engine import _model_id
 from fanshift.errors import ConfigurationError, EquilibriumInfeasibleError
-from fanshift.kernels import MODEL_MIXING, MODEL_ORIGINAL, plant_step
+from fanshift.kernels import MODEL_MIXING, MODEL_ORIGINAL
 from fanshift.thermal import delta_f_to_k, fahrenheit_to_celsius
+
+from conftest import plant_step
 
 # steady-state heat load at the calibrated parameters and nominal setpoint:
 # (T_wall - T_room)/R + Q with T_wall = (21.7 + 29.4)/2
